@@ -1,10 +1,14 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§V) under the deterministic simulator.
+   evaluation (§V) under the deterministic simulator, plus the
+   extensions.  The [figures] registry at the end lists every figure
+   once (name, title, gated or not, runner); it drives [--figure], its
+   help text, [all], [gates] and the single `dune runtest` rule in
+   bench/dune.
 
      dune exec bench/main.exe -- --figure fig5 --full
      dune exec bench/main.exe -- --figure all
      dune exec bench/main.exe -- --figure fig5 --json          # BENCH_fig5.json
-     dune exec bench/main.exe -- --figure fig5 --baseline BENCH_fig5.json
+     dune exec bench/main.exe -- --figure gates --baseline .   # the runtest gate
 
    Throughput unit: committed operations per 1000 simulated rounds
    ("ops/kround").  The simulated machine has [cores] CPUs; thread counts
@@ -12,10 +16,14 @@
    simulated rounds.  See EXPERIMENTS.md for the paper-vs-measured record
    and the workload-scaling notes.
 
-   With [--json], every figure run is also serialized (config, seed,
-   series tables, telemetry snapshot) through {!Workloads.Bench_json};
-   [--baseline FILE] diffs the fresh run against a previously saved file
-   and exits nonzero when a series regressed beyond [--tolerance]. *)
+   Every figure runs in a forked child, so its numbers are the same
+   whichever figures run before it.  With [--json], every figure run is
+   also serialized (config, seed, series tables, telemetry snapshot)
+   through {!Workloads.Bench_json}; [--baseline DIR] diffs each figure
+   against DIR/BENCH_<figure>.json and exits 1 when a series regressed
+   by more than {!Workloads.Bench_json.tolerance}.  With [--figure gates]
+   every gated figure must have its file in DIR and every
+   DIR/BENCH_*.json must belong to a gated figure. *)
 
 open Workloads
 module Region = Pmem.Region
@@ -57,9 +65,9 @@ let spec mode ~threads ~seed =
 
 let pr fmt = Format.printf fmt
 
-(* Telemetry registry for the figure currently running; every OneFile
-   instance built through the TM_FRESH wrappers below reports into it. *)
-let tele = ref (Telemetry.create ())
+(* Telemetry registry of the figure this process runs; every OneFile
+   instance built by the engines below reports into it. *)
+let tele = Telemetry.create ()
 
 (* Every series a figure prints is also recorded here as a Bench_json
    table, so --json / --baseline see exactly what the text output shows. *)
@@ -89,7 +97,8 @@ let emit ?(label_col = "threads") ~title ~columns ~better rows =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Series definitions *)
+(* Engines: a column label and a TM whose [fresh] builds the instance of
+   one benchmark point *)
 
 module type TM_FRESH = sig
   include Tm.Tm_intf.S
@@ -97,164 +106,119 @@ module type TM_FRESH = sig
   val fresh : unit -> t
 end
 
+type engine = string * (module TM_FRESH)
+
 let vol_size = 1 lsl 18
 
-module Of_lf_v = struct
-  include Lf
+let engine (type a) label (module T : Tm.Tm_intf.S with type t = a) fresh :
+    engine =
+  ( label,
+    (module struct
+      include T
 
-  let fresh () =
-    let t = create ~mode:Region.Volatile ~size:vol_size ~ws_cap:2048 () in
-    attach_telemetry t !tele;
-    t
-end
+      let fresh = fresh
+    end) )
 
-module Of_wf_v = struct
-  include Wf
+(* A OneFile front-end over its own region, reporting into [tele].  [Lf]
+   and [Wf] share [Lf.t] and [Lf.create]; only [F]'s transaction drivers
+   differ. *)
+let onefile label (module F : Tm.Tm_intf.S with type t = Lf.t) mode =
+  engine label (module F) (fun () ->
+      let t = Lf.create ~mode ~size:vol_size ~ws_cap:2048 () in
+      Lf.attach_telemetry t tele;
+      t)
 
-  let fresh () =
-    let t = create ~mode:Region.Volatile ~size:vol_size ~ws_cap:2048 () in
-    attach_telemetry t !tele;
-    t
-end
+let of_lf_v = onefile "OF-LF" (module Lf) Region.Volatile
+let of_wf_v = onefile "OF-WF" (module Wf) Region.Volatile
 
-module Tiny_v = struct
-  include Baselines.Tinystm
+let tiny =
+  engine "TinySTM" (module Baselines.Tinystm) (fun () ->
+      Baselines.Tinystm.create ~size:vol_size ())
 
-  let fresh () = create ~size:vol_size ()
-end
+let estm =
+  engine "ESTM" (module Baselines.Estm) (fun () ->
+      Baselines.Estm.create ~size:vol_size ())
 
-module Estm_v = struct
-  include Baselines.Estm
+(* The volatile STMs of Figs. 2-7. *)
+let stms = [ of_lf_v; of_wf_v; tiny; estm ]
 
-  let fresh () = create ~size:vol_size ()
-end
+(* Fig. 5's list benchmark runs ESTM with its elastic read-set window. *)
+let estm_elastic =
+  engine "ESTM" (module Baselines.Estm) (fun () ->
+      Baselines.Estm.create ~size:vol_size ~elastic:true ())
 
-module Estm_elastic_v = struct
-  include Baselines.Estm
+let of_lf_p = onefile "OF-LF" (module Lf) Region.Persistent
 
-  let fresh () = create ~size:vol_size ~elastic:true ()
-end
+let pmdk =
+  engine "PMDK" (module Baselines.Pmdk) (fun () ->
+      Baselines.Pmdk.create ~size:vol_size ())
 
-module Of_lf_p = struct
-  include Lf
+let romlog =
+  engine "RomLog" (module Baselines.Romulus_log) (fun () ->
+      Baselines.Romulus_log.create ~half:(1 lsl 17) ())
 
-  let fresh () =
-    let t = create ~mode:Region.Persistent ~size:vol_size ~ws_cap:2048 () in
-    attach_telemetry t !tele;
-    t
-end
+let romlr =
+  engine "RomLR" (module Baselines.Romulus_lr) (fun () ->
+      Baselines.Romulus_lr.create ~half:(1 lsl 17) ())
 
-module Of_wf_p = struct
-  include Wf
-
-  let fresh () =
-    let t = create ~mode:Region.Persistent ~size:vol_size ~ws_cap:2048 () in
-    attach_telemetry t !tele;
-    t
-end
-
-module Pmdk_p = struct
-  include Baselines.Pmdk
-
-  let fresh () = create ~size:vol_size ()
-end
-
-module Romlog_p = struct
-  include Baselines.Romulus_log
-
-  let fresh () = create ~half:(1 lsl 17) ()
-end
-
-module Romlr_p = struct
-  include Baselines.Romulus_lr
-
-  let fresh () = create ~half:(1 lsl 17) ()
-end
+(* The persistent PTMs of Figs. 8-12. *)
+let ptms =
+  [ of_lf_p; onefile "OF-WF" (module Wf) Region.Persistent; pmdk; romlog; romlr ]
 
 (* The pre-snapshot validating read path on the same engine: read-only
    transactions re-validate against curTx and restart on conflict.  The
    before/after baseline of the readmix figure (DESIGN.md §13). *)
-module Of_lf_val_v = struct
-  include Lf
+let of_lf_val =
+  onefile "OF-LF-val"
+    (module struct
+      include Lf
 
-  let read_tx = Lf.read_tx_validating
-  let fresh = Of_lf_v.fresh
-end
+      let read_tx = Lf.read_tx_validating
+    end)
+    Region.Volatile
 
 (* The same workload behind a 4-shard volatile router: read-only
    transactions that stay on one shard take that shard's wait-free
    snapshot path, traversals that cross take the epoch-vector cut. *)
-module Shr_lf = Tm.Tm_shard.Make (Lf)
+let shard_lf =
+  let module Sh = Tm.Tm_shard.Make (Lf) in
+  engine "Shard-LF" (module Sh) (fun () ->
+      let n_shards = 4 and span = 1 lsl 16 in
+      let device = Region.create ~mode:Region.Volatile (n_shards * span) in
+      let views = Region.partition device (List.init n_shards (fun _ -> span)) in
+      let insts =
+        Array.of_list
+          (List.map
+             (fun v ->
+               let sh =
+                 Lf.create ~region:v ~instance:(Region.id v) ~max_threads:24
+                   ~ws_cap:256 ~num_roots:16 ()
+               in
+               Lf.attach_telemetry sh tele;
+               sh)
+             views)
+      in
+      let t = Sh.make ~max_threads:24 ~ro_snapshot:Lf.snapshot_ops insts in
+      Sh.attach_telemetry t tele;
+      t)
 
-module Of_sh_lf_v = struct
-  include Shr_lf
-
-  let n_shards = 4
-
-  let fresh () =
-    let span = 1 lsl 16 in
-    let device = Region.create ~mode:Region.Volatile (n_shards * span) in
-    let views = Region.partition device (List.init n_shards (fun _ -> span)) in
-    let insts =
-      Array.of_list
-        (List.map
-           (fun v ->
-             let sh =
-               Lf.create ~region:v ~instance:(Region.id v) ~max_threads:24
-                 ~ws_cap:256 ~num_roots:16 ()
-             in
-             Lf.attach_telemetry sh !tele;
-             sh)
-           views)
-    in
-    let t = make ~max_threads:24 ~ro_snapshot:Lf.snapshot_ops insts in
-    attach_telemetry t !tele;
-    t
-end
+(* [over shape engines]: each engine's label with its [shape] instance. *)
+let over shape = List.map (fun (label, tm) -> (label, shape tm))
 
 (* ------------------------------------------------------------------ *)
 (* SPS (Figs. 2, 3, 8) *)
 
-module SpsBench (T : TM_FRESH) = struct
-  module S = Structures.Sps.Make (T)
+let sps_point (module T : TM_FRESH) ~n ~swaps ~alloc sp =
+  let module S = Structures.Sps.Make (T) in
+  let t = T.fresh () in
+  let s = if alloc then S.create_alloc t ~root:0 ~n else S.create t ~root:0 ~n in
+  Bench_runner.throughput sp (fun ~tid:_ ~rng ->
+      if alloc then S.swaps_alloc_tx s rng swaps else S.swaps_tx s rng swaps)
 
-  let point ~n ~swaps ~alloc sp =
-    let t = T.fresh () in
-    let s = if alloc then S.create_alloc t ~root:0 ~n else S.create t ~root:0 ~n in
-    Bench_runner.throughput sp (fun ~tid:_ ~rng ->
-        if alloc then S.swaps_alloc_tx s rng swaps else S.swaps_tx s rng swaps)
-end
-
-module Sps_of_lf = SpsBench (Of_lf_v)
-module Sps_of_wf = SpsBench (Of_wf_v)
-module Sps_tiny = SpsBench (Tiny_v)
-module Sps_estm = SpsBench (Estm_v)
-module Sps_of_lf_p = SpsBench (Of_lf_p)
-module Sps_of_wf_p = SpsBench (Of_wf_p)
-module Sps_pmdk = SpsBench (Pmdk_p)
-module Sps_romlog = SpsBench (Romlog_p)
-module Sps_romlr = SpsBench (Romlr_p)
-
-let fig_sps mode ~alloc ~persistent =
+let fig_sps ~alloc ~persistent mode =
   let n = if persistent then 4096 else 1000 in
   let swaps_list = if alloc then [ 1; 4; 16 ] else [ 1; 4; 16; 64 ] in
-  let series =
-    if persistent then
-      [
-        ("OF-LF", Sps_of_lf_p.point);
-        ("OF-WF", Sps_of_wf_p.point);
-        ("PMDK", Sps_pmdk.point);
-        ("RomLog", Sps_romlog.point);
-        ("RomLR", Sps_romlr.point);
-      ]
-    else
-      [
-        ("OF-LF", Sps_of_lf.point);
-        ("OF-WF", Sps_of_wf.point);
-        ("TinySTM", Sps_tiny.point);
-        ("ESTM", Sps_estm.point);
-      ]
-  in
+  let series = if persistent then ptms else stms in
   List.iter
     (fun swaps ->
       let title =
@@ -269,7 +233,7 @@ let fig_sps mode ~alloc ~persistent =
             let sp = spec mode ~threads ~seed:(threads + (swaps * 131)) in
             ( string_of_int threads,
               List.map
-                (fun (_, point) -> point ~n ~swaps ~alloc sp *. float_of_int swaps)
+                (fun (_, tm) -> sps_point tm ~n ~swaps ~alloc sp *. float_of_int swaps)
                 series ))
           mode.threads
       in
@@ -277,132 +241,56 @@ let fig_sps mode ~alloc ~persistent =
     swaps_list
 
 (* ------------------------------------------------------------------ *)
-(* Sets (Figs. 5, 6, 9, 10, 11) *)
+(* Sets (Figs. 5, 6, 9, 10, 11): the TM structures and the native sets
+   behind one record of operations *)
 
-module LlBench (T : TM_FRESH) = struct
-  module S = Structures.Ll_set.Make (T)
+type set = { add : int -> bool; remove : int -> bool; contains : int -> bool }
 
-  let point ~keys ~update_pct sp =
-    let t = T.fresh () in
-    let s = S.create t ~root:0 in
-    for i = 0 to keys - 1 do
-      ignore (S.add s (2 * i))
-    done;
-    Bench_runner.throughput sp (fun ~tid:_ ~rng ->
-        let k = 2 * Rng.int rng keys in
-        if Rng.int rng 1000 < update_pct then begin
-          ignore (S.remove s k);
-          ignore (S.add s k)
-        end
-        else begin
-          ignore (S.contains s k);
-          ignore (S.contains s (2 * Rng.int rng keys))
-        end)
-end
+let ll_set (module T : TM_FRESH) ~keys:_ =
+  let module S = Structures.Ll_set.Make (T) in
+  let s = S.create (T.fresh ()) ~root:0 in
+  { add = S.add s; remove = S.remove s; contains = S.contains s }
 
-module TreeBench (T : TM_FRESH) = struct
-  module S = Structures.Tree_set.Make (T)
+let tree_set (module T : TM_FRESH) ~keys:_ =
+  let module S = Structures.Tree_set.Make (T) in
+  let s = S.create (T.fresh ()) ~root:0 in
+  { add = S.add s; remove = S.remove s; contains = S.contains s }
 
-  let point ~keys ~update_pct sp =
-    let t = T.fresh () in
-    let s = S.create t ~root:0 in
-    for i = 0 to keys - 1 do
-      ignore (S.add s (2 * i))
-    done;
-    Bench_runner.throughput sp (fun ~tid:_ ~rng ->
-        let k = 2 * Rng.int rng keys in
-        if Rng.int rng 1000 < update_pct then begin
-          ignore (S.remove s k);
-          ignore (S.add s k)
-        end
-        else begin
-          ignore (S.contains s k);
-          ignore (S.contains s (2 * Rng.int rng keys))
-        end)
-end
+let hash_set (module T : TM_FRESH) ~keys =
+  let module S = Structures.Hash_set.Make (T) in
+  let s = S.create ~initial_buckets:(2 * keys) (T.fresh ()) ~root:0 in
+  { add = S.add s; remove = S.remove s; contains = S.contains s }
 
-module HashBench (T : TM_FRESH) = struct
-  module S = Structures.Hash_set.Make (T)
+let harris ~keys:_ =
+  let module H = Baselines.Harris_list in
+  let s = H.create ~max_threads:80 () in
+  { add = H.add s; remove = H.remove s; contains = H.contains s }
 
-  let point ~keys ~update_pct sp =
-    let t = T.fresh () in
-    let s = S.create ~initial_buckets:(2 * keys) t ~root:0 in
-    for i = 0 to keys - 1 do
-      ignore (S.add s (2 * i))
-    done;
-    Bench_runner.throughput sp (fun ~tid:_ ~rng ->
-        let k = 2 * Rng.int rng keys in
-        if Rng.int rng 1000 < update_pct then begin
-          ignore (S.remove s k);
-          ignore (S.add s k)
-        end
-        else begin
-          ignore (S.contains s k);
-          ignore (S.contains s (2 * Rng.int rng keys))
-        end)
-end
+let efrb ~keys:_ =
+  let module E = Baselines.Efrb_tree in
+  let s = E.create ~max_threads:80 () in
+  { add = E.add s; remove = E.remove s; contains = E.contains s }
 
-let efrb_point ~keys ~update_pct sp =
-  let s = Baselines.Efrb_tree.create ~max_threads:80 () in
+let set_point mk ~keys ~update_pct sp =
+  let s = mk ~keys in
   for i = 0 to keys - 1 do
-    ignore (Baselines.Efrb_tree.add s (2 * i))
+    ignore (s.add (2 * i))
   done;
   Bench_runner.throughput sp (fun ~tid:_ ~rng ->
       let k = 2 * Rng.int rng keys in
       if Rng.int rng 1000 < update_pct then begin
-        ignore (Baselines.Efrb_tree.remove s k);
-        ignore (Baselines.Efrb_tree.add s k)
+        ignore (s.remove k);
+        ignore (s.add k)
       end
       else begin
-        ignore (Baselines.Efrb_tree.contains s k);
-        ignore (Baselines.Efrb_tree.contains s (2 * Rng.int rng keys))
+        ignore (s.contains k);
+        ignore (s.contains (2 * Rng.int rng keys))
       end)
-
-let harris_point ~keys ~update_pct sp =
-  let s = Baselines.Harris_list.create ~max_threads:80 () in
-  for i = 0 to keys - 1 do
-    ignore (Baselines.Harris_list.add s (2 * i))
-  done;
-  Bench_runner.throughput sp (fun ~tid:_ ~rng ->
-      let k = 2 * Rng.int rng keys in
-      if Rng.int rng 1000 < update_pct then begin
-        ignore (Baselines.Harris_list.remove s k);
-        ignore (Baselines.Harris_list.add s k)
-      end
-      else begin
-        ignore (Baselines.Harris_list.contains s k);
-        ignore (Baselines.Harris_list.contains s (2 * Rng.int rng keys))
-      end)
-
-module Ll_of_lf = LlBench (Of_lf_v)
-module Ll_of_lf_val = LlBench (Of_lf_val_v)
-module Ll_sh_lf = LlBench (Of_sh_lf_v)
-module Ll_of_wf = LlBench (Of_wf_v)
-module Ll_tiny = LlBench (Tiny_v)
-module Ll_estm = LlBench (Estm_elastic_v)
-module Ll_of_lf_p = LlBench (Of_lf_p)
-module Ll_of_wf_p = LlBench (Of_wf_p)
-module Ll_pmdk = LlBench (Pmdk_p)
-module Ll_romlog = LlBench (Romlog_p)
-module Ll_romlr = LlBench (Romlr_p)
-module Tree_of_lf = TreeBench (Of_lf_v)
-module Tree_of_wf = TreeBench (Of_wf_v)
-module Tree_tiny = TreeBench (Tiny_v)
-module Tree_estm = TreeBench (Estm_v)
-module Tree_of_lf_p = TreeBench (Of_lf_p)
-module Tree_of_wf_p = TreeBench (Of_wf_p)
-module Tree_pmdk = TreeBench (Pmdk_p)
-module Tree_romlog = TreeBench (Romlog_p)
-module Tree_romlr = TreeBench (Romlr_p)
-module Hash_of_lf_p = HashBench (Of_lf_p)
-module Hash_of_wf_p = HashBench (Of_wf_p)
-module Hash_pmdk = HashBench (Pmdk_p)
-module Hash_romlog = HashBench (Romlog_p)
-module Hash_romlr = HashBench (Romlr_p)
 
 let update_ratios_permille = [ 1000; 100; 10; 0 ]
 
-let fig_sets mode ~name ~keys ~series =
+let fig_sets ~name ~keys ~series mode =
+  let keys = keys mode in
   List.iter
     (fun upd ->
       let title =
@@ -415,7 +303,8 @@ let fig_sets mode ~name ~keys ~series =
           (fun threads ->
             let sp = spec mode ~threads ~seed:(threads + (upd * 7)) in
             ( string_of_int threads,
-              List.map (fun (_, point) -> point ~keys ~update_pct:upd sp) series ))
+              List.map (fun (_, mk) -> set_point mk ~keys ~update_pct:upd sp) series
+            ))
           mode.threads
       in
       emit ~title ~columns:(List.map fst series) ~better:J.Higher_better rows)
@@ -424,167 +313,90 @@ let fig_sets mode ~name ~keys ~series =
 (* ------------------------------------------------------------------ *)
 (* Queues (Figs. 4 and 12-left) *)
 
-module QBench (T : TM_FRESH) = struct
-  module Q = Structures.Tm_queue.Make (T)
+type queue = { enqueue : int -> unit; dequeue : unit -> unit }
 
-  let point sp =
-    let t = T.fresh () in
-    let q = Q.create t ~root:0 in
-    for i = 1 to 16 do
-      Q.enqueue q i
-    done;
-    Bench_runner.throughput sp (fun ~tid ~rng:_ ->
-        Q.enqueue q (tid + 1);
-        ignore (Q.dequeue q))
-end
+let tm_queue (module T : TM_FRESH) () =
+  let module Q = Structures.Tm_queue.Make (T) in
+  let q = Q.create (T.fresh ()) ~root:0 in
+  { enqueue = Q.enqueue q; dequeue = (fun () -> ignore (Q.dequeue q)) }
 
-module Q_of_lf = QBench (Of_lf_v)
-module Q_of_wf = QBench (Of_wf_v)
-module Q_tiny = QBench (Tiny_v)
-module Q_estm = QBench (Estm_v)
-module Q_of_lf_p = QBench (Of_lf_p)
-module Q_of_wf_p = QBench (Of_wf_p)
-module Q_pmdk = QBench (Pmdk_p)
-module Q_romlog = QBench (Romlog_p)
-module Q_romlr = QBench (Romlr_p)
+let msqueue () =
+  let module Q = Baselines.Msqueue in
+  let q = Q.create ~max_threads:80 () in
+  { enqueue = Q.enqueue q; dequeue = (fun () -> ignore (Q.dequeue q)) }
 
-let msq_point sp =
-  let q = Baselines.Msqueue.create ~max_threads:80 () in
+let simqueue () =
+  let module Q = Baselines.Ucqueue in
+  let q = Q.create ~max_threads:80 () in
+  { enqueue = Q.enqueue q; dequeue = (fun () -> ignore (Q.dequeue q)) }
+
+let faaqueue () =
+  let module Q = Baselines.Faaq in
+  let q = Q.create ~max_threads:80 () in
+  { enqueue = Q.enqueue q; dequeue = (fun () -> ignore (Q.dequeue q)) }
+
+let lcrq () =
+  let module Q = Baselines.Lcrq in
+  let q = Q.create ~ring_size:64 ~max_threads:80 () in
+  { enqueue = Q.enqueue q; dequeue = (fun () -> ignore (Q.dequeue q)) }
+
+let fhmp () =
+  let module Q = Baselines.Fhmp_queue in
+  let q = Q.create ~size:(1 lsl 21) () in
+  { enqueue = Q.enqueue q; dequeue = (fun () -> ignore (Q.dequeue q)) }
+
+let queue_point mk sp =
+  let q = mk () in
   for i = 1 to 16 do
-    Baselines.Msqueue.enqueue q i
+    q.enqueue i
   done;
   Bench_runner.throughput sp (fun ~tid ~rng:_ ->
-      Baselines.Msqueue.enqueue q (tid + 1);
-      ignore (Baselines.Msqueue.dequeue q))
+      q.enqueue (tid + 1);
+      q.dequeue ())
 
-let simq_point sp =
-  let q = Baselines.Ucqueue.create ~max_threads:80 () in
-  for i = 1 to 16 do
-    Baselines.Ucqueue.enqueue q i
-  done;
-  Bench_runner.throughput sp (fun ~tid ~rng:_ ->
-      Baselines.Ucqueue.enqueue q (tid + 1);
-      ignore (Baselines.Ucqueue.dequeue q))
-
-let faaq_point sp =
-  let q = Baselines.Faaq.create ~max_threads:80 () in
-  for i = 1 to 16 do
-    Baselines.Faaq.enqueue q i
-  done;
-  Bench_runner.throughput sp (fun ~tid ~rng:_ ->
-      Baselines.Faaq.enqueue q (tid + 1);
-      ignore (Baselines.Faaq.dequeue q))
-
-let lcrq_point sp =
-  let q = Baselines.Lcrq.create ~ring_size:64 ~max_threads:80 () in
-  for i = 1 to 16 do
-    Baselines.Lcrq.enqueue q i
-  done;
-  Bench_runner.throughput sp (fun ~tid ~rng:_ ->
-      Baselines.Lcrq.enqueue q (tid + 1);
-      ignore (Baselines.Lcrq.dequeue q))
-
-let fhmp_point sp =
-  let q = Baselines.Fhmp_queue.create ~size:(1 lsl 21) () in
-  for i = 1 to 16 do
-    Baselines.Fhmp_queue.enqueue q i
-  done;
-  Bench_runner.throughput sp (fun ~tid ~rng:_ ->
-      Baselines.Fhmp_queue.enqueue q (tid + 1);
-      ignore (Baselines.Fhmp_queue.dequeue q))
-
-let fig_queues mode =
-  let linked =
-    [
-      ("OF-LF", Q_of_lf.point);
-      ("OF-WF", Q_of_wf.point);
-      ("TinySTM", Q_tiny.point);
-      ("ESTM", Q_estm.point);
-      ("MSQueue", msq_point);
-      ("SimQueue*", simq_point);
-    ]
-  in
-  let arrayq = [ ("LCRQ", lcrq_point); ("FAAQueue", faaq_point) ] in
-  let sweep series =
-    List.map
-      (fun threads ->
-        let sp = spec mode ~threads ~seed:threads in
-        (string_of_int threads, List.map (fun (_, p) -> p sp) series))
-      mode.threads
-  in
-  emit ~title:"Queues, linked-list based (enq+deq pairs per kround)"
-    ~columns:(List.map fst linked) ~better:J.Higher_better (sweep linked);
-  emit ~title:"Queues, array based (enq+deq pairs per kround)"
-    ~columns:(List.map fst arrayq) ~better:J.Higher_better (sweep arrayq)
-
-let fig_pqueues mode =
-  let series =
-    [
-      ("OF-LF", Q_of_lf_p.point);
-      ("OF-WF", Q_of_wf_p.point);
-      ("PMDK", Q_pmdk.point);
-      ("RomLog", Q_romlog.point);
-      ("RomLR", Q_romlr.point);
-      ("FHMP", fhmp_point);
-    ]
-  in
+let fig_queues ~title series mode =
   let rows =
     List.map
       (fun threads ->
         let sp = spec mode ~threads ~seed:threads in
-        (string_of_int threads, List.map (fun (_, p) -> p sp) series))
+        (string_of_int threads, List.map (fun (_, mk) -> queue_point mk sp) series))
       mode.threads
   in
-  emit ~title:"Persistent queues (enq+deq pairs per kround)"
-    ~columns:(List.map fst series) ~better:J.Higher_better rows
+  emit ~title ~columns:(List.map fst series) ~better:J.Higher_better rows
 
 (* ------------------------------------------------------------------ *)
 (* Latency percentiles (Fig. 7) *)
 
-module CntBench (T : TM_FRESH) = struct
-  module C = Structures.Counters.Make (T)
-
-  let histogram ~threads ~rounds ~seed =
-    let t = T.fresh () in
-    let c = C.create t ~root:0 ~n:64 in
-    (* random scheduling on half the cores: latency tails come from unlucky
-       schedules, which a fair lockstep never produces *)
-    let sp =
-      {
-        Bench_runner.threads;
-        cores = cores / 2;
-        rounds;
-        seed;
-        policy = Sched.Random_order;
-      }
-    in
-    let flip = Array.make threads true in
-    Bench_runner.latency sp (fun ~tid ~rng:_ ->
-        C.increment_all c ~left_to_right:flip.(tid);
-        flip.(tid) <- not flip.(tid))
-end
-
-module Cnt_of_lf = CntBench (Of_lf_v)
-module Cnt_of_wf = CntBench (Of_wf_v)
-module Cnt_tiny = CntBench (Tiny_v)
-module Cnt_estm = CntBench (Estm_v)
+let latency_point (module T : TM_FRESH) ~threads ~rounds ~seed =
+  let module C = Structures.Counters.Make (T) in
+  let t = T.fresh () in
+  let c = C.create t ~root:0 ~n:64 in
+  (* random scheduling on half the cores: latency tails come from unlucky
+     schedules, which a fair lockstep never produces *)
+  let sp =
+    {
+      Bench_runner.threads;
+      cores = cores / 2;
+      rounds;
+      seed;
+      policy = Sched.Random_order;
+    }
+  in
+  let flip = Array.make threads true in
+  Bench_runner.latency sp (fun ~tid ~rng:_ ->
+      C.increment_all c ~left_to_right:flip.(tid);
+      flip.(tid) <- not flip.(tid))
 
 let fig_latency mode =
   let percentiles = [ 50.0; 90.0; 99.0; 99.9; 99.99 ] in
-  let series =
-    [
-      ("OF-WF", Cnt_of_wf.histogram);
-      ("OF-LF", Cnt_of_lf.histogram);
-      ("TinySTM", Cnt_tiny.histogram);
-      ("ESTM", Cnt_estm.histogram);
-    ]
-  in
+  (* OF-WF first: the row order also fixes each row's Backoff seeds *)
+  let series = [ of_wf_v; of_lf_v; tiny; estm ] in
   List.iter
     (fun threads ->
       let rows =
         List.map
-          (fun (name, mk) ->
-            let h = mk ~threads ~rounds:mode.rounds ~seed:(mix threads) in
+          (fun (name, tm) ->
+            let h = latency_point tm ~threads ~rounds:mode.rounds ~seed:(mix threads) in
             ( name,
               List.map
                 (fun p -> float_of_int (Runtime.Histogram.percentile h p))
@@ -699,44 +511,47 @@ let fig_crashes () =
 
 let fig_ablation mode =
   (* 1. WF read-only fallback bound: the paper uses 4 optimistic attempts
-     before publishing the read as an operation *)
+     before publishing the read as an operation.  Only the validating
+     read path consumes [read_tries]; the "snapshot" row is the wait-free
+     snapshot [read_tx], which never falls back. *)
+  let reads ?read_tries read =
+    let t =
+      Wf.create ~mode:Region.Volatile ~size:(1 lsl 15) ~ws_cap:256 ?read_tries ()
+    in
+    let r0 = Wf.root t 0 in
+    let sp =
+      { Bench_runner.threads = 8; cores = 4; rounds = mode.rounds / 2;
+        seed = mix 3; policy = Sched.Random_order }
+    in
+    [
+      Bench_runner.throughput sp (fun ~tid:_ ~rng ->
+          if Rng.int rng 10 = 0 then
+            ignore (Wf.update_tx t (fun tx -> Wf.store tx r0 (Wf.load tx r0 + 1); 0))
+          else ignore (read t (fun tx -> Wf.load tx r0)));
+    ]
+  in
+  let validating =
+    List.map
+      (fun tries ->
+        (string_of_int tries, reads ~read_tries:tries Wf.read_tx_validating))
+      [ 0; 1; 4; 16 ]
+  in
   emit ~label_col:"read_tries"
     ~title:"Ablation: OF-WF read_tries (read-heavy 90%/10% counter workload)"
     ~columns:[ "ops/kround" ] ~better:J.Higher_better
-    (List.map
-       (fun tries ->
-         let t =
-           Wf.create ~mode:Region.Volatile ~size:(1 lsl 15) ~ws_cap:256
-             ~read_tries:tries ()
-         in
-         let r0 = Wf.root t 0 in
-         let sp =
-           { Bench_runner.threads = 8; cores = 4; rounds = mode.rounds / 2;
-             seed = mix 3; policy = Sched.Random_order }
-         in
-         let thr =
-           Bench_runner.throughput sp (fun ~tid:_ ~rng ->
-               if Rng.int rng 10 = 0 then
-                 ignore
-                   (Wf.update_tx t (fun tx -> Wf.store tx r0 (Wf.load tx r0 + 1); 0))
-               else ignore (Wf.read_tx t (fun tx -> Wf.load tx r0)))
-         in
-         (string_of_int tries, [ thr ]))
-       [ 0; 1; 4; 16 ]);
+    (validating @ [ ("snapshot", reads Wf.read_tx) ]);
   (* 2. Over-subscription: fixed 32 threads, shrinking machine *)
   emit ~label_col:"cores"
     ~title:"Ablation: over-subscription (SPS 16 swaps/tx, 32 threads)"
     ~columns:[ "OF-LF"; "OF-WF"; "TinySTM" ] ~better:J.Higher_better
     (List.map
        (fun c ->
-         let point pnt =
-           pnt ~n:1000 ~swaps:16 ~alloc:false
+         let point (_, tm) =
+           sps_point tm ~n:1000 ~swaps:16 ~alloc:false
              { Bench_runner.threads = 32; cores = c; rounds = mode.rounds;
                seed = mix c; policy = Sched.Round_robin }
          in
-         ( string_of_int c,
-           [ point Sps_of_lf.point; point Sps_of_wf.point; point Sps_tiny.point ]
-         ))
+         (string_of_int c, [ point of_lf_v; point of_wf_v; point tiny ]))
        [ 2; 4; 8; 16; 32 ]);
   (* 3. Write-set lookup threshold (the paper's 40): real wall-clock of
      populating + probing a large redo log — informational, not gated *)
@@ -771,10 +586,8 @@ let fig_ablation mode =
            { Bench_runner.threads = 8; cores = 8; rounds = mode.rounds;
              seed = mix c; policy = Sched.Round_robin }
          in
-         let point pnt = pnt ~n:1024 ~swaps:1 ~alloc:false sp in
-         ( string_of_int c,
-           [ point Sps_of_lf_p.point; point Sps_pmdk.point;
-             point Sps_romlog.point ] ))
+         let point (_, tm) = sps_point tm ~n:1024 ~swaps:1 ~alloc:false sp in
+         (string_of_int c, [ point of_lf_p; point pmdk; point romlog ]))
        [ 1; 4; 16 ]);
   Region.pfence_cost := saved
 
@@ -847,10 +660,10 @@ let micro () =
    work under contention, and ops/kround throughput for the same shapes.
    The gated tables carry a "pre-overhaul" row of constants measured at
    this PR's base commit with the same harness, so BENCH_hotpath.json
-   records the before/after trajectory in one file and bench_diff guards
-   the after against future regression.  Everything here is exact and
-   reproducible: allocation counts come from the compiled code, pwb
-   counts from Pstats, scheduling from the seeded simulator. *)
+   records the before/after trajectory in one file and the runtest
+   gate guards the after against future regression.  Everything here
+   is exact and reproducible: allocation counts come from the compiled
+   code, pwb counts from Pstats, scheduling from the seeded simulator. *)
 
 (* Per-op minor-heap words, free of measurement-loop bias: run [op] n and
    then 2n times and take (d2 - d1) / n, cancelling the loop's own
@@ -877,7 +690,7 @@ let fig_hotpath mode =
   (* 1. Minor-heap words per op on the three hot shapes.  Pre-overhaul,
      each load boxed an option (and every access went through a fresh
      interposition closure); all three must now be exactly 0. *)
-  let alloc_row (module T : TM_FRESH) =
+  let alloc_row ((_, (module T)) : engine) =
     let t = T.fresh () in
     let r0 = T.root t 0 in
     ignore (T.update_tx t (fun tx -> T.store tx r0 7; 0));
@@ -900,8 +713,8 @@ let fig_hotpath mode =
     ~better:J.Lower_better
     [
       ("pre-overhaul OF-LF", [ 8.0; 9.0; 11.0 ]);
-      ("OF-LF", alloc_row (module Of_lf_v));
-      ("OF-WF", alloc_row (module Of_wf_v));
+      ("OF-LF", alloc_row of_lf_v);
+      ("OF-WF", alloc_row of_wf_v);
     ];
   (* 2./3. pwb and pfence per committed update tx, persistent mode, at
      write sets spanning 1, 2 and 4 cache lines.  Line-dedup makes the
@@ -909,8 +722,15 @@ let fig_hotpath mode =
      2 + log_lines + nw (LF) and +3 for the WF request round-trip, with
      log_lines = nw/4 + 1 (8-word entries measured at the base commit;
      4- and 16-word entries from the same pre-dedup formula). *)
-  let pwb_counts (type a) (module T : Tm.Tm_intf.S with type t = a) (t : a)
-      ~nw =
+  (* a persistent OneFile instance with 16 roots, for the write-set
+     widths below and the contention shape *)
+  let instance () =
+    let t = Lf.create ~size:vol_size ~ws_cap:64 ~num_roots:16 () in
+    Lf.attach_telemetry t tele;
+    t
+  in
+  let pwb_counts (module T : Tm.Tm_intf.S with type t = Lf.t) ~nw =
+    let t = instance () in
     ignore (T.update_tx t (fun tx -> T.store tx (T.root t 0) 1; 0));
     let st = Region.stats (T.region t) in
     let snap = Pstats.copy st in
@@ -927,19 +747,9 @@ let fig_hotpath mode =
     ( float_of_int d.Pstats.pwb /. float_of_int ntx,
       float_of_int d.Pstats.pfence /. float_of_int ntx )
   in
-  let lf_point ~nw =
-    let t = Lf.create ~size:vol_size ~ws_cap:64 ~num_roots:16 () in
-    Lf.attach_telemetry t !tele;
-    pwb_counts (module Lf) t ~nw
-  in
-  let wf_point ~nw =
-    let t = Wf.create ~size:vol_size ~ws_cap:64 ~num_roots:16 () in
-    Wf.attach_telemetry t !tele;
-    pwb_counts (module Wf) t ~nw
-  in
   let widths = [ 4; 8; 16 ] in
-  let lf_pts = List.map (fun nw -> lf_point ~nw) widths in
-  let wf_pts = List.map (fun nw -> wf_point ~nw) widths in
+  let lf_pts = List.map (fun nw -> pwb_counts (module Lf) ~nw) widths in
+  let wf_pts = List.map (fun nw -> pwb_counts (module Wf) ~nw) widths in
   emit ~label_col:"series" ~title:"Hotpath: pwb per committed update tx"
     ~columns:[ "4w/1-line"; "8w/2-line"; "16w/4-line" ]
     ~better:J.Lower_better
@@ -993,10 +803,8 @@ let fig_hotpath mode =
       float_of_int d.Pstats.dcas_fail;
     ]
   in
-  let lf_c = Lf.create ~size:vol_size ~ws_cap:64 ~num_roots:16 () in
-  Lf.attach_telemetry lf_c !tele;
-  let wf_c = Wf.create ~size:vol_size ~ws_cap:64 ~num_roots:16 () in
-  Wf.attach_telemetry wf_c !tele;
+  let lf_c = instance () in
+  let wf_c = instance () in
   emit ~label_col:"series" ~title:"Hotpath: helper work under contention"
     ~columns:[ "commits"; "helps"; "early-exits"; "dcas-fail" ]
     ~better:J.Info
@@ -1005,7 +813,7 @@ let fig_hotpath mode =
       ("OF-WF", contention (module Wf) wf_c ~seed:4243);
     ];
   (* 5. Throughput on the same shapes (4 threads, simulated rounds). *)
-  let thr (module T : TM_FRESH) =
+  let thr ((_, (module T)) : engine) =
     let t = T.fresh () in
     ignore (T.update_tx t (fun tx -> T.store tx (T.root t 0) 1; 0));
     let ro =
@@ -1030,7 +838,7 @@ let fig_hotpath mode =
   emit ~label_col:"series" ~title:"Hotpath: throughput (ops/kround, 4 threads)"
     ~columns:[ "ro-load"; "update-8w" ]
     ~better:J.Higher_better
-    [ ("OF-LF", thr (module Of_lf_v)); ("OF-WF", thr (module Of_wf_v)) ]
+    [ ("OF-LF", thr of_lf_v); ("OF-WF", thr of_wf_v) ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure "shards" (extension): the Tm_shard cross-shard router.
@@ -1064,7 +872,7 @@ let fig_shards mode =
           List.map
             (fun pct ->
               let r =
-                Shard_bench.run ~wf ~telemetry:!tele ~shards:n ~cross_pct:pct
+                Shard_bench.run ~wf ~telemetry:tele ~shards:n ~cross_pct:pct
                   ~threads:16 ~rounds
                   ~seed:(mix (31 + (97 * n) + pct + (if wf then 1 else 0)))
                   ()
@@ -1128,7 +936,7 @@ let fig_shards mode =
    contain zero read-only commits — the elasticity claim that the
    snapshot read path never stalls while a range moves.  The "min
    RO/window" column carries that last gate into the committed JSON so
-   bench_diff also guards it against erosion. *)
+   the runtest gate also guards it against erosion. *)
 
 let fig_elastic mode =
   let rounds = mode.rounds / 2 in
@@ -1136,7 +944,7 @@ let fig_elastic mode =
   let shard_counts = [ 2; 4 ] in
   let cell ~wf n =
     let r =
-      Shard_bench.run_elastic ~wf ~telemetry:!tele ~shards:n ~threads ~rounds
+      Shard_bench.run_elastic ~wf ~telemetry:tele ~shards:n ~threads ~rounds
         ~seed:(mix (17 + (53 * n) + if wf then 1 else 0))
         ()
     in
@@ -1220,15 +1028,8 @@ let fig_readmix mode =
   let threads = List.filter (fun t -> t <= 16) mode.threads in
   let keys = mode.list_keys in
   let series =
-    [
-      ("OF-LF", Ll_of_lf.point);
-      ("OF-WF", Ll_of_wf.point);
-      ("OF-LF-val", Ll_of_lf_val.point);
-      ("Shard-LF", Ll_sh_lf.point);
-      ("TinySTM", Ll_tiny.point);
-      ("RomLR", Ll_romlr.point);
-      ("HarrisHE", harris_point);
-    ]
+    over ll_set [ of_lf_v; of_wf_v; of_lf_val; shard_lf; tiny; romlr ]
+    @ [ ("HarrisHE", harris) ]
   in
   List.iter
     (fun upd ->
@@ -1245,115 +1046,101 @@ let fig_readmix mode =
           (fun th ->
             let sp = spec mode ~threads:th ~seed:(th + (upd * 13)) in
             ( string_of_int th,
-              List.map
-                (fun (_, point) -> point ~keys ~update_pct:upd sp)
-                series ))
+              List.map (fun (_, mk) -> set_point mk ~keys ~update_pct:upd sp) series
+            ))
           threads
       in
       emit ~title ~columns:(List.map fst series) ~better:J.Higher_better rows)
     [ 100; 10 ]
 
 (* ------------------------------------------------------------------ *)
-(* Driver *)
+(* Registry and driver *)
 
+type figure = { name : string; title : string; gate : bool; run : mode -> unit }
+
+(* Every figure, in run order.  A [gate] figure is re-measured by `dune
+   runtest` and diffed against its committed BENCH_<name>.json. *)
 let figures =
   [
-    ("fig2", "SPS volatile (Fig. 2)");
-    ("fig3", "SPS volatile with allocation (Fig. 3)");
-    ("fig4", "queues volatile (Fig. 4)");
-    ("fig5", "linked-list sets volatile (Fig. 5)");
-    ("fig6", "tree sets volatile (Fig. 6)");
-    ("fig7", "latency percentiles (Fig. 7)");
-    ("fig8", "SPS persistent (Fig. 8)");
-    ("fig9", "linked-list sets persistent (Fig. 9)");
-    ("fig10", "tree sets persistent (Fig. 10)");
-    ("fig11", "hash sets persistent (Fig. 11)");
-    ("fig12", "persistent queues and kill test (Fig. 12)");
-    ("table1", "persistence-cost table (§V-B)");
-    ("crashes", "crash-recovery campaign (extension)");
-    ("ablation", "design-choice ablations (extension)");
-    ("micro", "bechamel primitive micro-benchmarks");
-    ("hotpath", "hot-path cost trajectory: alloc/op, pwb per tx, helper work (extension)");
-    ("shards", "sharded router: throughput and pwb vs cross-shard mix (extension)");
-    ("elastic", "elastic sharding: live range migration under traffic (extension)");
-    ("readmix", "read-mostly mixes: wait-free snapshot reads vs validating reads (extension)");
+    { name = "fig2"; title = "SPS volatile (Fig. 2)"; gate = false;
+      run = fig_sps ~alloc:false ~persistent:false };
+    { name = "fig3"; title = "SPS volatile with allocation (Fig. 3)"; gate = false;
+      run = fig_sps ~alloc:true ~persistent:false };
+    { name = "fig4"; title = "queues volatile (Fig. 4)"; gate = false;
+      run =
+        (fun mode ->
+          fig_queues ~title:"Queues, linked-list based (enq+deq pairs per kround)"
+            (over tm_queue stms @ [ ("MSQueue", msqueue); ("SimQueue*", simqueue) ])
+            mode;
+          fig_queues ~title:"Queues, array based (enq+deq pairs per kround)"
+            [ ("LCRQ", lcrq); ("FAAQueue", faaqueue) ]
+            mode) };
+    { name = "fig5"; title = "linked-list sets volatile (Fig. 5)"; gate = true;
+      run =
+        fig_sets ~name:"Linked-list sets" ~keys:(fun m -> m.list_keys)
+          ~series:
+            (over ll_set [ of_lf_v; of_wf_v; tiny; estm_elastic ]
+            @ [ ("HarrisHE", harris) ]) };
+    { name = "fig6"; title = "tree sets volatile (Fig. 6)"; gate = false;
+      run =
+        fig_sets ~name:"Tree sets" ~keys:(fun m -> m.tree_keys)
+          ~series:(over tree_set stms @ [ ("NataHE*", efrb) ]) };
+    { name = "fig7"; title = "latency percentiles (Fig. 7)"; gate = false;
+      run = fig_latency };
+    { name = "fig8"; title = "SPS persistent (Fig. 8)"; gate = false;
+      run = fig_sps ~alloc:false ~persistent:true };
+    { name = "fig9"; title = "linked-list sets persistent (Fig. 9)"; gate = false;
+      run =
+        fig_sets ~name:"Persistent linked-list sets"
+          ~keys:(fun m -> m.list_keys / 2) ~series:(over ll_set ptms) };
+    { name = "fig10"; title = "tree sets persistent (Fig. 10)"; gate = false;
+      run =
+        fig_sets ~name:"Persistent tree sets" ~keys:(fun m -> m.tree_keys)
+          ~series:(over tree_set ptms) };
+    { name = "fig11"; title = "hash sets persistent (Fig. 11)"; gate = false;
+      run =
+        fig_sets ~name:"Persistent hash sets" ~keys:(fun m -> m.tree_keys)
+          ~series:(over hash_set ptms) };
+    { name = "fig12"; title = "persistent queues and kill test (Fig. 12)"; gate = false;
+      run =
+        (fun mode ->
+          fig_queues ~title:"Persistent queues (enq+deq pairs per kround)"
+            (over tm_queue ptms @ [ ("FHMP", fhmp) ])
+            mode;
+          fig_kill mode) };
+    { name = "table1"; title = "persistence-cost table (§V-B)"; gate = false;
+      run = (fun _ -> fig_table1 ()) };
+    { name = "crashes"; title = "crash-recovery campaign (extension)"; gate = false;
+      run = (fun _ -> fig_crashes ()) };
+    { name = "ablation"; title = "design-choice ablations (extension)"; gate = false;
+      run = fig_ablation };
+    { name = "micro"; title = "bechamel primitive micro-benchmarks"; gate = false;
+      run = (fun _ -> micro ()) };
+    { name = "hotpath";
+      title = "hot-path cost trajectory: alloc/op, pwb per tx, helper work (extension)";
+      gate = true; run = fig_hotpath };
+    { name = "shards";
+      title = "sharded router: throughput and pwb vs cross-shard mix (extension)";
+      gate = true; run = fig_shards };
+    { name = "elastic";
+      title = "elastic sharding: live range migration under traffic (extension)";
+      gate = true; run = fig_elastic };
+    { name = "readmix";
+      title =
+        "read-mostly mixes: wait-free snapshot reads vs validating reads (extension)";
+      gate = true; run = fig_readmix };
   ]
 
-let run_figure mode mode_name name =
-  tables := [];
-  tele := Telemetry.create ();
-  pr "@.==== %s ====@."
-    (try List.assoc name figures with Not_found -> name);
-  (match name with
-  | "fig2" -> fig_sps mode ~alloc:false ~persistent:false
-  | "fig3" -> fig_sps mode ~alloc:true ~persistent:false
-  | "fig4" -> fig_queues mode
-  | "fig5" ->
-      fig_sets mode ~name:"Linked-list sets" ~keys:mode.list_keys
-        ~series:
-          [
-            ("OF-LF", Ll_of_lf.point);
-            ("OF-WF", Ll_of_wf.point);
-            ("TinySTM", Ll_tiny.point);
-            ("ESTM", Ll_estm.point);
-            ("HarrisHE", harris_point);
-          ]
-  | "fig6" ->
-      fig_sets mode ~name:"Tree sets" ~keys:mode.tree_keys
-        ~series:
-          [
-            ("OF-LF", Tree_of_lf.point);
-            ("OF-WF", Tree_of_wf.point);
-            ("TinySTM", Tree_tiny.point);
-            ("ESTM", Tree_estm.point);
-            ("NataHE*", efrb_point);
-          ]
-  | "fig7" -> fig_latency mode
-  | "fig8" -> fig_sps mode ~alloc:false ~persistent:true
-  | "fig9" ->
-      fig_sets mode ~name:"Persistent linked-list sets" ~keys:(mode.list_keys / 2)
-        ~series:
-          [
-            ("OF-LF", Ll_of_lf_p.point);
-            ("OF-WF", Ll_of_wf_p.point);
-            ("PMDK", Ll_pmdk.point);
-            ("RomLog", Ll_romlog.point);
-            ("RomLR", Ll_romlr.point);
-          ]
-  | "fig10" ->
-      fig_sets mode ~name:"Persistent tree sets" ~keys:mode.tree_keys
-        ~series:
-          [
-            ("OF-LF", Tree_of_lf_p.point);
-            ("OF-WF", Tree_of_wf_p.point);
-            ("PMDK", Tree_pmdk.point);
-            ("RomLog", Tree_romlog.point);
-            ("RomLR", Tree_romlr.point);
-          ]
-  | "fig11" ->
-      fig_sets mode ~name:"Persistent hash sets" ~keys:mode.tree_keys
-        ~series:
-          [
-            ("OF-LF", Hash_of_lf_p.point);
-            ("OF-WF", Hash_of_wf_p.point);
-            ("PMDK", Hash_pmdk.point);
-            ("RomLog", Hash_romlog.point);
-            ("RomLR", Hash_romlr.point);
-          ]
-  | "fig12" ->
-      fig_pqueues mode;
-      fig_kill mode
-  | "table1" -> fig_table1 ()
-  | "crashes" -> fig_crashes ()
-  | "ablation" -> fig_ablation mode
-  | "micro" -> micro ()
-  | "hotpath" -> fig_hotpath mode
-  | "shards" -> fig_shards mode
-  | "elastic" -> fig_elastic mode
-  | "readmix" -> fig_readmix mode
-  | other -> pr "unknown figure %s@." other);
+let names fs = String.concat ", " (List.map (fun f -> f.name) fs)
+let gated = List.filter (fun f -> f.gate) figures
+let file f = "BENCH_" ^ f.name ^ ".json"
+
+(* Run [f] and record it as a Bench_json document. *)
+let measure mode mode_name f =
+  pr "@.==== %s ====@." f.title;
+  f.run mode;
   {
-    J.figure = name;
+    J.figure = f.name;
     bench_mode = mode_name;
     cores;
     rounds = mode.rounds;
@@ -1361,21 +1148,69 @@ let run_figure mode mode_name name =
     seed = !base_seed;
     params = [ ("list_keys", mode.list_keys); ("tree_keys", mode.tree_keys) ];
     tables = List.rev !tables;
-    telemetry = J.telemetry_items (Telemetry.snapshot !tele);
+    telemetry = J.telemetry_items (Telemetry.snapshot tele);
   }
+
+(* Run [job] in a forked child and return its exit status: 0 passed, 1
+   regressed, anything else raised.  Backoff seeds its instances from a
+   process-global counter, so in one process a figure's numbers would
+   depend on the figures that ran before it. *)
+let forked job =
+  pr "@?";
+  match Unix.fork () with
+  | 0 ->
+      exit
+        (try job ()
+         with e ->
+           prerr_endline (Printexc.to_string e);
+           2)
+  | pid -> (
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED code -> code
+      | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 2)
+
+(* With a baseline DIR, every selected figure needs its file there; with
+   [gates], every DIR/BENCH_*.json must also belong to a gated figure, so
+   adding or deleting a committed figure file cannot change the gates
+   silently. *)
+let inventory dir ~gates selected =
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    [ dir ^ ": not a directory" ]
+  else
+    let missing =
+      List.filter_map
+        (fun f ->
+          let path = Filename.concat dir (file f) in
+          if Sys.file_exists path then None else Some (path ^ ": missing"))
+        selected
+    in
+    let ungated =
+      if not gates then []
+      else
+        List.filter_map
+          (fun n ->
+            if
+              String.starts_with ~prefix:"BENCH_" n
+              && Filename.check_suffix n ".json"
+              && not (List.exists (fun f -> file f = n) gated)
+            then Some (Filename.concat dir n ^ ": belongs to no gated figure")
+            else None)
+          (List.sort compare (Array.to_list (Sys.readdir dir)))
+    in
+    missing @ ungated
 
 let () =
   let figure = ref "all" in
   let use_full = ref false in
   let json = ref false in
   let out = ref "" in
-  let baseline_path = ref "" in
-  let tolerance = ref 0.10 in
+  let baseline = ref "" in
   let args =
     [
       ( "--figure",
         Arg.Set_string figure,
-        "figure to run (fig2..fig12, table1, crashes, micro, all)" );
+        Printf.sprintf "figure to run: %s; all; or gates (%s)" (names figures)
+          (names gated) );
       ("--full", Arg.Set use_full, "full-size sweeps (slower)");
       ("--quick", Arg.Clear use_full, "quick sweeps (default)");
       ("--json", Arg.Set json, "also write each run as BENCH_<figure>.json");
@@ -1383,48 +1218,59 @@ let () =
         Arg.Set_string out,
         "output path for --json (single-figure runs only)" );
       ( "--baseline",
-        Arg.Set_string baseline_path,
-        "prior BENCH_*.json to diff against; exit 1 on regression" );
-      ( "--tolerance",
-        Arg.Set_float tolerance,
-        "relative regression tolerance for --baseline (default 0.10)" );
+        Arg.Set_string baseline,
+        "DIR: diff each figure against DIR/BENCH_<figure>.json; exit 1 on \
+         regression" );
       ( "--seed",
         Arg.Set_int base_seed,
         "base seed mixed into every workload seed (default 0)" );
     ]
   in
   Arg.parse args (fun a -> figure := a) "onefile benchmark harness";
+  let selected =
+    match !figure with
+    | "all" -> figures
+    | "gates" -> gated
+    | name -> (
+        match List.find_opt (fun f -> f.name = name) figures with
+        | Some f -> [ f ]
+        | None ->
+            Printf.eprintf "unknown figure %s; expected %s, all or gates\n" name
+              (names figures);
+            exit 2)
+  in
+  (if !baseline <> "" then
+     match inventory !baseline ~gates:(!figure = "gates") selected with
+     | [] -> ()
+     | problems ->
+         List.iter (fun p -> Printf.eprintf "baseline %s\n" p) problems;
+         exit 1);
   let mode = if !use_full then full else quick in
   let mode_name = if !use_full then "full" else "quick" in
   pr "# OneFile reproduction benchmarks — %s mode, %d simulated cores@."
     mode_name cores;
-  let names =
-    if !figure = "all" then List.map fst figures else [ !figure ]
+  let run_one f () =
+    let r = measure mode mode_name f in
+    if !json then begin
+      let path =
+        if !out <> "" && List.length selected = 1 then !out else file f
+      in
+      J.write_run path r;
+      pr "@.wrote %s@." path
+    end;
+    if !baseline = "" then 0
+    else begin
+      let path = Filename.concat !baseline (file f) in
+      let regs = J.diff ~baseline:(J.read_run path) ~current:r () in
+      (* regressions go to stderr, which `dune runtest` shows on failure *)
+      Format.fprintf
+        (if regs = [] then Format.std_formatter else Format.err_formatter)
+        "@.baseline %s: %a@." path (J.pp_report ~tolerance:J.tolerance) regs;
+      if regs = [] then 0 else 1
+    end
   in
-  let runs = List.map (run_figure mode mode_name) names in
-  if !json then
-    List.iter
-      (fun (r : J.run) ->
-        let path =
-          if !out <> "" && List.length runs = 1 then !out
-          else "BENCH_" ^ r.J.figure ^ ".json"
-        in
-        J.write_run path r;
-        pr "@.wrote %s@." path)
-      runs;
-  if !baseline_path <> "" then begin
-    match runs with
-    | [ current ] ->
-        let baseline = J.read_run !baseline_path in
-        let regs = J.diff ~tolerance:!tolerance ~baseline ~current () in
-        if regs = [] then pr "@.baseline %s: no regressions@." !baseline_path
-        else begin
-          pr "@.baseline %s: %d regression(s)@." !baseline_path
-            (List.length regs);
-          List.iter (fun r -> pr "  %a@." J.pp_regression r) regs;
-          exit 1
-        end
-    | _ ->
-        prerr_endline "--baseline requires a single --figure";
-        exit 2
+  let failed = List.filter (fun f -> forked (run_one f) <> 0) selected in
+  if failed <> [] then begin
+    Printf.eprintf "failed figures: %s\n" (names failed);
+    exit 1
   end

@@ -15,7 +15,7 @@ let usage () =
   exit 2
 
 let () =
-  let tolerance = ref 0.10 in
+  let tolerance = ref J.tolerance in
   let files = ref [] in
   let rec parse_args = function
     | [] -> ()
@@ -52,18 +52,9 @@ let () =
       if baseline.J.figure <> current.J.figure then
         Printf.printf "note: comparing different figures (%s vs %s)\n"
           baseline.J.figure current.J.figure;
-      match J.diff ~tolerance:!tolerance ~baseline ~current () with
-      | [] ->
-          Printf.printf "%s vs %s: no regressions (tolerance %.0f%%)\n"
-            base_path cur_path
-            (100.0 *. !tolerance);
-          exit 0
-      | regs ->
-          Printf.printf "%s vs %s: %d regression(s) (tolerance %.0f%%)\n"
-            base_path cur_path (List.length regs)
-            (100.0 *. !tolerance);
-          List.iter
-            (fun r -> Format.printf "  %a@." J.pp_regression r)
-            regs;
-          exit 1)
+      let regs = J.diff ~tolerance:!tolerance ~baseline ~current () in
+      Format.printf "%s vs %s: %a@." base_path cur_path
+        (J.pp_report ~tolerance:!tolerance)
+        regs;
+      exit (if regs = [] then 0 else 1))
   | _ -> usage ()

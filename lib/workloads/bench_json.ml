@@ -410,6 +410,15 @@ let pp_regression ppf r =
   Format.fprintf ppf "%-60s baseline %.2f -> current %.2f (%+.1f%%)" r.where_
     r.baseline r.current r.delta_pct
 
+let tolerance = 0.10
+
+let pp_report ~tolerance ppf regs =
+  (match regs with
+  | [] -> Format.fprintf ppf "no regressions"
+  | _ -> Format.fprintf ppf "%d regression(s)" (List.length regs));
+  Format.fprintf ppf " (tolerance %.0f%%)" (100.0 *. tolerance);
+  List.iter (fun r -> Format.fprintf ppf "@\n  %a" pp_regression r) regs
+
 (* The ["tx.latency.*"] spans are per-instance percentiles summed across a
    sweep's instances — informational, not gated.  Gated telemetry keys are
    the ones the paper's evaluation ranks on. *)
@@ -427,7 +436,7 @@ let worse ~better ~tolerance ~base ~cur =
         Some (100.0 *. (cur -. base) /. Float.max (Float.abs base) 1.0)
       else None
 
-let diff ?(tolerance = 0.10) ~baseline ~current () =
+let diff ?(tolerance = tolerance) ~baseline ~current () =
   let regs = ref [] in
   let flag where_ base cur delta =
     regs := { where_; baseline = base; current = cur; delta_pct = delta } :: !regs

@@ -87,6 +87,15 @@ type regression = {
 
 val pp_regression : Format.formatter -> regression -> unit
 
+val tolerance : float
+(** 0.10: the relative tolerance of the [dune runtest] gate and the
+    default of {!diff}. *)
+
+val pp_report : tolerance:float -> Format.formatter -> regression list -> unit
+(** ["no regressions (tolerance 10%)"], or ["N regression(s) (tolerance
+    10%)"] followed by one indented {!pp_regression} line each; shared by
+    [bin/bench_diff.exe] and [bench/main.exe --baseline]. *)
+
 val guarded_telemetry : string list
 (** Telemetry keys gated (lower-is-better) by {!diff}:
     ["tx.aborts"], ["pmem.pwb"], ["pmem.pfence"]. *)
@@ -94,7 +103,7 @@ val guarded_telemetry : string list
 val diff : ?tolerance:float -> baseline:run -> current:run -> unit -> regression list
 (** Compare [current] against [baseline]: tables matched by title, rows by
     label, values positionally.  A value regresses when it is worse than
-    the baseline by more than [tolerance] (default 0.10 = 10%) in the
+    the baseline by more than [tolerance] (default {!tolerance}) in the
     table's {!direction}; [Info] tables are skipped.  A table/row present
     in [baseline] but missing (or shape-changed) in [current] is reported
     as a structural regression.  Gated telemetry keys are compared

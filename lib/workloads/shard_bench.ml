@@ -10,8 +10,6 @@ module Region = Pmem.Region
 module Pstats = Pmem.Pstats
 module Lf = Onefile.Onefile_lf
 module Wf = Onefile.Onefile_wf
-module Sh_lf = Tm.Tm_shard.Make (Lf)
-module Sh_wf = Tm.Tm_shard.Make (Wf)
 
 let accounts = 16
 let initial = 100
@@ -46,7 +44,54 @@ type elastic_result = {
   e_pwb : int;
 }
 
-module Run (T : Tm.Tm_intf.S) = struct
+let span = 1 lsl 14
+
+(* One workload per OneFile front-end.  [Lf] and [Wf] share [Lf.t], and
+   [create], [attach_telemetry], [snapshot_ops], [region] and [recover]
+   are the same functions on both, so only [F]'s transaction drivers
+   tell the two apart. *)
+module Make (F : Tm.Tm_intf.S with type t = Lf.t) = struct
+  module T = Tm.Tm_shard.Make (F)
+
+  (* In order: the persistent device, one [span]-cell view per shard, a
+     OneFile instance per view, then the router over them; [telemetry]
+     is attached to every instance and to the router.  The batch
+     watermark is one short of the thread count: arrivals are at most
+     one per thread, so this is the largest batch the window can
+     collect. *)
+  let build ~telemetry ~num_roots ~shards:n ~threads =
+    let device = Region.create ~mode:Region.Persistent (n * span) in
+    let views = Region.partition device (List.init n (fun _ -> span)) in
+    let mt = threads + 2 in
+    let insts =
+      Array.of_list
+        (List.map
+           (fun v ->
+             let sh =
+               Lf.create ~region:v ~instance:(Region.id v) ~max_threads:mt
+                 ~ws_cap:256 ~num_roots ()
+             in
+             Option.iter (Lf.attach_telemetry sh) telemetry;
+             sh)
+           views)
+    in
+    let tm =
+      T.make ~max_threads:mt ~batch_watermark:(max 7 (threads - 1))
+        ~ro_snapshot:Lf.snapshot_ops insts
+    in
+    Option.iter (T.attach_telemetry tm) telemetry;
+    (device, insts, tm)
+
+  let recover tm = T.recover ~shard_recover:Lf.recover tm
+
+  let sum_accounts tm =
+    T.read_tx tm (fun tx ->
+        let s = ref 0 in
+        for i = 0 to accounts - 1 do
+          s := !s + T.load tx (T.root tm i)
+        done;
+        !s)
+
   let transfer tm tx a b =
     let ra = T.root tm a and rb = T.root tm b in
     let va = T.load tx ra in
@@ -54,8 +99,8 @@ module Run (T : Tm.Tm_intf.S) = struct
     T.store tx ra (va - 1);
     T.store tx rb (vb + 1)
 
-  let go tm ~recover ~device ~shard_regions ~shards:n ~cross_pct ~threads
-      ~rounds ~seed =
+  let run ~telemetry ~shards:n ~cross_pct ~threads ~rounds ~seed =
+    let device, insts, tm = build ~telemetry ~num_roots:24 ~shards:n ~threads in
     let per = accounts / n in
     for i = 0 to accounts - 1 do
       ignore
@@ -65,6 +110,7 @@ module Run (T : Tm.Tm_intf.S) = struct
     done;
     let st = Region.stats device in
     let snap = Pstats.copy st in
+    let shard_regions = Array.map Lf.region insts in
     let commits0 =
       Array.map (fun r -> (Region.stats r).Pstats.commits) shard_regions
     in
@@ -112,15 +158,8 @@ module Run (T : Tm.Tm_intf.S) = struct
        conservation check below then also validates cross-shard crash
        atomicity (a committed batch record replays, a torn one rolls
        back). *)
-    recover ();
-    let total =
-      T.read_tx tm (fun tx ->
-          let s = ref 0 in
-          for i = 0 to accounts - 1 do
-            s := !s + T.load tx (T.root tm i)
-          done;
-          !s)
-    in
+    recover tm;
+    let total = sum_accounts tm in
     {
       ops;
       cross = Array.fold_left ( + ) 0 crosses;
@@ -137,16 +176,15 @@ module Run (T : Tm.Tm_intf.S) = struct
      throughput number; the RO commits that land inside each migration
      window are recorded so the figure can assert reads never stall to
      zero while a range is moving. *)
-  let sum_accounts tm =
-    T.read_tx tm (fun tx ->
-        let s = ref 0 in
-        for i = 0 to accounts - 1 do
-          s := !s + T.load tx (T.root tm i)
-        done;
-        !s)
-
-  let elastic tm ~split ~merge ~map_entries ~map_epoch ~recover ~device
-      ~shards:n ~plan ~ro_pct ~threads ~rounds ~seed =
+  let elastic ~telemetry ~shards:n ~plan ~ro_pct ~threads ~rounds ~seed =
+    (* size the shards so a [split]'s upper half covers live accounts:
+       the router deals account [k] to shard [k mod n] slot [k / n], so
+       [accounts / n] slots per shard are live and [num_roots = accounts
+       / n + 1] (one reserved control slot) makes the usable root block
+       exactly the live block — the split then moves the upper half of
+       the accounts themselves, not empty slots *)
+    let num_roots = (accounts / n) + 1 in
+    let device, _, tm = build ~telemetry ~num_roots ~shards:n ~threads in
     for i = 0 to accounts - 1 do
       ignore
         (T.update_tx tm (fun tx ->
@@ -161,9 +199,9 @@ module Run (T : Tm.Tm_intf.S) = struct
     | `Once (Merge (s, d)) ->
         (* best-effort: if the inverse split is itself invalid (bad
            shard pair), the live merge below reports its own verdict *)
-        ignore (split ~src:d ~dst:s)
+        ignore (T.split tm ~src:d ~dst:s)
     | `Once (Split _) | `Storm -> ());
-    let map_before = map_entries () and epoch_before = map_epoch () in
+    let map_before = T.map_entries tm and epoch_before = T.map_epoch tm in
     let st = Region.stats device in
     let snap = Pstats.copy st in
     let expected = accounts * initial in
@@ -180,8 +218,8 @@ module Run (T : Tm.Tm_intf.S) = struct
             let before_ro = !ro in
             let r =
               match a with
-              | Split (s, d) -> split ~src:s ~dst:d
-              | Merge (s, d) -> merge ~src:s ~dst:d
+              | Split (s, d) -> T.split tm ~src:s ~dst:d
+              | Merge (s, d) -> T.merge tm ~src:s ~dst:d
             in
             (match r with `Ok -> record before_ro | `Busy | `Invalid _ -> ());
             outcomes := (a, r) :: !outcomes
@@ -192,7 +230,7 @@ module Run (T : Tm.Tm_intf.S) = struct
           let before_ro = !ro in
           match !phase with
           | `Split -> (
-              match split ~src ~dst with
+              match T.split tm ~src ~dst with
               | `Ok ->
                   record before_ro;
                   phase := `Merge
@@ -202,7 +240,7 @@ module Run (T : Tm.Tm_intf.S) = struct
           | `Merge -> (
               (* the inverse of the split above: the moved ranges are now
                  hosted by [dst] with native home [src] *)
-              match merge ~src:dst ~dst:src with
+              match T.merge tm ~src:dst ~dst:src with
               | `Ok ->
                   record before_ro;
                   phase := `Split;
@@ -236,7 +274,7 @@ module Run (T : Tm.Tm_intf.S) = struct
        mid-migration; recovery rolls the move forward or back before the
        final invariant read, so the check also covers a crash inside the
        copy loop *)
-    recover ();
+    recover tm;
     let total = sum_accounts tm in
     let windows = Array.of_list (List.rev !windows) in
     {
@@ -248,9 +286,9 @@ module Run (T : Tm.Tm_intf.S) = struct
         (if Array.length windows = 0 then 0
          else Array.fold_left min max_int windows);
       e_epoch_before = epoch_before;
-      e_epoch = map_epoch ();
+      e_epoch = T.map_epoch tm;
       e_map_before = map_before;
-      e_map = map_entries ();
+      e_map = T.map_entries tm;
       e_outcomes = List.rev !outcomes;
       e_conserved = total = expected;
       e_ro_consistent = !ro_bad = 0;
@@ -258,86 +296,16 @@ module Run (T : Tm.Tm_intf.S) = struct
     }
 end
 
-module R_lf = Run (Sh_lf)
-module R_wf = Run (Sh_wf)
+module Lf_bench = Make (Lf)
+module Wf_bench = Make (Wf)
 
-let span = 1 lsl 14
-
-let run ?(wf = false) ?telemetry ?batch_watermark ~shards:n ~cross_pct ~threads
-    ~rounds ~seed () =
-  (* default: one short of the thread count — arrivals are at most one
-     per thread, so this is the largest batch the window can collect *)
-  let wm =
-    match batch_watermark with Some w -> w | None -> max 7 (threads - 1)
-  in
+let run ?(wf = false) ?telemetry ~shards:n ~cross_pct ~threads ~rounds ~seed ()
+    =
   if n < 1 || accounts mod n <> 0 || accounts / n < 2 then
     invalid_arg "Shard_bench.run: shards must divide 16 and leave >= 2 roots";
-  let device = Region.create ~mode:Region.Persistent (n * span) in
-  let views = Region.partition device (List.init n (fun _ -> span)) in
-  let mt = threads + 2 in
-  if wf then begin
-    let shards =
-      Array.of_list
-        (List.map
-           (fun v ->
-             let sh =
-               Wf.create ~region:v ~instance:(Region.id v) ~max_threads:mt
-                 ~ws_cap:256 ~num_roots:24 ()
-             in
-             (match telemetry with
-             | Some te -> Wf.attach_telemetry sh te
-             | None -> ());
-             sh)
-           views)
-    in
-    let tm =
-      Sh_wf.make ~max_threads:mt ~batch_watermark:wm ~ro_snapshot:Wf.snapshot_ops
-        shards
-    in
-    (match telemetry with
-    | Some te -> Sh_wf.attach_telemetry tm te
-    | None -> ());
-    R_wf.go tm
-      ~recover:(fun () -> Sh_wf.recover ~shard_recover:Wf.recover tm)
-      ~device
-      ~shard_regions:(Array.map Wf.region shards)
-      ~shards:n ~cross_pct ~threads ~rounds ~seed
-  end
-  else begin
-    let shards =
-      Array.of_list
-        (List.map
-           (fun v ->
-             let sh =
-               Lf.create ~region:v ~instance:(Region.id v) ~max_threads:mt
-                 ~ws_cap:256 ~num_roots:24 ()
-             in
-             (match telemetry with
-             | Some te -> Lf.attach_telemetry sh te
-             | None -> ());
-             sh)
-           views)
-    in
-    let tm =
-      Sh_lf.make ~max_threads:mt ~batch_watermark:wm ~ro_snapshot:Lf.snapshot_ops
-        shards
-    in
-    (match telemetry with
-    | Some te -> Sh_lf.attach_telemetry tm te
-    | None -> ());
-    R_lf.go tm
-      ~recover:(fun () -> Sh_lf.recover ~shard_recover:Lf.recover tm)
-      ~device
-      ~shard_regions:(Array.map Lf.region shards)
-      ~shards:n ~cross_pct ~threads ~rounds ~seed
-  end
+  (if wf then Wf_bench.run else Lf_bench.run)
+    ~telemetry ~shards:n ~cross_pct ~threads ~rounds ~seed
 
-(* Elastic runs size the shards so a [split]'s upper half covers live
-   accounts: the router deals account [k] to shard [k mod n] slot
-   [k / n], so [accounts / n] slots per shard are live and
-   [num_roots = accounts / n + 1] (one reserved control slot) makes the
-   usable root block exactly the live block — the split then moves the
-   upper half of the accounts themselves, not empty slots. *)
 let elastic_run ~wf ~telemetry ~ro_pct ~plan ~shards:n ~threads ~rounds ~seed =
   if n < 2 || accounts mod n <> 0 || accounts / n < 2 then
     invalid_arg "Shard_bench: elastic runs need shards in 2/4/8";
@@ -346,71 +314,8 @@ let elastic_run ~wf ~telemetry ~ro_pct ~plan ~shards:n ~threads ~rounds ~seed =
       "Shard_bench: elastic runs need >= 2 threads (fiber 0 is the migrator)";
   if ro_pct < 0 || ro_pct > 100 then
     invalid_arg "Shard_bench: ro_pct must be 0..100";
-  let num_roots = (accounts / n) + 1 in
-  let wm = max 7 (threads - 1) in
-  let device = Region.create ~mode:Region.Persistent (n * span) in
-  let views = Region.partition device (List.init n (fun _ -> span)) in
-  let mt = threads + 2 in
-  if wf then begin
-    let shards =
-      Array.of_list
-        (List.map
-           (fun v ->
-             let sh =
-               Wf.create ~region:v ~instance:(Region.id v) ~max_threads:mt
-                 ~ws_cap:256 ~num_roots ()
-             in
-             (match telemetry with
-             | Some te -> Wf.attach_telemetry sh te
-             | None -> ());
-             sh)
-           views)
-    in
-    let tm =
-      Sh_wf.make ~max_threads:mt ~batch_watermark:wm ~ro_snapshot:Wf.snapshot_ops
-        shards
-    in
-    (match telemetry with
-    | Some te -> Sh_wf.attach_telemetry tm te
-    | None -> ());
-    R_wf.elastic tm
-      ~split:(fun ~src ~dst -> Sh_wf.split tm ~src ~dst)
-      ~merge:(fun ~src ~dst -> Sh_wf.merge tm ~src ~dst)
-      ~map_entries:(fun () -> Sh_wf.map_entries tm)
-      ~map_epoch:(fun () -> Sh_wf.map_epoch tm)
-      ~recover:(fun () -> Sh_wf.recover ~shard_recover:Wf.recover tm)
-      ~device ~shards:n ~plan ~ro_pct ~threads ~rounds ~seed
-  end
-  else begin
-    let shards =
-      Array.of_list
-        (List.map
-           (fun v ->
-             let sh =
-               Lf.create ~region:v ~instance:(Region.id v) ~max_threads:mt
-                 ~ws_cap:256 ~num_roots ()
-             in
-             (match telemetry with
-             | Some te -> Lf.attach_telemetry sh te
-             | None -> ());
-             sh)
-           views)
-    in
-    let tm =
-      Sh_lf.make ~max_threads:mt ~batch_watermark:wm ~ro_snapshot:Lf.snapshot_ops
-        shards
-    in
-    (match telemetry with
-    | Some te -> Sh_lf.attach_telemetry tm te
-    | None -> ());
-    R_lf.elastic tm
-      ~split:(fun ~src ~dst -> Sh_lf.split tm ~src ~dst)
-      ~merge:(fun ~src ~dst -> Sh_lf.merge tm ~src ~dst)
-      ~map_entries:(fun () -> Sh_lf.map_entries tm)
-      ~map_epoch:(fun () -> Sh_lf.map_epoch tm)
-      ~recover:(fun () -> Sh_lf.recover ~shard_recover:Lf.recover tm)
-      ~device ~shards:n ~plan ~ro_pct ~threads ~rounds ~seed
-  end
+  (if wf then Wf_bench.elastic else Lf_bench.elastic)
+    ~telemetry ~shards:n ~plan ~ro_pct ~threads ~rounds ~seed
 
 let run_elastic ?(wf = false) ?telemetry ?(ro_pct = 60) ~shards ~threads
     ~rounds ~seed () =

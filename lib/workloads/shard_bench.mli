@@ -4,11 +4,17 @@
     hosting a OneFile instance; [accounts] account roots are dealt
     round-robin across shards (root [k] on shard [k mod shards]).  Every
     transaction moves one unit between two accounts: with probability
-    [cross_pct]% between two distinct shards (the strict-2PL cross-shard
+    [cross_pct]% between two distinct shards (the batched-2PC cross-shard
     path), otherwise between two accounts of the executing thread's home
     shard (the wait-free/parallel single-shard path).  The account total
     is invariant, so [conserved] doubles as an end-to-end consistency
     check of every run.
+
+    Both front-ends are built by one functor in the same order: device,
+    shard views, OneFile instances, router, and recovery after the run.
+    Every router runs [max_threads = threads + 2] and a batch watermark
+    of [max 7 (threads - 1)], the largest batch one arrival per thread
+    can fill.
 
     Shared by [bench/main.exe --figure shards] and
     [onefile_cli shards]. *)
@@ -32,7 +38,6 @@ type result = {
 val run :
   ?wf:bool ->
   ?telemetry:Runtime.Telemetry.t ->
-  ?batch_watermark:int ->
   shards:int ->
   cross_pct:int ->
   threads:int ->

@@ -349,19 +349,23 @@ let test_wf_result_values_correct () =
   Array.iteri (fun i r -> check bool (Printf.sprintf "fiber %d got result" i) true (r >= 0)) results
 
 let test_wf_readonly_fallback () =
-  (* With read_tries = 0, read-only transactions are forced through the
-     operations array; they must still return correct values. *)
+  (* With read_tries = 0, validating read-only transactions are forced
+     through the operations array; they must still return correct
+     values.  (The snapshot read_tx never falls back.) *)
   let t = Wf.create ~mode:Region.Volatile ~read_tries:0 () in
+  let te = Telemetry.create () in
+  Wf.attach_telemetry t te;
   let r0 = Wf.root t 0 in
   ignore (Wf.update_tx t (fun tx -> Wf.store tx r0 99; 0));
   let v =
     let out = ref 0 in
     run_fibers ~seed:2 2 (fun i ->
-        if i = 0 then out := Wf.read_tx t (fun tx -> Wf.load tx r0)
+        if i = 0 then out := Wf.read_tx_validating t (fun tx -> Wf.load tx r0)
         else ignore (Wf.update_tx t (fun tx -> Wf.load tx r0)));
     !out
   in
-  check int "fallback read returns value" 99 v
+  check int "fallback read returns value" 99 v;
+  check int "read published once" 1 (Telemetry.get te "wf.fallbacks")
 
 (* ------------------------------------------------------------------ *)
 (* Real domains: same code under genuine parallelism *)
