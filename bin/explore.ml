@@ -39,7 +39,7 @@ let usage () =
   --no-sanitize    do not attach the Tmcheck sanitizer
   --plant F        plant a fault: durability | lost-update | stale-dedup
                    | torn-commit-record | torn-batch-record
-                   | stale-ro-snapshot | torn-migration
+                   | stale-ro-snapshot | skip-nocap | torn-migration
                    (the torn-record and torn-migration faults need
                    --shards >= 2)
   --max-steps N    per-execution step budget (default 50000)
@@ -140,6 +140,7 @@ let () =
         | "torn-commit-record" -> fault := E.Torn_commit_record
         | "torn-batch-record" -> fault := E.Torn_batch_record
         | "stale-ro-snapshot" -> fault := E.Stale_ro_snapshot
+        | "skip-nocap" -> fault := E.Skip_nocap
         | "torn-migration" -> fault := E.Torn_migration
         | _ ->
             prerr_endline ("explore: unknown fault " ^ v);
@@ -245,6 +246,7 @@ let () =
          | E.Torn_commit_record -> " (planted: torn-commit-record)"
          | E.Torn_batch_record -> " (planted: torn-batch-record)"
          | E.Stale_ro_snapshot -> " (planted: stale-ro-snapshot)"
+         | E.Skip_nocap -> " (planted: skip-nocap)"
          | E.Torn_migration -> " (planted: torn-migration)");
        let report = find prog in
        Format.printf "%a" E.pp_report report;

@@ -67,21 +67,30 @@ type version = { vaddr : int; vval : int; vbirth : int; vdel : int }
    versions whose [vdel] sits below it are invisible to all readers and
    may be dropped.  [pin_watermark] bounds the floor scan: it is a
    monotone upper bound (exclusive) on the slot of every thread that has
-   ever pinned, so write-only workloads recompute the floor without
-   touching a single era slot.  [pinned_once] is the thread-confined
-   "already registered" flag behind it, and [pin_mine] mirrors the era
-   this slot last published through [snap_pin] (0 = none) so a
-   transaction driver reusing the slot of a fiber that was abandoned
-   mid-read can release the orphaned pin without paying a step in the
-   common case (mutable-ok: cell [i] of either array is written only by
-   thread [i], plus sequential recovery). *)
+   ever pinned, so the floor scan never touches the era slot of a thread
+   that never read.
+
+   Capture is paid only while a reader exists: [registered] marks the
+   slots that pinned a snapshot here since their last update transaction
+   here, [readers] counts them, and [nocap] is the highest commit
+   sequence some apply pass applied without capturing.  A pass announces
+   in [nocap] before it re-checks [readers]; a registering reader
+   announces in [readers] before it checks [nocap] (see [decide_capture]
+   and [snap_pin]).  [pin_mine] mirrors the era this slot last published
+   through [snap_pin] (0 = none) so a transaction driver reusing the slot
+   of a fiber that was abandoned mid-read can release the orphaned pin
+   without paying a step in the common case (mutable-ok: cell [i] of
+   either array is written only by thread [i], plus sequential
+   recovery). *)
 type vstore = {
   vslots : version option Satomic.t array; (* vbuckets * vslots_per *)
   voverflow : version list Satomic.t array; (* one per bucket *)
   ro_stable : int Satomic.t;
   pin_floor : int Satomic.t;
   pin_watermark : int Satomic.t;
-  pinned_once : bool array;
+  readers : int Satomic.t;
+  nocap : int Satomic.t;
+  registered : bool array;
   pin_mine : int array;
 }
 
@@ -118,6 +127,10 @@ type faults = {
       (* pin snapshot readers at the raw curTx sequence instead of the
          fully-applied ro_stable epoch: a reader then observes a
          half-published epoch and mixes pre- and post-transaction words *)
+  mutable skip_nocap : bool;
+      (* a registering reader ignores [nocap]: it can pin below a commit
+         that was applied without capture and then miss the version of a
+         word that commit overwrote *)
 }
 
 type t = {
@@ -164,6 +177,7 @@ type t = {
   c_rec_runs : Telemetry.handle;
   c_rec_helped : Telemetry.handle;
   c_ro_pins : Telemetry.handle;
+  c_captures : Telemetry.handle;
   s_latency : Telemetry.span_handle;
   s_ro_lag : Telemetry.span_handle;
   faults : faults;
@@ -297,7 +311,9 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       ro_stable = Satomic.make 1;
       pin_floor = Satomic.make 1;
       pin_watermark = Satomic.make 0;
-      pinned_once = Array.make max_threads false;
+      readers = Satomic.make 0;
+      nocap = Satomic.make 0;
+      registered = Array.make max_threads false;
       pin_mine = Array.make max_threads 0;
     }
   in
@@ -361,6 +377,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       c_rec_runs = Telemetry.counter tele (key "recovery.runs");
       c_rec_helped = Telemetry.counter tele (key "recovery.helped");
       c_ro_pins = Telemetry.counter tele (key "tx.ro_epoch_pins");
+      c_captures = Telemetry.counter tele (key "ro.captures");
       s_latency = Telemetry.span tele (key "tx.latency");
       s_ro_lag = Telemetry.span tele (key "ro.snapshot_lag");
       faults =
@@ -369,6 +386,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
           stale_commit_snapshot = false;
           stale_dedup_flush = false;
           stale_ro_snapshot = false;
+          skip_nocap = false;
         };
     }
   in
@@ -449,15 +467,16 @@ let is_open inst (ct : Word.t) =
 (* ------------------------------------------------------------------ *)
 (* Snapshot version store, writer side (DESIGN.md §13)                  *)
 
-(* Monotone CAS-max bump of the fully-applied epoch. *)
-let stable_bump vst s =
-  (* flowlint: bounded a CAS miss means another thread raised ro_stable concurrently, which is progress toward the target *)
+(* Monotone CAS-max: raise [cell] to at least [v]. *)
+let cas_max cell v =
+  (* flowlint: bounded a CAS miss means another thread raised the cell concurrently, which is progress toward the target *)
   let rec go () =
-    let cur = Satomic.get vst.ro_stable in
-    if cur < s then
-      if not (Satomic.compare_and_set vst.ro_stable cur s) then go ()
+    let cur = Satomic.get cell in
+    if cur < v && not (Satomic.compare_and_set cell cur v) then go ()
   in
   go ()
+
+let stable_bump vst s = cas_max vst.ro_stable s
 
 (* Recompute [pin_floor] as min(published reader eras, ro_stable).
    [ro_stable] must be read BEFORE the era scan: a reader is pin-ordered
@@ -479,39 +498,21 @@ let refresh_floor inst =
     if e <> 0 && e < !c then c := e
   done;
   let f = !c in
-  (* flowlint: bounded a CAS miss means another scan raised pin_floor concurrently, which is progress *)
-  let rec bump () =
-    let cur = Satomic.get vst.pin_floor in
-    if cur < f then begin
-      if not (Satomic.compare_and_set vst.pin_floor cur f) then bump ()
-    end
-  in
-  bump ();
+  cas_max vst.pin_floor f;
   f
 
 (* Install one captured version into its bucket.  Preference order: a
    slot already holding the same (addr, del) record — a racing helper
    captured the identical overwrite — then an empty slot, then a slot
    whose version expired below the floor; otherwise the bucket's
-   overflow list, pruning expired entries in the same CAS.
-
-   [floor_hint] is a value known by the caller to be <= ro_stable right
-   now (put_one passes [seq - 1]: the commit CAS for [seq] required
-   request [seq - 1] closed, and every path into the apply phase bumps
-   ro_stable accordingly first).  While no reader has ever registered in
-   [pin_watermark] the hint IS a sound floor — a future reader's epoch
-   is >= the ro_stable it pins, which is >= the hint — so the hot
-   write-only path expires old versions without reading pin_floor or
-   scanning a single era. *)
-let vinstall inst ~floor_hint b (v : version) =
+   overflow list, pruning expired entries in the same CAS. *)
+let vinstall inst b (v : version) =
   let vst = inst.vst in
   let base = b * vslots_per in
   let installed = ref false in
   let floor = ref (-1) in
   let get_floor () =
-    (if !floor < 0 then
-       if Satomic.get vst.pin_watermark = 0 then floor := floor_hint
-       else floor := Satomic.get vst.pin_floor);
+    if !floor < 0 then floor := Satomic.get vst.pin_floor;
     !floor
   in
   let try_slots () =
@@ -528,6 +529,7 @@ let vinstall inst ~floor_hint b (v : version) =
       end
     done
   in
+  Telemetry.tick inst.c_captures;
   try_slots ();
   if not !installed then begin
     floor := refresh_floor inst;
@@ -547,26 +549,46 @@ let vinstall inst ~floor_hint b (v : version) =
     end
   end
 
-(* Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15).
+(* The capture decision of one apply pass for commit [seq]: [true] when
+   some reader may still need the words this pass overwrites.  With no
+   registered reader the pass first announces itself in [nocap], then
+   re-checks [readers]; a registering reader does the mirror image in
+   [snap_pin] (count itself in [readers], then read [nocap]).  Under the
+   sequentially consistent Satomic order one of the two sees the other:
+   either this pass captures, or the reader sees [nocap >= seq] and helps
+   [seq] to completion before it pins, so it never needs a version this
+   pass overwrote.  Decided once per pass, before its puts. *)
+let decide_capture inst ~seq =
+  let vst = inst.vst in
+  Satomic.get vst.readers > 0
+  || begin
+    cas_max vst.nocap seq;
+    Satomic.get vst.readers > 0
+  end
 
-   Before the winning CAS the word about to be overwritten is captured
-   into the version store: it covered the commit interval
-   [w.s, seq - 1], exactly what a reader pinned inside that interval
-   still needs.  Capture precedes the CAS so no reader can observe the
-   new word while the old version is absent from the store; racing
-   helpers capture the identical record and dedup on (addr, del). *)
-let put_one inst ~seq addr v =
+(* Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15).
+   [cap] is the pass's capture decision ([decide_capture]).
+
+   Under a capturing decision the word about to be overwritten is
+   installed in the version store before the winning CAS: it covered the
+   commit interval [w.s, seq - 1], exactly what a reader pinned inside
+   that interval still needs.  Capture precedes the CAS so no reader can
+   observe the new word while the old version is absent from the store;
+   racing helpers capture the identical record and dedup on (addr, del). *)
+let put inst ~seq ~cap addr v =
   (* flowlint: bounded a CAS miss means a helper already installed this entry with sequence >= seq, so the seq guard fails on the next round *)
   let rec go () =
     let w = Region.load inst.region addr in
     if w.Word.s < seq then begin
-      if addr >= inst.roots_base then
-        vinstall inst ~floor_hint:(seq - 1) (vbucket addr)
+      if cap && addr >= inst.roots_base then
+        vinstall inst (vbucket addr)
           { vaddr = addr; vval = w.Word.v; vbirth = w.Word.s; vdel = seq - 1 };
       if not (Region.cas inst.region addr w (Word.make v seq)) then go ()
     end
   in
   go ()
+
+let put_one inst ~seq addr v = put inst ~seq ~cap:(decide_capture inst ~seq) addr v
 
 let close_request inst ~tid ~seq =
   let cell = req_cell inst tid in
@@ -608,8 +630,9 @@ let pwb_dedup inst ~me ~gen addr =
    cache line. *)
 let apply_own inst ~me ~seq (ws : Writeset.t) =
   let n = Writeset.size ws in
+  let cap = decide_capture inst ~seq in
   for i = 0 to n - 1 do
-    put_one inst ~seq (Writeset.addr_at ws i) (Writeset.val_at ws i)
+    put inst ~seq ~cap (Writeset.addr_at ws i) (Writeset.val_at ws i)
   done;
   let gen = flush_gen inst ~me in
   let last = ref (-1) in
@@ -625,30 +648,33 @@ let apply_own inst ~me ~seq (ws : Writeset.t) =
 (* Apply a foreign committed write-set from the snapshot arrays a helper
    copied.  Helpers re-check the owner's request cell every
    [help_check_interval] entries (paper §III-B: "helpers check that the
-   transaction is still open") and stop replaying once someone — usually
-   the owner — has finished the apply and closed the request; whoever
-   closed it necessarily completed a full put+flush pass first, so an
-   early exit never loses a put or a pwb.  Returns [true] when this
-   helper ran the apply to completion (and may thus close the request). *)
+   transaction is still open"), and once more between the put pass and
+   the flush pass, and stop replaying once someone — usually the owner —
+   has finished the apply and closed the request; whoever closed it
+   necessarily completed a full put+flush pass first, so an early exit
+   never loses a put or a pwb.  The extra check matters for write-sets
+   shorter than the interval, where the in-loop check never fires and a
+   late helper would re-flush every line the owner already flushed.
+   Returns [true] when this helper ran the apply to completion (and may
+   thus close the request). *)
 let help_check_interval = 8
 
 let apply_foreign inst ~me ~tid ~seq ~n addrs vals =
   let region = inst.region in
   let req = req_cell inst tid in
-  let closed i =
-    i > 0
-    && i land (help_check_interval - 1) = 0
-    && (Region.load region req).Word.v <> seq
-  in
+  let is_closed () = (Region.load region req).Word.v <> seq in
+  let closed i = i > 0 && i land (help_check_interval - 1) = 0 && is_closed () in
+  let cap = decide_capture inst ~seq in
   let rec put_from i =
     if i >= n then true
     else if closed i then false
     else begin
-      put_one inst ~seq addrs.(i) vals.(i);
+      put inst ~seq ~cap addrs.(i) vals.(i);
       put_from (i + 1)
     end
   in
   put_from 0
+  && (not (is_closed ()))
   &&
   let gen = flush_gen inst ~me in
   let rec flush_from i last =
@@ -777,43 +803,56 @@ let region inst = inst.region
 (* Publish a read epoch for the calling thread and return it: three
    steps, no loop, no curTx access.  The era is published between the
    two ro_stable reads; see [refresh_floor] for why the returned epoch
-   is always protected. *)
+   is always protected.  The mirror is written BEFORE the era is
+   published: a fiber abandoned between the two leaves a mirror with no
+   era behind it, which the orphan release clears harmlessly; the
+   opposite order would leak an unreleasable pin. *)
+let pin_epoch inst ~me =
+  let vst = inst.vst in
+  (* planted fault: pin the raw curTx sequence, which may still be
+     mid-apply — the reader then mixes pre- and post-transaction words *)
+  let stale = inst.faults.stale_ro_snapshot in
+  let e = if stale then (read_curtx inst).Word.v else Satomic.get vst.ro_stable in
+  vst.pin_mine.(me) <- e;
+  Hazard_eras.set_era inst.he e;
+  if stale then e else Satomic.get vst.ro_stable
+
+(* Pin a snapshot epoch, registering the slot as a reader first if it is
+   not registered (DESIGN.md §13).  Registration raises the era-scan
+   watermark before anything is published (see [refresh_floor]'s
+   ordering proof), then counts the slot in [readers]; every apply pass
+   deciding after that captures.  A pass that decided not to capture
+   before it announced itself in [nocap] first, so a fresh registration
+   reads [nocap] after pinning: if an uncaptured commit lies beyond the
+   pinned epoch, finish it and pin again past it.  Only a fresh
+   registration checks — a slot that stays registered keeps every later
+   pass capturing. *)
 let snap_pin inst =
   let vst = inst.vst in
-  (if not vst.pinned_once.(Sched.self ()) then begin
-     (* first pin by this thread slot, ever: raise the era-scan watermark
-        before publishing anything (see [refresh_floor]'s ordering proof) *)
-     vst.pinned_once.(Sched.self ()) <- true;
-     let wm = Sched.self () + 1 in
-     (* flowlint: bounded a CAS miss means another first-time reader raised the watermark, which is progress *)
-     let rec bump () =
-       let cur = Satomic.get vst.pin_watermark in
-       if cur < wm then
-         if not (Satomic.compare_and_set vst.pin_watermark cur wm) then bump ()
-     in
-     bump ()
-   end);
-  if inst.faults.stale_ro_snapshot then begin
-    (* planted fault: pin the raw curTx sequence, which may still be
-       mid-apply — the reader then mixes pre- and post-transaction words *)
-    let e = (read_curtx inst).Word.v in
-    (* the mirror is written BEFORE the era is published: a fiber
-       abandoned between the two leaves a mirror with no era behind it,
-       which the orphan release clears harmlessly; the opposite order
-       would leak an unreleasable pin *)
-    vst.pin_mine.(Sched.self ()) <- e;
-    Hazard_eras.set_era inst.he e;
-    Telemetry.tick inst.c_ro_pins;
-    e
-  end
-  else begin
-    let e = Satomic.get inst.vst.ro_stable in
-    vst.pin_mine.(Sched.self ()) <- e;
-    Hazard_eras.set_era inst.he e;
-    let r = Satomic.get inst.vst.ro_stable in
-    Telemetry.tick inst.c_ro_pins;
-    r
-  end
+  let me = Sched.self () in
+  let fresh = not vst.registered.(me) in
+  if fresh then begin
+    cas_max vst.pin_watermark (me + 1);
+    Satomic.incr vst.readers
+  end;
+  let r = pin_epoch inst ~me in
+  let nc =
+    if fresh && not inst.faults.skip_nocap then Satomic.get vst.nocap else 0
+  in
+  let r =
+    if nc > r then begin
+      ensure_stable inst ~me nc;
+      pin_epoch inst ~me
+    end
+    else r
+  in
+  (* the flag goes up last: a fiber abandoned anywhere above leaves the
+     slot unregistered, so the next reader on it repeats the whole
+     handshake; the abandoned increment only over-counts [readers],
+     which costs capture, never safety *)
+  if fresh then vst.registered.(me) <- true;
+  Telemetry.tick inst.c_ro_pins;
+  r
 
 let snap_unpin inst =
   Hazard_eras.clear inst.he;
@@ -828,13 +867,24 @@ let snap_unpin inst =
 let release_orphan_pin inst ~me =
   if inst.vst.pin_mine.(me) <> 0 then snap_unpin inst
 
+(* An update transaction ends the slot's reader registration: until it
+   pins again, apply passes on this instance need not capture for it. *)
+let deregister inst ~me =
+  let vst = inst.vst in
+  if vst.registered.(me) then begin
+    vst.registered.(me) <- false;
+    Satomic.decr vst.readers
+  end
+
 (* flowlint: ok unpinned-snapshot-load instance-level resolver for Tm_shard, whose cross-shard driver pins every shard before loading *)
 let snap_load inst epoch addr =
   snap_resolve ~region:inst.region ~chk:inst.checker inst.vst epoch addr
 
 (* The wait-free read-only fast path: pin an epoch, run the closure
    against that frozen snapshot, unpin.  Zero aborts, zero restarts,
-   zero pwbs, bounded steps — write churn never touches it. *)
+   bounded steps; pwbs only when a fresh registration finishes an
+   uncaptured commit ([snap_pin]) — write churn never touches it
+   otherwise. *)
 let snap_read_tx inst f =
   let me = Sched.self () in
   let tx = inst.txs.(me) in
@@ -905,6 +955,7 @@ let lf_update_tx inst f =
   let st = stats inst in
   let t0 = Sched.now () in
   release_orphan_pin inst ~me;
+  deregister inst ~me;
   (* flowlint: bounded lock-free path: a retry happens only when another transaction committed in the meantime (curtx advanced), which is global progress *)
   let rec attempt () =
     let ct = read_curtx inst in
@@ -1006,6 +1057,7 @@ let wf_update_tx inst f =
   let region_ = inst.region in
   let t0 = Sched.now () in
   release_orphan_pin inst ~me;
+  deregister inst ~me;
   (* publish the operation (its "birth era" is the seq it was tagged with) *)
   let opid = Satomic.fetch_and_add inst.next_opid 1 + 1 in
   let rs = (Region.load region_ (res_cell inst me)).Word.s in
@@ -1168,9 +1220,11 @@ let recover inst =
   Array.iter (fun c -> Satomic.set c None) inst.vst.vslots;
   Array.iter (fun c -> Satomic.set c []) inst.vst.voverflow;
   Hazard_eras.reset inst.he;
-  Array.fill inst.vst.pinned_once 0 (Array.length inst.vst.pinned_once) false;
+  Array.fill inst.vst.registered 0 (Array.length inst.vst.registered) false;
   Array.fill inst.vst.pin_mine 0 (Array.length inst.vst.pin_mine) 0;
   Satomic.set inst.vst.pin_watermark 0;
+  Satomic.set inst.vst.readers 0;
+  Satomic.set inst.vst.nocap 0;
   Satomic.set inst.vst.ro_stable ct.Word.v;
   Satomic.set inst.vst.pin_floor ct.Word.v;
   Region.pfence inst.region

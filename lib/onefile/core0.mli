@@ -54,15 +54,20 @@ val wf_read_tx_validating : t -> (tx -> int) -> int
 
 (** {1 Wait-free snapshot reads} (DESIGN.md §13)
 
-    Writers keep a bounded volatile version store of overwritten words;
-    a read-only transaction pins the newest fully-applied sequence number
+    Writers keep a bounded volatile version store of overwritten words
+    while some thread slot is registered as a snapshot reader; a
+    read-only transaction pins the newest fully-applied sequence number
     through the hazard-era slots and resolves every load at that epoch —
-    no aborts, no restarts, no flushes, bounded steps.  [read_tx] on both
+    no aborts, no restarts, bounded steps.  [read_tx] on both
     front-ends uses this path.  The pieces are exposed individually so
     {!Tm.Tm_shard} can assemble cross-shard snapshot reads. *)
 
 val snap_pin : t -> int
-(** Publish and return a snapshot epoch for the calling thread. *)
+(** Publish and return a snapshot epoch for the calling thread,
+    registering its slot as a reader if it is not registered (an update
+    transaction on the same instance ends the registration).  A fresh
+    registration helps the open commit to completion first when that
+    commit was applied without version capture. *)
 
 val snap_load : t -> int -> int -> int
 (** [snap_load t epoch addr]: the value of [addr] as of [epoch].  Only
@@ -116,7 +121,8 @@ val attach_telemetry : t -> Runtime.Telemetry.t -> unit
     commit-latency span ("tx.commits", "tx.ro_commits", "tx.ro_epoch_pins",
     "tx.aborts", "tx.helps", "tx.help_exits", "log.recycles",
     "wf.published", "wf.aggregated", "wf.fallbacks", "recovery.runs",
-    "recovery.helped", spans "tx.latency" and "ro.snapshot_lag"),
+    "recovery.helped", "ro.captures" (versions handed to the version
+    store), spans "tx.latency" and "ro.snapshot_lag"),
     the region's Pstats as a pull source ("pmem.*"),
     and the hazard-era reclaimer ("he.*").  All instance counters are
     pre-resolved {!Runtime.Telemetry} handles — no string hashing on the
@@ -147,6 +153,10 @@ type faults = {
   mutable stale_ro_snapshot : bool;
       (** pin the raw curTx sequence instead of the newest fully-applied
           one, so a snapshot reader can observe a half-published epoch *)
+  mutable skip_nocap : bool;
+      (** a registering snapshot reader ignores the highest commit applied
+          without version capture, so it can pin below that commit and
+          miss the version of a word it overwrote *)
 }
 
 val faults : t -> faults
@@ -163,7 +173,8 @@ val read_curtx : t -> Pmem.Word.t
 val is_open : t -> Pmem.Word.t -> bool
 
 val put_one : t -> seq:int -> int -> int -> unit
-(** Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15). *)
+(** Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15), as
+    a one-entry apply pass: it makes its own version-capture decision. *)
 
 val close_request : t -> tid:int -> seq:int -> unit
 val publish_log : t -> me:int -> Writeset.t -> seq:int -> unit

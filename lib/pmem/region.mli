@@ -108,9 +108,9 @@ val pwb_cost : int ref
 val pfence_cost : int ref
 (** Simulated-time prices (scheduling steps) of the persistence
     primitives.  On real hardware an ordering fence that drains the write
-    pipeline costs an order of magnitude more than issuing a CLWB; the
-    defaults (pwb = 1, pfence = 8) encode that ratio, and the §V-B-table
-    benchmark reports raw counts regardless of these prices. *)
+    pipeline costs several times more than issuing a CLWB; the defaults
+    (pwb = 1, pfence = 4) encode that ratio, and the §V-B-table benchmark
+    reports raw counts regardless of these prices. *)
 
 val crash :
   t -> ?evict_fraction:float -> ?evict_lines:int list -> ?rng:Runtime.Rng.t ->

@@ -107,6 +107,13 @@ module Make (T : Tm_intf.S) = struct
     stalled : int Satomic.t; (* single-update escapes forced by the move *)
   }
 
+  (* The routing state: the published map image and the live migration
+     descriptor, swapped together as one immutable value.  An execution
+     that reads it once therefore never pairs an image with a descriptor
+     from another stage of a move (say, the pre-flip image with the
+     cleared descriptor of a retired move). *)
+  type routing = { img : Shard_map.image; live : mig option }
+
   (* One cross-shard request: [run] is executed only by the batch leader
      (it returns [false] when the member is deferred to the next
      sub-batch on record overflow); [state] flips 0 -> 1 exactly when
@@ -188,13 +195,13 @@ module Make (T : Tm_intf.S) = struct
         (* per-shard wait-free snapshot primitives (epoch pin / load-at-
            epoch / unpin): cross-shard read-only transactions pin a
            per-shard epoch vector and never enter the prepare queues *)
-    map : Shard_map.image Satomic.t;
+    routing : routing Satomic.t;
         (* the routing image, mirrored from the persistent table on shard
-           0.  Published whole and never mutated, so one read routes an
-           address (the classify pre-pass included) without blocking or
-           taking a transaction.  Writers: [make] and [recover] (decoding
-           the persistent table) and the epoch flip (under [mig_claim]). *)
-    mig : mig option Satomic.t; (* live migration, at most one *)
+           0, plus the live migration (at most one).  Published whole and
+           never mutated, so one read routes every access of an execution
+           without blocking or taking a transaction.  Writers: [make] and
+           [recover] (decoding the persistent table) and the migrator
+           (under [mig_claim]): descriptor install, epoch flip, retire. *)
     mig_claim : int Satomic.t; (* migrator election: one CAS *)
     pub_gen : int Satomic.t;
     done_gen : int Satomic.t;
@@ -254,19 +261,20 @@ module Make (T : Tm_intf.S) = struct
 
   (* one read of the published image (none for a pinned address) *)
   let route t g =
-    let img = if g < 0 then Shard_map.empty else Satomic.get t.map in
+    let img = if g < 0 then Shard_map.empty else (Satomic.get t.routing).img in
     Shard_map.lookup img ~span:t.span g
 
   let shard_of t g = fst (route t g)
-  let local_of t g = snd (route t g)
 
-  (* the live migration covering [g], if any (one volatile read) *)
-  let mig_range t g =
-    if g < 0 then None
-    else
-      match Satomic.get t.mig with
-      | Some m when g >= m.g_lo && g < m.g_lo + m.g_len -> Some m
-      | _ -> None
+  (* the migration of [live] covering [g], if any *)
+  let mig_range live g =
+    match live with
+    | Some m when g >= m.g_lo && g < m.g_lo + m.g_len -> Some m
+    | _ -> None
+
+  (* the same against the published descriptor (one volatile read) *)
+  let live_mig t g =
+    if g < 0 then None else mig_range (Satomic.get t.routing).live g
 
   (* the secondary copy of a dual-write: whichever side of the move the
      primary route does not currently name *)
@@ -320,7 +328,9 @@ module Make (T : Tm_intf.S) = struct
     let map_base = ctl.(0) + ctl_cells + rec_cells in
     (* an adopted device may carry migrated ranges from an earlier
        incarnation *)
-    let map = Satomic.make (read_map shards.(0) map_base) in
+    let routing =
+      Satomic.make { img = read_map shards.(0) map_base; live = None }
+    in
     let tele = Telemetry.sink () in
     let t =
       {
@@ -349,8 +359,7 @@ module Make (T : Tm_intf.S) = struct
         next_txid = Satomic.make 0;
         next_home = Satomic.make 0;
         snap = ro_snapshot;
-        map;
-        mig = Satomic.make None;
+        routing;
         mig_claim = Satomic.make 0;
         pub_gen = Satomic.make 0;
         done_gen = Satomic.make 0;
@@ -423,6 +432,7 @@ module Make (T : Tm_intf.S) = struct
      far?  [Classified] aborts the pre-pass as soon as the verdict is
      decided (second distinct shard seen, or op budget exhausted). *)
   type cls = {
+    crs : routing; (* read once per pre-pass *)
     mutable cfirst : int; (* first touched shard, -1 = none yet *)
     mutable cmulti : bool; (* touched a second distinct shard *)
     mutable cops : int; (* tx ops served so far *)
@@ -432,8 +442,10 @@ module Make (T : Tm_intf.S) = struct
 
   type kind =
     | Classify of cls
-    | Single of { home : int; itx : T.tx; ex : exec }
-    | Read_single of { home : int; itx : T.tx }
+    | Single of { home : int; itx : T.tx; ex : exec; rs : routing }
+    | Read_single of { home : int; itx : T.tx; img : Shard_map.image }
+        (* single-shard executions route every access through the routing
+           state read once at the start of the execution *)
     | Cross of { bc : bctx; ov : overlay }
     | Snap of { eps : int array; img : Shard_map.image }
         (* cross-shard snapshot read: every load resolves through the
@@ -478,30 +490,42 @@ module Make (T : Tm_intf.S) = struct
   (* a migrating range is dual-homed: the classify pre-pass reports BOTH
      ends, which routes every mutative touch of the range to the cross
      path (where stores dual-write) for as long as the move is live *)
-  let cnote_mig c (m : mig) =
-    cnote c m.m_src;
-    cnote c m.m_dst
+  let cnote_addr t c g =
+    if g = 0 then cbump c
+    else
+      match mig_range c.crs.live g with
+      | Some m ->
+          cnote c m.m_src;
+          cnote c m.m_dst
+      | None -> cnote c (fst (Shard_map.lookup c.crs.img ~span:t.span g))
+
+  (* the local cell of [g] on [home] under [img]; any other shard escapes *)
+  let home_local t img home g =
+    let s, l = if g = 0 then (home, 0) else Shard_map.lookup img ~span:t.span g in
+    if s <> home then raise Cross_escape;
+    l
+
+  (* mutating a migrating cell needs the dual-write, which only the cross
+     path provides; count the forced detour *)
+  let escape_migrating rs g =
+    match mig_range rs.live g with
+    | Some m ->
+        Satomic.set m.stalled (Satomic.get m.stalled + 1);
+        raise Cross_escape
+    | None -> ()
 
   let load tx g =
     let t = tx.rt in
     match tx.kind with
     | Classify c ->
-        (if g <> 0 then
-           match mig_range t g with
-           | Some m -> cnote_mig c m
-           | None -> cnote c (shard_of t g)
-         else cbump c);
+        cnote_addr t c g;
         0
-    | Single { home; itx; ex } ->
-        let s, l = if g = 0 then (home, 0) else route t g in
-        if s <> home then raise Cross_escape;
-        (match Hashtbl.find_opt ex.stores l with
+    | Single { home; itx; ex; rs } -> (
+        let l = home_local t rs.img home g in
+        match Hashtbl.find_opt ex.stores l with
         | Some v -> v
         | None -> T.load itx l)
-    | Read_single { home; itx } ->
-        let s, l = if g = 0 then (home, 0) else route t g in
-        if s <> home then raise Cross_escape;
-        T.load itx l
+    | Read_single { home; itx; img } -> T.load itx (home_local t img home g)
     | Snap { eps; img } ->
         if g = 0 then 0
         else
@@ -555,23 +579,11 @@ module Make (T : Tm_intf.S) = struct
   let store tx g v =
     let t = tx.rt in
     match tx.kind with
-    | Classify c ->
-        if g <> 0 then (
-          match mig_range t g with
-          | Some m -> cnote_mig c m
-          | None -> cnote c (shard_of t g))
-        else cbump c
+    | Classify c -> cnote_addr t c g
     | Read_single _ | Snap _ -> raise Store_in_read_tx
-    | Single { home; ex; _ } ->
-        (match mig_range t g with
-        | Some m ->
-            (* mutating a migrating cell needs the dual-write, which only
-               the cross path provides; count the forced detour *)
-            Satomic.set m.stalled (Satomic.get m.stalled + 1);
-            raise Cross_escape
-        | None -> ());
-        let s, l = if g = 0 then (home, 0) else route t g in
-        if s <> home then raise Cross_escape;
+    | Single { home; ex; rs; _ } ->
+        escape_migrating rs g;
+        let l = home_local t rs.img home g in
         if not (Hashtbl.mem ex.stores l) then ex.sorder <- l :: ex.sorder;
         Hashtbl.replace ex.stores l v
     | Cross { bc; ov } ->
@@ -582,7 +594,7 @@ module Make (T : Tm_intf.S) = struct
         (* dual-write: while a migration covers [g], the same value also
            lands on the other copy (pinned address), so the epoch flip
            can leave either side authoritative without losing this store *)
-        (match mig_range t g with
+        (match live_mig t g with
         | Some m ->
             let a = mig_alias t m g in
             (* flowlint: lock-order batch lockers are serialized by the leader election (one CAS), so no two lock holders ever interleave acquisition; order within the unique leader's batch is free *)
@@ -602,7 +614,7 @@ module Make (T : Tm_intf.S) = struct
         cbump c;
         global t c.cfirst 1
     | Read_single _ | Snap _ -> raise Store_in_read_tx
-    | Single { home; itx; ex } ->
+    | Single { home; itx; ex; _ } ->
         let a = T.alloc itx nw in
         ex.sallocs <- a :: ex.sallocs;
         global t home a
@@ -628,22 +640,11 @@ module Make (T : Tm_intf.S) = struct
   let free tx g =
     let t = tx.rt in
     match tx.kind with
-    | Classify c ->
-        if g <> 0 then (
-          match mig_range t g with
-          | Some m -> cnote_mig c m
-          | None -> cnote c (shard_of t g))
-        else cbump c
+    | Classify c -> cnote_addr t c g
     | Read_single _ | Snap _ -> raise Store_in_read_tx
-    | Single { home; ex; _ } ->
-        (match mig_range t g with
-        | Some m ->
-            Satomic.set m.stalled (Satomic.get m.stalled + 1);
-            raise Cross_escape
-        | None -> ());
-        let s, l = if g = 0 then (home, 0) else route t g in
-        if s <> home then raise Cross_escape;
-        ex.sfrees <- l :: ex.sfrees
+    | Single { home; ex; rs; _ } ->
+        escape_migrating rs g;
+        ex.sfrees <- home_local t rs.img home g :: ex.sfrees
     | Cross { bc; ov } ->
         let s = shard_of t g in
         ensure_locked t bc s;
@@ -703,10 +704,16 @@ module Make (T : Tm_intf.S) = struct
   (* Apply a committed batch [gen] to shard [s] inside [itx]: the writes
      and frees that [s] owns, then commit the write-ahead allocations
      (clear the pending list), stamp the applied id and unlock.  The one
-     apply of the fused shard-0 record, [complete_batch] and recovery. *)
+     apply of the fused shard-0 record, [complete_batch] and recovery.
+     Every entry routes through ONE image read: the batcher does not stop
+     for the migrator's drain, so an epoch flip can land mid-apply, and
+     two reads per entry could pick the owner from one image and the
+     local cell from the other. *)
   let apply_shard t itx s ~gen ws fs =
-    Array.iter (fun (g, v) -> if shard_of t g = s then T.store itx (local_of t g) v) ws;
-    Array.iter (fun g -> if shard_of t g = s then T.free itx (local_of t g)) fs;
+    let img = (Satomic.get t.routing).img in
+    let lookup g = Shard_map.lookup img ~span:t.span g in
+    Array.iter (fun (g, v) -> let s', l = lookup g in if s' = s then T.store itx l v) ws;
+    Array.iter (fun g -> let s', l = lookup g in if s' = s then T.free itx l) fs;
     T.store itx (pcount_cell t s) 0;
     T.store itx (applied_cell t s) gen;
     T.store itx (lock_cell t s) 0
@@ -1130,7 +1137,9 @@ module Make (T : Tm_intf.S) = struct
         let ex =
           { stores = Hashtbl.create 8; sorder = []; sfrees = []; sallocs = [] }
         in
-        let rtx = { rt = t; kind = Single { home; itx; ex } } in
+        (* read per execution, so a retry routes with a fresh image *)
+        let rs = Satomic.get t.routing in
+        let rtx = { rt = t; kind = Single { home; itx; ex; rs } } in
         match f rtx with
         | r ->
             flush_exec ex itx;
@@ -1169,7 +1178,9 @@ module Make (T : Tm_intf.S) = struct
      durable escape transaction on its (contended) home shard just to
      learn it is cross. *)
   let classify t f =
-    let c = { cfirst = -1; cmulti = false; cops = 0 } in
+    let c =
+      { crs = Satomic.get t.routing; cfirst = -1; cmulti = false; cops = 0 }
+    in
     match f { rt = t; kind = Classify c } with
     | r ->
         (* no tx op ran: the closure is pure and [r] is its real result *)
@@ -1216,7 +1227,7 @@ module Make (T : Tm_intf.S) = struct
     let rec acquire () =
       let d1 = Satomic.get t.done_gen in
       let p1 = Satomic.get t.pub_gen in
-      let img = Satomic.get t.map in
+      let rs = Satomic.get t.routing in
       if d1 <> p1 then begin
         (* a batch is mid-apply somewhere: drive it, then retry *)
         help t;
@@ -1228,7 +1239,7 @@ module Make (T : Tm_intf.S) = struct
           eps.(s) <- snap_pin t s
         done;
         let consistent =
-          ref (Satomic.get t.pub_gen = p1 && Satomic.get t.map == img)
+          ref (Satomic.get t.pub_gen = p1 && Satomic.get t.routing == rs)
         in
         if !consistent then
           for s = 0 to n - 1 do
@@ -1244,7 +1255,7 @@ module Make (T : Tm_intf.S) = struct
           Sched.step_point ();
           acquire ()
         end
-        else img
+        else rs.img
       end
     in
     let img = acquire () in
@@ -1269,7 +1280,8 @@ module Make (T : Tm_intf.S) = struct
         let escaped = ref false in
         let r =
           T.read_tx t.shards.(home) (fun itx ->
-              let rtx = { rt = t; kind = Read_single { home; itx } } in
+              let img = (Satomic.get t.routing).img in
+              let rtx = { rt = t; kind = Read_single { home; itx; img } } in
               try f rtx
               with Cross_escape ->
                 escaped := true;
@@ -1283,8 +1295,8 @@ module Make (T : Tm_intf.S) = struct
   (* Live range migration (DESIGN.md §14)                               *)
 
   (* Map introspection (one read of the published image). *)
-  let map_entries t = Array.copy (Satomic.get t.map).entries
-  let map_epoch t = (Satomic.get t.map).epoch
+  let map_entries t = Array.copy (Satomic.get t.routing).img.entries
+  let map_epoch t = (Satomic.get t.routing).img.epoch
 
   (* The user-root block of shard [s]: the contiguous root slot cells
      [T.root s 0 .. T.root s (usable_roots - 1)] (shard-local).  The
@@ -1364,23 +1376,26 @@ module Make (T : Tm_intf.S) = struct
            T.store itx t.mig_base 2;
            0))
 
-  (* The epoch flip: drain the batcher, publish the settled image, then
-     settle the persistent map + migration record in ONE durable
-     transaction.  Readers straddling the flip are safe either way —
-     both copies carry every committed write while the descriptor is
-     installed — and a crash on either side of the settle transaction
-     replays cleanly: before it, status = 1 rolls the copy forward;
-     after it, the map entry is the (complete) truth. *)
-  let flip_map_epoch t (m : mig) =
+  (* The epoch flip: drain the batcher, publish the settled image (the
+     descriptor stays installed), then settle the persistent map +
+     migration record in ONE durable transaction.  Readers straddling the
+     flip are safe either way — both copies carry every committed write
+     while the descriptor is installed — and a crash on either side of
+     the settle transaction replays cleanly: before it, status = 1 rolls
+     the copy forward; after it, the map entry is the (complete) truth.
+     [old] is the image the move was validated against: under the claim
+     nobody else publishes one.  Returns the settled image. *)
+  let flip_map_epoch t old (m : mig) =
     drain_batches t;
-    let old = Satomic.get t.map in
-    Satomic.set t.map (settled old m ~len:m.g_len);
+    let img = settled old m ~len:m.g_len in
+    Satomic.set t.routing { img; live = Some m };
     (* planted fault: persist a half-length entry while the published
        image keeps the full range *)
     let tear = t.faults.torn_migration && not m.m_back && m.g_len >= 2 in
     persist_settled t (settled old m ~len:(if tear then m.g_len / 2 else m.g_len));
     Telemetry.tick t.c_migs;
-    Telemetry.tick t.c_epoch
+    Telemetry.tick t.c_epoch;
+    img
 
   (* control-block extent of shard [s] in shard-local cells *)
   let ctl_extent t s =
@@ -1397,7 +1412,7 @@ module Make (T : Tm_intf.S) = struct
     else begin
       (* under the claim the map only changes under our own flip, so the
          validation below reads a stable table *)
-      let img = Satomic.get t.map in
+      let img = (Satomic.get t.routing).img in
       let exact = ref None and overlap = ref false in
       Array.iter
         (fun ((elo, elen, _, _) as e) ->
@@ -1436,7 +1451,7 @@ module Make (T : Tm_intf.S) = struct
               (T.update_tx t.shards.(owner) (fun itx ->
                    T.store itx (mighold_cell t owner) sbase;
                    0));
-            run_migration t m
+            run_migration t img m
           end
       | None ->
           let native = lo / t.span in
@@ -1478,17 +1493,17 @@ module Make (T : Tm_intf.S) = struct
                   stalled = Satomic.make 0;
                 }
               in
-              run_migration t m
+              run_migration t img m
             end
           end
     end
 
   (* the common tail: descriptor install -> durable record -> chunked
      copy -> epoch flip -> drain -> retire *)
-  and run_migration t (m : mig) =
+  and run_migration t img (m : mig) =
     (* dual-writes start here, strictly before the record exists: the
        source copy is write-current for the record's whole status=1 life *)
-    Satomic.set t.mig (Some m);
+    Satomic.set t.routing { img; live = Some m };
     publish_migration_record t m;
     let chunk = 8 in
     let off = ref 0 in
@@ -1499,12 +1514,12 @@ module Make (T : Tm_intf.S) = struct
       migrate_chunk t m ~off:!off ~len:k;
       off := !off + k
     done;
-    flip_map_epoch t m;
+    let img = flip_map_epoch t img m in
     (* second drain: no batch that executed under the pre-flip route (and
        therefore relied on the dual-write) may still be in flight when
        the descriptor — and with it the dual-write obligation — goes away *)
     drain_batches t;
-    Satomic.set t.mig None;
+    Satomic.set t.routing { img; live = None };
     (* retire: a back-move frees the condemned host block; a fresh move's
        block is live now (the map entry references it) — just lift the
        hold.  Either way one transaction on the holding shard. *)
@@ -1578,9 +1593,8 @@ module Make (T : Tm_intf.S) = struct
        descriptor/claim and re-decode the image from the persistent
        table, so the batch-record replay below routes with the PRE-flip
        map whenever the crash beat the settle transaction *)
-    Satomic.set t.mig None;
     Satomic.set t.mig_claim 0;
-    Satomic.set t.map (read_map t.shards.(0) t.map_base);
+    Satomic.set t.routing { img = read_map t.shards.(0) t.map_base; live = None };
     let n = Array.length t.shards in
     let sh0 = t.shards.(0) in
     let rd sh l = T.read_tx sh (fun itx -> T.load itx l) in
@@ -1643,9 +1657,9 @@ module Make (T : Tm_intf.S) = struct
                 0));
          off := !off + k
        done;
-       let img = settled (Satomic.get t.map) m ~len in
+       let img = settled (Satomic.get t.routing).img m ~len in
        persist_settled t img;
-       Satomic.set t.map img
+       Satomic.set t.routing { img; live = None }
      end);
     (* roll back the leftovers of a batch that never committed: free
        write-ahead allocations, clear stale locks *)
@@ -1671,7 +1685,7 @@ module Make (T : Tm_intf.S) = struct
        old host whose settle beat the crash (roll forward: free it).  A
        referenced hold is a fresh move that settled before its release
        transaction — the block is live, just lift the hold. *)
-    let entries = (Satomic.get t.map).entries in
+    let entries = (Satomic.get t.routing).img.entries in
     for s = 0 to n - 1 do
       let h = rd t.shards.(s) (mighold_cell t s) in
       if h <> 0 then begin

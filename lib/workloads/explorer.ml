@@ -28,6 +28,7 @@ type fault =
   | Torn_commit_record
   | Torn_batch_record
   | Stale_ro_snapshot
+  | Skip_nocap
   | Torn_migration
 
 type config = {
@@ -207,7 +208,8 @@ let execute_one cfg ~memo prog ~pick ~crash =
       | Durability_hole -> (Lf.faults tm).drop_publish_pwb <- true
       | Lost_update -> (Lf.faults tm).stale_commit_snapshot <- true
       | Stale_dedup -> (Lf.faults tm).stale_dedup_flush <- true
-      | Stale_ro_snapshot -> (Lf.faults tm).stale_ro_snapshot <- true);
+      | Stale_ro_snapshot -> (Lf.faults tm).stale_ro_snapshot <- true
+      | Skip_nocap -> (Lf.faults tm).skip_nocap <- true);
       (match cfg.telemetry with
       | Some te -> Lf.attach_telemetry tm te
       | None -> ());
@@ -266,7 +268,8 @@ let execute_one cfg ~memo prog ~pick ~crash =
             | Durability_hole -> f.drop_publish_pwb <- true
             | Lost_update -> f.stale_commit_snapshot <- true
             | Stale_dedup -> f.stale_dedup_flush <- true
-            | Stale_ro_snapshot -> f.stale_ro_snapshot <- true)
+            | Stale_ro_snapshot -> f.stale_ro_snapshot <- true
+            | Skip_nocap -> f.skip_nocap <- true)
           shards;
         (match cfg.telemetry with
         | Some te -> Array.iter (fun sh -> Wf.attach_telemetry sh te) shards
@@ -309,7 +312,8 @@ let execute_one cfg ~memo prog ~pick ~crash =
             | Durability_hole -> f.drop_publish_pwb <- true
             | Lost_update -> f.stale_commit_snapshot <- true
             | Stale_dedup -> f.stale_dedup_flush <- true
-            | Stale_ro_snapshot -> f.stale_ro_snapshot <- true)
+            | Stale_ro_snapshot -> f.stale_ro_snapshot <- true
+            | Skip_nocap -> f.skip_nocap <- true)
           shards;
         (match cfg.telemetry with
         | Some te -> Array.iter (fun sh -> Lf.attach_telemetry sh te) shards
@@ -624,6 +628,17 @@ let pp_schedule ppf s =
     done
   end
 
+let fault_name = function
+  | No_fault -> "none"
+  | Durability_hole -> "durability-hole"
+  | Lost_update -> "lost-update"
+  | Stale_dedup -> "stale-dedup"
+  | Torn_commit_record -> "torn-commit-record"
+  | Torn_batch_record -> "torn-batch-record"
+  | Stale_ro_snapshot -> "stale-ro-snapshot"
+  | Skip_nocap -> "skip-nocap"
+  | Torn_migration -> "torn-migration"
+
 let pp_failure ppf f =
   let c = f.config in
   Format.fprintf ppf "failure: %s@." f.reason;
@@ -633,15 +648,7 @@ let pp_failure ppf f =
     (if c.shards > 1 then Printf.sprintf ", %d shards" c.shards else "")
     (if c.persistent || f.crash <> None then "persistent" else "volatile")
     (if c.sanitize then ", sanitized" else "")
-    (match c.fault with
-    | No_fault -> ""
-    | Durability_hole -> ", planted fault: durability-hole"
-    | Lost_update -> ", planted fault: lost-update"
-    | Stale_dedup -> ", planted fault: stale-dedup"
-    | Torn_commit_record -> ", planted fault: torn-commit-record"
-    | Torn_batch_record -> ", planted fault: torn-batch-record"
-    | Stale_ro_snapshot -> ", planted fault: stale-ro-snapshot"
-    | Torn_migration -> ", planted fault: torn-migration");
+    (if c.fault = No_fault then "" else ", planted fault: " ^ fault_name c.fault);
   Format.fprintf ppf "  program:@.%a" Proggen.pp_program f.program;
   Format.fprintf ppf "  schedule [%d choices]: %a@." (Array.length f.schedule)
     pp_schedule f.schedule;
@@ -714,16 +721,6 @@ let txn_of_json j =
   in
   { Proggen.read_only; ops }
 
-let fault_name = function
-  | No_fault -> "none"
-  | Durability_hole -> "durability-hole"
-  | Lost_update -> "lost-update"
-  | Stale_dedup -> "stale-dedup"
-  | Torn_commit_record -> "torn-commit-record"
-  | Torn_batch_record -> "torn-batch-record"
-  | Stale_ro_snapshot -> "stale-ro-snapshot"
-  | Torn_migration -> "torn-migration"
-
 let fault_of_name = function
   | "none" -> No_fault
   | "durability-hole" -> Durability_hole
@@ -732,6 +729,7 @@ let fault_of_name = function
   | "torn-commit-record" -> Torn_commit_record
   | "torn-batch-record" -> Torn_batch_record
   | "stale-ro-snapshot" -> Stale_ro_snapshot
+  | "skip-nocap" -> Skip_nocap
   | "torn-migration" -> Torn_migration
   | s -> bad ("unknown fault " ^ s)
 

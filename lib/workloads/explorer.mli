@@ -62,6 +62,13 @@ type fault =
           the serialization oracle catches it (the per-word sanitizer
           accepts any in-window version); needs a schedule that parks a
           writer mid-apply under a concurrent reader *)
+  | Skip_nocap
+      (** a snapshot reader registering while a commit is applied without
+          version capture ignores that commit (see
+          [Onefile.Core0.faults]): it can pin below it and then find the
+          version of a word the commit overwrote missing from the store,
+          which raises.  Needs a schedule that registers the reader after
+          the writer's capture decision and before its apply ends *)
   | Torn_migration
       (** settle live range migrations with a half-length persistent map
           entry (see [Tm.Tm_shard.Make(_).faults]): crash-free runs stay

@@ -306,6 +306,56 @@ let test_stale_ro_snapshot_clean () =
       | None -> ())
     [ 1; 2; 3 ]
 
+(* --- planted skipped registration handshake ------------------------ *)
+
+(* The capture-handshake fault: an apply pass skips version capture while
+   no reader is registered, and [skip_nocap] makes a reader that
+   registers during that pass ignore it — it pins below the uncaptured
+   commit instead of helping it to completion first.  Its first load of
+   a word the commit already overwrote then finds no version, which
+   raises.  The minimal manifestation is one writer and one reader that
+   registers between the writer's capture decision and its apply. *)
+let skip_nocap_seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
+let skip_nocap_find config prog =
+  (E.explore_exhaustive ~config ~max_executions:3000 prog).E.failure
+
+let skip_nocap_prog seed =
+  Proggen.gen_program ~max_txns:4 ~max_ops:4 ~ro_weight:2 seed
+
+let test_planted_skip_nocap () =
+  let config = { E.default with E.sanitize = false; fault = E.Skip_nocap } in
+  let find = skip_nocap_find config in
+  match List.find_map (fun seed -> find (skip_nocap_prog seed)) skip_nocap_seeds with
+  | None -> Alcotest.fail "planted skip-nocap not found within budget"
+  | Some f ->
+      let small = E.shrink ~find f in
+      check_bool "shrinks to at most 2 transactions" true
+        (List.length small.E.program <= 2);
+      Alcotest.(check string)
+        "fails on the missing version"
+        "exception: Failure(\"OneFile: snapshot version missing from the \
+         version store\")"
+        small.E.reason;
+      assert_deterministic_replay small
+
+let test_skip_nocap_clean () =
+  (* the same searches on the healthy handshake stay silent, on both
+     front-ends (the WF update driver deregisters the same way) *)
+  List.iter
+    (fun wf ->
+      let config = { E.default with E.sanitize = false; wf } in
+      List.iter
+        (fun seed ->
+          match skip_nocap_find config (skip_nocap_prog seed) with
+          | Some f ->
+              Alcotest.failf "%s seed %d: %a"
+                (if wf then "wf" else "lf")
+                seed E.pp_failure f
+          | None -> ())
+        skip_nocap_seeds)
+    [ false; true ]
+
 (* --- sharded exploration (Tm_shard router) ------------------------- *)
 
 (* the schedule and crash searches run unchanged over the cross-shard
@@ -526,6 +576,70 @@ let test_helper_early_exit () =
   check_bool "exits bounded by helping episodes" true
     (st.Pstats.help_exits <= st.Pstats.helps)
 
+(* A helper that resumes after the owner closed the request stops before
+   its flush pass.  Write-sets shorter than the re-check interval never
+   reach the in-loop check, so this is the only exit such a helper has.
+   Script: the owner (slot 0) commits a 3-entry write-set (three roots on
+   three cache lines) and parks right after its commit CAS; the helper
+   (slot 1), an update transaction that finds the commit open, runs
+   until it has copied the log and re-validated the request; the owner
+   then applies, flushes and closes; the helper resumes.  Its puts all
+   fail the sequence guard and it must not write back a single data
+   line the owner already flushed. *)
+let test_helper_recheck_before_flush () =
+  let module Lf = Onefile.Onefile_lf in
+  let module Core0 = Onefile.Core0 in
+  let module Pstats = Pmem.Pstats in
+  let t = Lf.create ~size:(1 lsl 14) ~ws_cap:64 ~num_roots:16 () in
+  let region = Lf.region t in
+  let roots = [ Lf.root t 0; Lf.root t 4; Lf.root t 8 ] in
+  let lines = List.map Pmem.Region.line_of roots in
+  check_int "three entries on three lines" 3
+    (List.length (List.sort_uniq compare lines));
+  let seq0, _, _ = Core0.curtx_info t in
+  let st = Pmem.Region.stats region in
+  let resumed = ref false and data_pwbs = ref 0 and exits0 = ref 0 in
+  Pmem.Region.set_observer region
+    (Some
+       (function
+         | Pmem.Region.Ev_pwb { line } when !resumed && List.mem line lines ->
+             incr data_pwbs
+         | _ -> ()));
+  let fibers =
+    [|
+      (fun () ->
+        ignore
+          (Lf.update_tx t (fun tx ->
+               List.iteri (fun i r -> Lf.store tx r (i + 1)) roots;
+               0)));
+      (fun () -> ignore (Lf.update_tx t (fun tx -> Lf.load tx (List.hd roots))));
+    |]
+  in
+  let pick ~step:_ ~enabled ~last:_ =
+    let has f = Array.exists (fun x -> x = f) enabled in
+    let seq, _, _ = Core0.curtx_info t in
+    if seq = seq0 && has 0 then 0 (* owner up to its commit CAS *)
+    else if st.Pstats.helps = 0 && has 1 then 1 (* helper copies the log *)
+    else if has 0 then 0 (* owner applies, flushes, closes *)
+    else begin
+      if not !resumed then begin
+        resumed := true;
+        exits0 := st.Pstats.help_exits
+      end;
+      1
+    end
+  in
+  ignore (Sched.run_controlled ~pick fibers);
+  Pmem.Region.set_observer region None;
+  check_int "one helping episode" 1 st.Pstats.helps;
+  check_int "the resumed helper exits early" 1 (st.Pstats.help_exits - !exits0);
+  check_int "the resumed helper writes back no data line" 0 !data_pwbs;
+  List.iteri
+    (fun i r ->
+      check_int "owner's write applied" (i + 1)
+        (Lf.read_tx t (fun tx -> Lf.load tx r)))
+    roots
+
 (* --- telemetry isolation across explored executions ---------------- *)
 
 let test_telemetry_isolation () =
@@ -582,6 +696,9 @@ let () =
             test_planted_stale_ro_snapshot;
           Alcotest.test_case "stale-ro-snapshot-clean" `Quick
             test_stale_ro_snapshot_clean;
+          Alcotest.test_case "skip-nocap-via-oracle" `Quick
+            test_planted_skip_nocap;
+          Alcotest.test_case "skip-nocap-clean" `Quick test_skip_nocap_clean;
         ] );
       ( "sharded",
         [
@@ -601,6 +718,8 @@ let () =
       ( "hotpath",
         [
           Alcotest.test_case "helper-early-exit" `Quick test_helper_early_exit;
+          Alcotest.test_case "helper-recheck-before-flush" `Quick
+            test_helper_recheck_before_flush;
         ] );
       ( "telemetry",
         [

@@ -859,6 +859,109 @@ let test_torn_migration_manifests () =
   check bool "post-flip write lost after crash (fault manifests)" true
     (Sh_wf.read_tx tm (fun tx -> Sh_wf.load tx r10) <> 777)
 
+(* An epoch flip landing inside a batch's per-shard apply.  The
+   migrator's drain does not stop a leader from publishing a batch
+   before the flip publishes the settled image, so a batch that writes
+   the moving range can apply while the image changes under it.  The
+   apply must route each entry through one image: taking the owner from
+   the pre-flip image and the local cell from the settled one would
+   store the migrated value on the SOURCE shard at the destination's
+   local offset.  Script: the migrator (slot 0) runs a split alone up to
+   the step before its image publish (counted in a probe run); the
+   transfer (slot 1, root 6 in the moving range -> root 1) then runs k
+   steps; the migrator publishes; everything finishes.  Every k up to
+   the transfer's completion is tried, so the flip lands between every
+   pair of the batch's steps, the fused shard-0 apply included. *)
+let flip_window_setup () =
+  let span = 4096 in
+  let device = Region.create ~mode:Region.Persistent (2 * span) in
+  let views = Region.partition device [ span; span ] in
+  let shards =
+    Array.of_list
+      (List.map
+         (fun v ->
+           Wf.create ~region:v ~instance:(Region.id v) ~max_threads:8
+             ~ws_cap:256 ~num_roots:8 ())
+         views)
+  in
+  (* push the destination's allocations past the source's control
+     block, so the source cell at the destination-local offset is one
+     that nothing else writes *)
+  ignore (Wf.update_tx shards.(1) (fun tx -> ignore (Wf.alloc tx 512); 0));
+  let tm =
+    Sh_wf.make ~max_threads:8 ~batch_watermark:1 ~ro_snapshot:Wf.snapshot_ops
+      shards
+  in
+  init_accounts tm 100;
+  (Wf.region shards.(0), tm)
+
+let migrator tm () = ignore (Sh_wf.split tm ~src:0 ~dst:1)
+
+let flip_window_run ~park ~k =
+  let src, tm = flip_window_setup () in
+  let before = Array.init (Region.size src) (fun a -> Region.peek src a) in
+  let m_steps = ref 0 and b_steps = ref 0 in
+  let b_done_early = ref false in
+  let pick ~step:_ ~enabled ~last:_ =
+    let has t = Array.exists (fun x -> x = t) enabled in
+    let take t =
+      if t = 0 then incr m_steps else incr b_steps;
+      t
+    in
+    if !m_steps < park && has 0 then take 0
+    else if !b_steps < k && has 1 then take 1
+    else if !m_steps = park && has 0 then begin
+      if not (has 1) then b_done_early := true;
+      take 0
+    end
+    else if has 1 then take 1
+    else take enabled.(0)
+  in
+  ignore
+    (Sched.run_controlled ~pick [| migrator tm; (fun () -> transfer tm 6 1 5) |]);
+  let _, len, dst, dbase =
+    match Sh_wf.map_entries tm with
+    | [| e |] -> e
+    | _ -> Alcotest.fail "split did not settle one range"
+  in
+  check int "range moved to shard 1" 1 dst;
+  let clobbered = ref [] in
+  for a = dbase to dbase + len - 1 do
+    if Region.peek src a <> before.(a) then clobbered := a :: !clobbered
+  done;
+  let v6 = Sh_wf.read_tx tm (fun tx -> Sh_wf.load tx (Sh_wf.root tm 6)) in
+  (!clobbered, total tm, v6, !b_done_early)
+
+let test_flip_inside_apply () =
+  (* probe: the migrator's steps up to (excluding) its image publish *)
+  let probe () =
+    let _, tm = flip_window_setup () in
+    let steps = ref 0 and park = ref (-1) in
+    let on_step _ =
+      if !park < 0 && Sh_wf.map_epoch tm > 0 then park := !steps - 1
+    in
+    let pick ~step:_ ~enabled:_ ~last:_ =
+      incr steps;
+      0
+    in
+    ignore (Sched.run_controlled ~on_step ~pick [| migrator tm |]);
+    !park
+  in
+  let park = probe () in
+  check bool "probe found the image publish" true (park > 0);
+  let rec sweep k =
+    let clobbered, sum, v6, b_done_early = flip_window_run ~park ~k in
+    if clobbered <> [] then
+      Alcotest.failf "k=%d: source cells at the destination-local offset \
+                      written: %s" k
+        (String.concat ", " (List.map string_of_int clobbered));
+    check int (Printf.sprintf "k=%d: conservation" k) (8 * 100) sum;
+    check int (Printf.sprintf "k=%d: transfer landed" k) 95 v6;
+    if not b_done_early then sweep (k + 1) else k
+  in
+  let last = sweep 0 in
+  check bool "the sweep covered the whole batch" true (last > 50)
+
 (* --- the shard map: pure routing, settling and codec ----------------- *)
 
 module Sm = Tm.Shard_map
@@ -994,5 +1097,6 @@ let () =
             test_migration_reopen_adoption;
           Alcotest.test_case "torn-migration-manifests" `Quick
             test_torn_migration_manifests;
+          Alcotest.test_case "flip-inside-apply" `Quick test_flip_inside_apply;
         ] );
     ]

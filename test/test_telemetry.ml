@@ -305,6 +305,180 @@ let test_ro_pin_scripted_schedule () =
   check_int "follow-up read sees the final value" 12
     (Lf.read_tx tm (fun tx -> Lf.load tx r0))
 
+(* Version capture is paid only while a reader is registered: a slot
+   registers with its first snapshot pin on an instance and deregisters
+   at its next update transaction there.  Counted with [ro.captures]
+   (one tick per version handed to the store), per front-end:
+   write-only traffic captures nothing; with slot 1 registered, each of
+   slot 0's three 2-word updates captures both overwritten words; after
+   slot 1's own update ends its registration, capture stops again. *)
+let capture_phases ~attach ~update ~read =
+  let te = Telemetry.create () in
+  attach te;
+  let caps () = Telemetry.get te "ro.captures" in
+  let in_order fibers =
+    (* each fiber runs to completion, highest slot first *)
+    let pick ~step:_ ~enabled ~last:_ = enabled.(Array.length enabled - 1) in
+    ignore (Sched.run_controlled ~pick fibers)
+  in
+  for i = 1 to 5 do
+    update i
+  done;
+  let write_only = caps () in
+  in_order
+    [|
+      (fun () ->
+        for i = 6 to 8 do
+          update i
+        done);
+      (fun () -> ignore (read ()));
+    |];
+  let registered = caps () in
+  in_order [| (fun () -> update 9); (fun () -> update 10) |];
+  (write_only, registered, caps () - registered)
+
+let test_capture_only_while_registered () =
+  let lf = Lf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~ws_cap:64 () in
+  let r0 = Lf.root lf 0 and r1 = Lf.root lf 1 in
+  let w, r, d =
+    capture_phases ~attach:(Lf.attach_telemetry lf)
+      ~update:(fun i ->
+        ignore (Lf.update_tx lf (fun tx -> Lf.store tx r0 i; Lf.store tx r1 i; 0)))
+      ~read:(fun () -> Lf.read_tx lf (fun tx -> Lf.load tx r0))
+  in
+  check_int "lf: write-only updates capture nothing" 0 w;
+  check_int "lf: a registered reader makes every overwrite capture" 6 r;
+  check_int "lf: an update ends the registration" 0 d;
+  let wf = Wf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~max_threads:4 () in
+  let r0 = Wf.root wf 0 and r1 = Wf.root wf 1 in
+  let w, r, d =
+    capture_phases ~attach:(Wf.attach_telemetry wf)
+      ~update:(fun i ->
+        ignore (Wf.update_tx wf (fun tx -> Wf.store tx r0 i; Wf.store tx r1 i; 0)))
+      ~read:(fun () -> Wf.read_tx wf (fun tx -> Wf.load tx r0))
+  in
+  check_int "wf: write-only updates capture nothing" 0 w;
+  check_int "wf: a registered reader makes every overwrite capture" 6 r;
+  check_int "wf: an update ends the registration" 0 d
+
+(* The registration handshake under a scripted schedule.  W (slot 0)
+   commits r0 = r1 = 11 over r0 = r1 = 10 with no reader registered, so
+   its apply pass skips capture; the script parks W right after its DCAS
+   on r0, with r1 still unapplied.  R (slot 1) then registers, pins the
+   fully-applied epoch — still below W's commit — and reads both words.
+   Healthy, R's fresh registration sees W's commit in [nocap], helps it
+   to completion and pins past it: R reads (11, 11), and only R's own
+   helping pass, which runs registered, captures (r1).  With
+   [skip_nocap] R keeps the stale pin, and its load of r0 finds neither
+   a word old enough nor a captured version. *)
+let parked_writer ?(fault = false) () =
+  let tm = Lf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~ws_cap:64 () in
+  let r0 = Lf.root tm 0 and r1 = Lf.root tm 1 in
+  ignore (Lf.update_tx tm (fun tx -> Lf.store tx r0 10; Lf.store tx r1 10; 0));
+  (Lf.faults tm).skip_nocap <- fault;
+  let te = Telemetry.create () in
+  Lf.attach_telemetry tm te;
+  let seq0 = (Region.peek (Lf.region tm) r0).Pmem.Word.s in
+  let seq_of a = (Region.peek (Lf.region tm) a).Pmem.Word.s in
+  let writer () =
+    ignore (Lf.update_tx tm (fun tx -> Lf.store tx r0 11; Lf.store tx r1 11; 0))
+  in
+  let got = ref (-1, -1) in
+  let reader () =
+    ignore
+      (Lf.read_tx tm (fun tx ->
+           let g0 = Lf.load tx r0 in
+           got := (g0, Lf.load tx r1);
+           0))
+  in
+  (* W runs until its DCAS on r0 has landed *)
+  let w_parked () = seq_of r0 <> seq0 in
+  (tm, te, writer, reader, got, w_parked, fun () -> seq_of r1 = seq0)
+
+let handshake_schedule ~fault =
+  let _, te, writer, reader, got, w_parked, r1_unapplied =
+    parked_writer ~fault ()
+  in
+  let r1_at_switch = ref None in
+  let pick ~step:_ ~enabled ~last:_ =
+    let has t = Array.exists (fun x -> x = t) enabled in
+    if (not (w_parked ())) && has 0 then 0
+    else if has 1 then begin
+      if !r1_at_switch = None then r1_at_switch := Some (r1_unapplied ());
+      1
+    end
+    else enabled.(0)
+  in
+  ignore (Sched.run_controlled ~pick [| writer; reader |]);
+  check_bool "R started with W parked mid-apply (r1 unapplied)" true
+    (!r1_at_switch = Some true);
+  let g0, g1 = !got in
+  (g0, g1, Telemetry.get te "ro.captures")
+
+let test_registration_handshake () =
+  let g0, g1, caps = handshake_schedule ~fault:false in
+  check_int "reader sees W's r0" 11 g0;
+  check_int "reader sees W's r1" 11 g1;
+  check_int "only the registered helper captured" 1 caps;
+  match handshake_schedule ~fault:true with
+  | exception Failure m ->
+      check_bool ("planted fault surfaces: " ^ m) true
+        (m = "OneFile: snapshot version missing from the version store")
+  | _ -> Alcotest.fail "skip_nocap: the stale pin went unnoticed"
+
+(* A reader killed part-way through its first pin must leave its slot
+   safe to reuse.  Same parked writer as above; R (slot 1) runs exactly
+   [k] steps of its read and is killed; a respawned process adopts
+   logical slot 1 and reads while W is still parked, then W finishes.
+   Every k from 0 up to R's full length is tried.  The slot's
+   registration flag goes up only once the handshake is complete, so
+   the respawned reader either repeats the handshake (the killed one's
+   increment just over-counts [readers]) or inherits a finished one:
+   either way it must read W's committed (11, 11). *)
+let test_registration_survives_kill () =
+  let rec from k =
+    let tm, _, writer, reader, got, w_parked, _ = parked_writer () in
+    let r_steps = ref 0 and killed = ref false and r_done = ref false in
+    let respawn = ref (-1) in
+    let pick ~step:_ ~enabled ~last:_ =
+      let has t = Array.exists (fun x -> x = t) enabled in
+      if (not (w_parked ())) && has 0 then 0
+      else if (not !killed) && has 1 then begin
+        incr r_steps;
+        1
+      end
+      else if !respawn >= 0 && has !respawn then !respawn
+      else enabled.(0)
+    in
+    let on_step t =
+      if w_parked () && (not !killed) && !r_steps >= k then begin
+        killed := true;
+        if Sched.kill t 1 then
+          respawn :=
+            Sched.spawn t (fun () ->
+                Sched.set_logical 1;
+                got := (-1, -1);
+                reader ())
+        else r_done := true
+      end
+    in
+    (match Sched.run_controlled ~on_step ~pick [| writer; reader |] with
+    | exception Failure m -> Alcotest.failf "reader killed after %d steps: %s" k m
+    | _ -> ());
+    (* R finished in fewer than k steps: nothing was left to kill *)
+    if not !killed then r_done := true;
+    let g0, g1 = !got in
+    if g0 <> 11 || g1 <> 11 then
+      Alcotest.failf "reader killed after %d steps: respawned read (%d, %d)" k
+        g0 g1;
+    check_int
+      (Printf.sprintf "k=%d: final r0" k)
+      11
+      (Lf.read_tx tm (fun tx -> Lf.load tx (Lf.root tm 0)));
+    if !r_done then k else from (k + 1)
+  in
+  check_bool "R's whole read was covered" true (from 0 > 10)
+
 (* Zero aborts under free-running write churn: ONE writer (so every
    writer-side conflict is impossible — any abort in the run would be
    attributable to the read-only transactions) hammers two roots while
@@ -554,6 +728,12 @@ let () =
             test_ro_pin_scripted_schedule;
           Alcotest.test_case "zero-aborts-under-churn" `Quick
             test_ro_zero_aborts_under_churn;
+          Alcotest.test_case "capture-only-while-registered" `Quick
+            test_capture_only_while_registered;
+          Alcotest.test_case "registration-handshake" `Quick
+            test_registration_handshake;
+          Alcotest.test_case "registration-survives-kill" `Quick
+            test_registration_survives_kill;
         ] );
       ( "router",
         [
