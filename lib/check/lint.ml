@@ -294,6 +294,72 @@ let rule_hotpath ~path ~toks ~comments acc =
     !acc
   end
 
+(* A telemetry sample is observation, not algorithm: its argument must
+   not take a scheduling step, or attaching a registry (or merely
+   sampling with none attached) shifts every later step of the run.
+   The argument of a Telemetry sampling call is the token run after the
+   callee up to the first depth-0 token that ends an application
+   ([;], [in], [then], [|], a closing bracket of an enclosing group,
+   ...); a Satomic or Region access that takes a step anywhere in it is
+   flagged.  Step-free reads ([get_relaxed], [Region.peek]) are the
+   fix, under the file's relaxed-ok marker. *)
+let telemetry_samplers = [ "observe"; "tick"; "record"; "bump"; "sample"; "incr" ]
+
+let satomic_steps =
+  [ "get"; "set"; "exchange"; "compare_and_set"; "fetch_and_add"; "incr"; "decr" ]
+
+let region_steps = [ "load"; "store"; "cas"; "cas1" ]
+
+let rule_telemetry_step ~path ~toks acc =
+  if not (under "lib" path) then acc
+  else begin
+    let n = Array.length toks in
+    let meth i m ms =
+      i + 2 < n
+      &&
+      match (toks.(i).Srclex.t, toks.(i + 1).Srclex.t, toks.(i + 2).Srclex.t) with
+      | Parser.UIDENT u, Parser.DOT, Parser.LIDENT x -> u = m && List.mem x ms
+      | _ -> false
+    in
+    let acc = ref acc in
+    let rec scan_arg i depth =
+      if i < n then
+        match toks.(i).Srclex.t with
+        | Parser.LPAREN | Parser.LBRACKET | Parser.LBRACKETBAR | Parser.LBRACE
+        | Parser.BEGIN ->
+            scan_arg (i + 1) (depth + 1)
+        | Parser.RPAREN | Parser.RBRACKET | Parser.BARRBRACKET | Parser.RBRACE
+        | Parser.END ->
+            if depth > 0 then scan_arg (i + 1) (depth - 1)
+        | Parser.SEMI | Parser.SEMISEMI | Parser.IN | Parser.THEN | Parser.ELSE
+        | Parser.DO | Parser.DONE | Parser.WITH | Parser.BAR
+        | Parser.MINUSGREATER | Parser.COMMA | Parser.LET | Parser.AND
+          when depth = 0 ->
+            ()
+        | _ ->
+            if meth i "Satomic" satomic_steps || meth i "Region" region_steps
+            then
+              acc :=
+                {
+                  file = path;
+                  line = toks.(i).Srclex.line;
+                  rule = "telemetry-step";
+                  message =
+                    "step-taking access inside a Telemetry sample's argument: \
+                     instrumentation must not take a scheduling step (it \
+                     shifts the schedule of every run that samples) — read \
+                     with Satomic.get_relaxed / Region.peek under a (* \
+                     relaxed-ok: ... *) marker";
+                }
+                :: !acc;
+            scan_arg (i + 1) depth
+    in
+    for i = 0 to n - 1 do
+      if meth i "Telemetry" telemetry_samplers then scan_arg (i + 3) 0
+    done;
+    !acc
+  end
+
 (* Core0 is the engine room shared by the OneFile front-ends and the
    cross-shard router; everything else must go through the Tm_intf.S
    surface (Onefile_lf/Onefile_wf expose the extras — faults, recover,
@@ -334,6 +400,7 @@ let lint_source ~path raw =
     |> rule_mutable ~path ~toks ~comments
     |> rule_hotpath ~path ~toks ~comments
     |> rule_layering ~path ~toks ~comments
+    |> rule_telemetry_step ~path ~toks
     |> List.sort (fun a b -> compare (a.file, a.line) (b.file, b.line))
   end
   else []

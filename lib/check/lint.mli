@@ -29,6 +29,14 @@
       surface (the front-ends re-export [faults]/[recover]/[sanitize]),
       so instances stay composable behind the signature.  Escape with a
       [(* layering-ok: ... *)] marker stating why.
+    - [telemetry-step] — in [lib/], no step-taking [Satomic] or [Region]
+      access ([Satomic.get]/[set]/[fetch_and_add]/[compare_and_set]/...,
+      [Region.load]/[store]/[cas]/[cas1]) inside the argument of a
+      [Telemetry] sample ([observe], [tick], [record], [bump], [sample],
+      [incr]): instrumentation that takes a scheduling step changes the
+      schedule of every run that samples, attached registry or not.
+      Read step-free ([get_relaxed], [Region.peek]) under a
+      [(* relaxed-ok: ... *)] marker instead.
 
     The rules run on the {!Srclex} token scan (the real compiler lexer),
     so prose about [Atomic] in comments, string literals — including

@@ -32,8 +32,10 @@
    telemetry uses pre-resolved handles, and the interposition ops record
    is built once per thread slot.  tm_lint's hotpath rule keeps it that
    way. *)
-(* relaxed-ok: curtx_info/allocated_cells are step-free debug views, usable
-   from a scheduler on_round hook without perturbing the schedule. *)
+(* relaxed-ok: curtx_info/capture_info/allocated_cells are step-free debug
+   views, usable from a scheduler on_round hook without perturbing the
+   schedule; the ro.snapshot_lag sample in snap_read_tx is telemetry, read
+   step-free so attaching a registry never changes a schedule. *)
 (* mutable-ok: tx records and the desc freed flag are confined to their
    owning fiber / the reclamation epoch; the checker slot is written from
    sequential set-up code only; the per-thread flush-dedup scratch is
@@ -70,29 +72,34 @@ type version = { vaddr : int; vval : int; vbirth : int; vdel : int }
    ever pinned, so the floor scan never touches the era slot of a thread
    that never read.
 
-   Capture is paid only while a reader exists: [registered] marks the
-   slots that pinned a snapshot here since their last update transaction
-   here, [readers] counts them, and [nocap] is the highest commit
-   sequence some apply pass applied without capturing.  A pass announces
-   in [nocap] before it re-checks [readers]; a registering reader
-   announces in [readers] before it checks [nocap] (see [decide_capture]
-   and [snap_pin]).  [pin_mine] mirrors the era this slot last published
-   through [snap_pin] (0 = none) so a transaction driver reusing the slot
-   of a fiber that was abandoned mid-read can release the orphaned pin
-   without paying a step in the common case (mutable-ok: cell [i] of
-   either array is written only by thread [i], plus sequential
-   recovery). *)
+   Capture is paid only while a reader exists.  [capst] is one word,
+   [(nocap lsl 8) lor readers]: [readers] counts the slots registered as
+   snapshot readers, and [nocap] is the highest commit sequence some
+   apply pass applied without capturing (see [decide_capture] and
+   [snap_pin]).  [regst] is each slot's side of that count: 0 none,
+   1 counted (a registration abandoned before its handshake finished),
+   2 registered.  Every count change is paired with its [regst] store
+   with no scheduling step between them, so the count always equals the
+   number of slots in state 1 or 2.  [pin_mine] mirrors the era this
+   slot last published through [snap_pin] (0 = none) so a transaction
+   driver reusing the slot of a fiber that was abandoned mid-read can
+   release the orphaned pin without paying a step in the common case
+   (mutable-ok: cell [i] of either array is written only by thread [i],
+   plus sequential recovery). *)
 type vstore = {
   vslots : version option Satomic.t array; (* vbuckets * vslots_per *)
   voverflow : version list Satomic.t array; (* one per bucket *)
   ro_stable : int Satomic.t;
   pin_floor : int Satomic.t;
   pin_watermark : int Satomic.t;
-  readers : int Satomic.t;
-  nocap : int Satomic.t;
-  registered : bool array;
+  capst : int Satomic.t;
+  regst : int array;
   pin_mine : int array;
 }
+
+(* [capst] fields; [readers] is at most [max_threads] <= 255 *)
+let cap_readers c = c land 0xff
+let cap_nocap c = c lsr 8
 
 type tx = {
   txregion : Region.t;
@@ -266,6 +273,8 @@ let store tx addr v =
 
 let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
     ?(ws_cap = 2048) ?(num_roots = 8) ?(read_tries = 4) ?linear_threshold () =
+  if max_threads > 255 then
+    invalid_arg "Core0.create: max_threads > 255 (packed reader count)";
   let region =
     match backing with
     | Some r ->
@@ -311,9 +320,8 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       ro_stable = Satomic.make 1;
       pin_floor = Satomic.make 1;
       pin_watermark = Satomic.make 0;
-      readers = Satomic.make 0;
-      nocap = Satomic.make 0;
-      registered = Array.make max_threads false;
+      capst = Satomic.make 0;
+      regst = Array.make max_threads 0;
       pin_mine = Array.make max_threads 0;
     }
   in
@@ -550,21 +558,26 @@ let vinstall inst b (v : version) =
   end
 
 (* The capture decision of one apply pass for commit [seq]: [true] when
-   some reader may still need the words this pass overwrites.  With no
-   registered reader the pass first announces itself in [nocap], then
-   re-checks [readers]; a registering reader does the mirror image in
-   [snap_pin] (count itself in [readers], then read [nocap]).  Under the
-   sequentially consistent Satomic order one of the two sees the other:
-   either this pass captures, or the reader sees [nocap >= seq] and helps
-   [seq] to completion before it pins, so it never needs a version this
-   pass overwrote.  Decided once per pass, before its puts. *)
+   some reader may still need the words this pass overwrites.  A pass
+   skips capture only at a read or CAS of [capst] that sees no reader,
+   and that same word then carries [nocap >= seq]; a registering reader
+   counts itself in that word with one fetch-and-add, whose result hands
+   it [nocap] ([snap_pin]).  So either this pass captures, or the reader
+   sees [nocap >= seq] and helps [seq] to completion before it pins, and
+   never needs a version this pass overwrote.  Decided once per pass,
+   before its puts: one step with a reader registered or [nocap] already
+   past [seq], two otherwise. *)
 let decide_capture inst ~seq =
-  let vst = inst.vst in
-  Satomic.get vst.readers > 0
-  || begin
-    cas_max vst.nocap seq;
-    Satomic.get vst.readers > 0
-  end
+  let cell = inst.vst.capst in
+  (* flowlint: bounded a CAS miss means another thread changed the word since the read: a reader (de)registered or another pass raised nocap *)
+  let rec go () =
+    let c = Satomic.get cell in
+    if cap_readers c > 0 then true
+    else if cap_nocap c >= seq then false
+    else if Satomic.compare_and_set cell c (seq lsl 8) then false
+    else go ()
+  in
+  go ()
 
 (* Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15).
    [cap] is the pass's capture decision ([decide_capture]).
@@ -820,41 +833,52 @@ let pin_epoch inst ~me =
 (* Pin a snapshot epoch, registering the slot as a reader first if it is
    not registered (DESIGN.md §13).  Registration raises the era-scan
    watermark before anything is published (see [refresh_floor]'s
-   ordering proof), then counts the slot in [readers]; every apply pass
-   deciding after that captures.  A pass that decided not to capture
-   before it announced itself in [nocap] first, so a fresh registration
-   reads [nocap] after pinning: if an uncaptured commit lies beyond the
-   pinned epoch, finish it and pin again past it.  Only a fresh
-   registration checks — a slot that stays registered keeps every later
-   pass capturing. *)
+   ordering proof), then counts the slot in [capst] with one
+   fetch-and-add; every apply pass deciding after that captures.  The
+   fetch-and-add's result carries [nocap], the newest commit some pass
+   applied without capture before the count landed: if it lies beyond
+   the pinned epoch, finish it and pin again past it.  A slot already
+   registered (state 2) just pins — it has kept every later pass
+   capturing.  A slot in state 1 is a registration abandoned by a kill
+   after its count landed: it reuses that count, re-reads [nocap] (the
+   word still carries every skip that preceded the count) and redoes
+   the handshake.  The count change and its state store run with no
+   scheduling step between them, and a killed fiber is dropped only at a
+   step point, which comes before the atomic op, so no kill leaks a
+   count. *)
 let snap_pin inst =
   let vst = inst.vst in
   let me = Sched.self () in
-  let fresh = not vst.registered.(me) in
-  if fresh then begin
-    cas_max vst.pin_watermark (me + 1);
-    Satomic.incr vst.readers
-  end;
-  let r = pin_epoch inst ~me in
-  let nc =
-    if fresh && not inst.faults.skip_nocap then Satomic.get vst.nocap else 0
-  in
+  let st = vst.regst.(me) in
   let r =
-    if nc > r then begin
-      ensure_stable inst ~me nc;
-      pin_epoch inst ~me
+    if st = 2 then pin_epoch inst ~me
+    else begin
+      let c =
+        if st = 0 then begin
+          cas_max vst.pin_watermark (me + 1);
+          let c = Satomic.fetch_and_add vst.capst 1 in
+          vst.regst.(me) <- 1;
+          c
+        end
+        else Satomic.get vst.capst
+      in
+      let nc = if inst.faults.skip_nocap then 0 else cap_nocap c in
+      let r = pin_epoch inst ~me in
+      let r =
+        if nc > r then begin
+          ensure_stable inst ~me nc;
+          pin_epoch inst ~me
+        end
+        else r
+      in
+      vst.regst.(me) <- 2;
+      r
     end
-    else r
   in
-  (* the flag goes up last: a fiber abandoned anywhere above leaves the
-     slot unregistered, so the next reader on it repeats the whole
-     handshake; the abandoned increment only over-counts [readers],
-     which costs capture, never safety *)
-  if fresh then vst.registered.(me) <- true;
   Telemetry.tick inst.c_ro_pins;
   r
 
-let snap_unpin inst =
+let unpin inst =
   Hazard_eras.clear inst.he;
   (* mirror cleared AFTER the era: the plain write runs in the same
      scheduling quantum as the clear, so no abandonment gap exists here *)
@@ -865,16 +889,25 @@ let snap_unpin inst =
    the stale pin would hold [pin_floor] down forever.  The [pin_mine]
    mirror makes the common no-orphan case a plain read — zero steps. *)
 let release_orphan_pin inst ~me =
-  if inst.vst.pin_mine.(me) <> 0 then snap_unpin inst
+  if inst.vst.pin_mine.(me) <> 0 then unpin inst
 
-(* An update transaction ends the slot's reader registration: until it
-   pins again, apply passes on this instance need not capture for it. *)
+(* End the slot's reader registration: until it pins again, apply passes
+   on this instance need not capture for it.  The decrement and the
+   state store run in one scheduling quantum (see [snap_pin]). *)
 let deregister inst ~me =
   let vst = inst.vst in
-  if vst.registered.(me) then begin
-    vst.registered.(me) <- false;
-    Satomic.decr vst.readers
+  if vst.regst.(me) <> 0 then begin
+    Satomic.decr vst.capst;
+    vst.regst.(me) <- 0
   end
+
+(* The unpin of [snapshot_ops]: a pin taken through the exported
+   primitives (the router's cross-shard reads) stays visible to writers
+   only until it is released.  [snap_read_tx] keeps its registration
+   instead, until the slot's next update here. *)
+let snap_unpin inst =
+  unpin inst;
+  deregister inst ~me:(Sched.self ())
 
 (* flowlint: ok unpinned-snapshot-load instance-level resolver for Tm_shard, whose cross-shard driver pins every shard before loading *)
 let snap_load inst epoch addr =
@@ -884,7 +917,9 @@ let snap_load inst epoch addr =
    against that frozen snapshot, unpin.  Zero aborts, zero restarts,
    bounded steps; pwbs only when a fresh registration finishes an
    uncaptured commit ([snap_pin]) — write churn never touches it
-   otherwise. *)
+   otherwise.  The registration outlives the unpin: it ends at the
+   slot's next update transaction here, so a slot that keeps reading
+   registers once. *)
 let snap_read_tx inst f =
   let me = Sched.self () in
   let tx = inst.txs.(me) in
@@ -897,14 +932,16 @@ let snap_read_tx inst f =
   | exception e ->
       tx.snap_epoch <- -1;
       with_chk inst.checker Tmcheck.tx_abort;
-      snap_unpin inst;
+      unpin inst;
       raise e
   | v ->
       tx.snap_epoch <- -1;
       with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None);
       Telemetry.tick inst.c_ro_commits;
-      Telemetry.observe inst.s_ro_lag (Satomic.get inst.vst.ro_stable - r);
-      snap_unpin inst;
+      (* a telemetry sample, step-free whether or not a registry is
+         attached, so the traced and untraced schedules stay identical *)
+      Telemetry.observe inst.s_ro_lag (Satomic.get_relaxed inst.vst.ro_stable - r);
+      unpin inst;
       v
 
 let snapshot_ops = { Tm.Tm_intf.snap_pin; snap_load; snap_unpin }
@@ -1188,6 +1225,12 @@ let curtx_info inst =
   let req = Region.peek inst.region (req_cell inst ct.Word.s) in
   (ct.Word.v, ct.Word.s, req.Word.v = ct.Word.v)
 
+(* Debug view of the capture word: (registered readers, nocap).  Step-free
+   like [curtx_info]. *)
+let capture_info inst =
+  let c = Satomic.get_relaxed inst.vst.capst in
+  (cap_readers c, cap_nocap c)
+
 (* Allocator accounting over the quiescent volatile state (no transaction,
    no scheduling steps) — testing/diagnostics only. *)
 let allocated_cells inst =
@@ -1220,11 +1263,10 @@ let recover inst =
   Array.iter (fun c -> Satomic.set c None) inst.vst.vslots;
   Array.iter (fun c -> Satomic.set c []) inst.vst.voverflow;
   Hazard_eras.reset inst.he;
-  Array.fill inst.vst.registered 0 (Array.length inst.vst.registered) false;
+  Array.fill inst.vst.regst 0 (Array.length inst.vst.regst) 0;
   Array.fill inst.vst.pin_mine 0 (Array.length inst.vst.pin_mine) 0;
   Satomic.set inst.vst.pin_watermark 0;
-  Satomic.set inst.vst.readers 0;
-  Satomic.set inst.vst.nocap 0;
+  Satomic.set inst.vst.capst 0;
   Satomic.set inst.vst.ro_stable ct.Word.v;
   Satomic.set inst.vst.pin_floor ct.Word.v;
   Region.pfence inst.region

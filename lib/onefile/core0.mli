@@ -29,7 +29,9 @@ val create :
     [instance] (default [""]) prefixes every telemetry key this instance
     registers (["shard3.tx.commits"]) and, when the region is allocated
     here, becomes its {!Pmem.Region.id}; the empty id keeps the
-    historical unprefixed names, so a sole instance is unaffected. *)
+    historical unprefixed names, so a sole instance is unaffected.
+    Raises [Invalid_argument] when [max_threads > 255]: the snapshot
+    reader count is an 8-bit field of one packed word. *)
 
 val linear_threshold : t -> int
 (** The effective switchover this instance was created with. *)
@@ -64,8 +66,7 @@ val wf_read_tx_validating : t -> (tx -> int) -> int
 
 val snap_pin : t -> int
 (** Publish and return a snapshot epoch for the calling thread,
-    registering its slot as a reader if it is not registered (an update
-    transaction on the same instance ends the registration).  A fresh
+    registering its slot as a reader if it is not registered.  A fresh
     registration helps the open commit to completion first when that
     commit was applied without version capture. *)
 
@@ -74,6 +75,10 @@ val snap_load : t -> int -> int -> int
     valid between [snap_pin] and [snap_unpin] on the same thread. *)
 
 val snap_unpin : t -> unit
+(** Release the epoch and end the slot's registration, so writers capture
+    for a pin taken here only while it is held.  [read_tx] keeps its
+    registration instead, until the slot's next update transaction on
+    the same instance. *)
 
 val snapshot_ops : t Tm.Tm_intf.snapshot_ops
 val load : tx -> int -> int
@@ -86,6 +91,10 @@ val region : t -> Pmem.Region.t
 val recover : t -> unit
 val allocated_cells : t -> int
 val curtx_info : t -> int * int * bool
+
+val capture_info : t -> int * int
+(** Step-free debug view of the capture word: (registered snapshot
+    readers, highest commit applied without version capture). *)
 
 (** {1 Sanitizer attachment}
 

@@ -63,6 +63,8 @@
 
    Cross-shard read-only transactions never enter the pipeline: they pin
    a consistent per-shard epoch vector and read at it (DESIGN.md §13). *)
+(* relaxed-ok: the migration-stall sample handed to Telemetry.observe is
+   read step-free, so attaching a registry never changes a schedule. *)
 (* mutable-ok: the per-execution buffers (exec, overlay) are confined to
    the fiber running the transaction — under batching that is the
    leader's fiber, which executes members serially; the batch context
@@ -128,6 +130,11 @@ module Make (T : Tm_intf.S) = struct
   (* Shared state of one batch execution (leader-confined). *)
   and bctx = {
     locked : bool array;
+    pins : int array;
+        (* per-shard snapshot epoch the batch reads a frozen shard at
+           (-1 = none): pinned on the first read after the lock, dropped
+           before any leader transaction on that shard and before the
+           record (see the Cross arm of [load]) *)
     uwrites : (int, int) Hashtbl.t; (* union: global addr -> last value *)
     ucache : (int, int) Hashtbl.t;
         (* read cache over the frozen shards: a locked shard's cells
@@ -487,6 +494,15 @@ module Make (T : Tm_intf.S) = struct
   let snap_load t s e l = t.snap.Tm_intf.snap_load t.shards.(s) e l
   let snap_unpin t s = t.snap.Tm_intf.snap_unpin t.shards.(s)
 
+  (* drop the batch's pin on frozen shard [s], if it holds one: a leader
+     transaction on [s] would release it silently (orphan-pin release),
+     and a pin held across the record would make its apply capture *)
+  let unpin_frozen t (bc : bctx) s =
+    if bc.pins.(s) >= 0 then begin
+      snap_unpin t s;
+      bc.pins.(s) <- -1
+    end
+
   (* a migrating range is dual-homed: the classify pre-pass reports BOTH
      ends, which routes every mutative touch of the range to the cross
      path (where stores dual-write) for as long as the move is live *)
@@ -566,12 +582,20 @@ module Make (T : Tm_intf.S) = struct
                           bc.locked.(s) <- true;
                           v
                         end
-                        else
+                        else begin
                           (* the shard is frozen (locked) for the whole
-                             batch, so per-access read transactions
-                             observe one consistent cross-shard
-                             snapshot *)
-                          T.read_tx t.shards.(s) (fun itx -> T.load itx l)
+                             batch: its user cells cannot change until
+                             this batch's own apply (single-shard
+                             commits there see the lock and commit only
+                             a blocked token, and the previous batch was
+                             reconciled before this one), so one epoch,
+                             pinned after the lock transaction raised
+                             [ro_stable] past it, serves every later
+                             read of the batch *)
+                          if bc.pins.(s) < 0 then bc.pins.(s) <- snap_pin t s;
+                          (* flowlint: ok unpinned-snapshot-load the pin is taken just above when absent and held in bc.pins until unpin_frozen *)
+                          snap_load t s bc.pins.(s) l
+                        end
                       in
                       Hashtbl.replace bc.ucache g v;
                       v)))
@@ -621,6 +645,7 @@ module Make (T : Tm_intf.S) = struct
     | Cross { bc; ov } ->
         let s = fresh_home t in
         ensure_locked t bc s;
+        unpin_frozen t bc s;
         (* write-ahead: the allocation and its pending-list entry commit
            in one T transaction, so a crash either never allocated or
            left a pending entry for recovery to roll back *)
@@ -662,17 +687,19 @@ module Make (T : Tm_intf.S) = struct
   (* undo one member's write-ahead allocations: the leader executes
      members serially, so this overlay's entries are exactly the newest
      ones of each shard's pending list *)
-  let rollback_allocs t (ov : overlay) =
+  let rollback_allocs t (bc : bctx) (ov : overlay) =
     if ov.oallocs <> [] then
       for s = 0 to Array.length t.shards - 1 do
         let mine = List.filter (fun (s', _) -> s' = s) ov.oallocs in
-        if mine <> [] then
+        if mine <> [] then begin
+          unpin_frozen t bc s;
           ignore
             (T.update_tx t.shards.(s) (fun itx ->
                  let pc = T.load itx (pcount_cell t s) in
                  T.store itx (pcount_cell t s) (pc - List.length mine);
                  List.iter (fun (_, a) -> T.free itx a) mine;
                  0))
+        end
       done
 
   let merge_overlay (bc : bctx) (ov : overlay) =
@@ -914,6 +941,7 @@ module Make (T : Tm_intf.S) = struct
     let bc =
       {
         locked = Array.make (Array.length t.shards) false;
+        pins = Array.make (Array.length t.shards) (-1);
         uwrites = Hashtbl.create 16;
         ucache = Hashtbl.create 16;
         uworder = [];
@@ -931,6 +959,9 @@ module Make (T : Tm_intf.S) = struct
         else if r.run bc then members := r :: !members
         else deferred := r :: !deferred)
       reqs;
+    for s = 0 to Array.length t.shards - 1 do
+      unpin_frozen t bc s
+    done;
     let parts = ref 0 in
     Array.iteri
       (fun s locked -> if locked then parts := !parts lor (1 lsl s))
@@ -1071,7 +1102,7 @@ module Make (T : Tm_intf.S) = struct
       match f { rt = t; kind = Cross { bc; ov } } with
       | r ->
           if overflow_writes t bc ov || overflow_frees t bc ov then begin
-            rollback_allocs t ov;
+            rollback_allocs t bc ov;
             if bc.nmerged = 0 then
               failwith
                 (if overflow_writes t bc ov then
@@ -1085,14 +1116,14 @@ module Make (T : Tm_intf.S) = struct
             true
           end
       | exception Abort ->
-          rollback_allocs t ov;
+          rollback_allocs t bc ov;
           Sched.step_point ();
           attempt ()
       | exception e ->
           (* the member fails alone: its allocations are rolled back, it
              contributes nothing, and the owner re-raises after the
              batch completes *)
-          rollback_allocs t ov;
+          rollback_allocs t bc ov;
           out := `Failed e;
           true
     in
@@ -1529,7 +1560,7 @@ module Make (T : Tm_intf.S) = struct
            if m.m_back then T.free itx m.m_sbase;
            T.store itx (mighold_cell t hold_shard) 0;
            0));
-    Telemetry.observe t.s_stall (Satomic.get m.stalled);
+    Telemetry.observe t.s_stall (Satomic.get_relaxed m.stalled);
     Satomic.set t.mig_claim 0;
     `Ok
 

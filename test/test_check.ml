@@ -369,6 +369,39 @@ let test_lint_hotpath () =
   check int "handle tick is fine" 0
     (nfindings ~path:"lib/onefile/foo.ml" "let () = Telemetry.tick h\n")
 
+(* telemetry-step: a sample's argument must not take a scheduling step.
+   The planted cases are the two shapes the rule was written for (a lag
+   sample reading a Satomic cell, a stall sample reading a counter) plus
+   a Region load; the clean cases sample step-free values, or take the
+   step outside the argument. *)
+let test_lint_telemetry_step () =
+  let rule = "telemetry-step" in
+  check Alcotest.string "Satomic.get in an observe argument flagged" rule
+    (rule_at ~path:"lib/onefile/foo.ml"
+       "let f h c r = Telemetry.observe h (Satomic.get c - r); 0\n");
+  check Alcotest.string "qualified Satomic.get in a sample flagged" rule
+    (rule_at ~path:"lib/tm/foo.ml"
+       "let f h m = Runtime.Telemetry.observe h (Runtime.Satomic.get m)\n");
+  check Alcotest.string "Region.load in a tick argument flagged" rule
+    (rule_at ~path:"lib/tm/foo.ml"
+       "let f h r a = Telemetry.tick h ~by:(Region.load r a).Word.v\n");
+  check int "step-free read under a relaxed-ok marker is fine" 0
+    (nfindings ~path:"lib/onefile/foo.ml"
+       "(* relaxed-ok: telemetry sample *)\n\
+        let f h c r = Telemetry.observe h (Satomic.get_relaxed c - r); 0\n");
+  check int "a step after the sample is not in its argument" 0
+    (nfindings ~path:"lib/onefile/foo.ml"
+       "let f h c = Telemetry.tick h; Satomic.get c\n");
+  check int "a step in the branch after the sample is fine" 0
+    (nfindings ~path:"lib/onefile/foo.ml"
+       "let f h c = if true then Telemetry.tick h else Satomic.incr c\n");
+  check int "a step bound before the sample is fine" 0
+    (nfindings ~path:"lib/onefile/foo.ml"
+       "let f h c = let v = Satomic.get c in Telemetry.observe h v\n");
+  check int "outside lib/ is fine" 0
+    (nfindings ~path:"bench/foo.ml"
+       "let f h c = Telemetry.observe h (Satomic.get c)\n")
+
 let test_lint_layering () =
   check Alcotest.string "Core0 in lib/workloads flagged" "layering"
     (rule_at ~path:"lib/workloads/foo.ml"
@@ -428,6 +461,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_lint_determinism;
           Alcotest.test_case "markers" `Quick test_lint_markers;
           Alcotest.test_case "hotpath alloc" `Quick test_lint_hotpath;
+          Alcotest.test_case "telemetry step" `Quick test_lint_telemetry_step;
           Alcotest.test_case "layering" `Quick test_lint_layering;
           Alcotest.test_case "missing mli" `Quick test_lint_missing_mli;
         ] );

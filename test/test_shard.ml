@@ -614,6 +614,170 @@ let test_lf_router_volatile () =
   in
   check int "volatile lf cross tx" 3 v
 
+(* --- capture scoping and batch-pinned reads ------------------------- *)
+
+(* Every shard has its own instance id ([mk_sharded]), so each shard's
+   [ro.captures] counts the versions its own apply passes installed. *)
+let attach_all tm =
+  let te = Telemetry.create () in
+  Array.iter (fun sh -> Wf.attach_telemetry sh te) (Sh_wf.shards tm);
+  Sh_wf.attach_telemetry tm te;
+  te
+
+let per_shard te key s = Telemetry.get te (Printf.sprintf "s%d.%s" s key)
+
+(* each fiber runs to completion, in array order *)
+let in_order ?on_step fibers =
+  let pick ~step:_ ~enabled ~last:_ = enabled.(0) in
+  ignore (Sched.run_controlled ?on_step ~pick fibers)
+
+let increment tm i =
+  ignore
+    (Sh_wf.update_tx tm (fun tx ->
+         let r = Sh_wf.root tm i in
+         Sh_wf.store tx r (Sh_wf.load tx r + 1);
+         0))
+
+let readers_of tm =
+  Array.map (fun sh -> fst (Onefile.Core0.capture_info sh)) (Sh_wf.shards tm)
+
+(* A cross-shard snapshot read registers its slot on every shard only
+   while it holds its pins: once A's read returned, B's single-shard
+   updates on shard 3, which A never updates, capture nothing there. *)
+let test_cross_read_capture_scoped () =
+  let _dev, tm = mk_sharded () in
+  init_accounts tm 100;
+  let get = per_shard (attach_all tm) in
+  let seen = ref 0 in
+  in_order
+    [|
+      (fun () -> ());
+      (fun () -> seen := total tm);
+      (fun () ->
+        for _ = 1 to 5 do
+          increment tm 3
+        done);
+    |];
+  check int "A read a conserved total" (accounts * 100) !seen;
+  check int "no capture on shard 3 after A's read" 0 (get "ro.captures" 3);
+  check (Alcotest.array int) "no slot left registered" [| 0; 0; 0; 0 |]
+    (readers_of tm)
+
+(* A cross batch that runs after a (finished) cross read captures
+   nothing anywhere: the read's pins deregistered at unpin, and the
+   leader's own frozen-shard pins — the member reads two cells on each
+   of shards 0 and 1 — are released before the batch record, so no
+   slot is registered anywhere once the batch is published (a helper
+   applying shard 1 before the leader would otherwise capture there). *)
+let test_cross_batch_captures_nothing () =
+  let _dev, tm = mk_sharded () in
+  init_accounts tm 100;
+  let te = attach_all tm in
+  let get = per_shard te in
+  let at_publication = ref None in
+  let on_step _ =
+    if !at_publication = None && Telemetry.get te "router.batch_commits" > 0
+    then at_publication := Some (readers_of tm)
+  in
+  in_order ~on_step
+    [|
+      (fun () -> ());
+      (fun () -> ignore (total tm));
+      (fun () ->
+        ignore
+          (Sh_wf.update_tx tm (fun tx ->
+               let ld i = Sh_wf.load tx (Sh_wf.root tm i) in
+               let v0 = ld 0 in
+               let v4 = ld 4 in
+               let v1 = ld 1 in
+               let v5 = ld 5 in
+               Sh_wf.store tx (Sh_wf.root tm 0) (v0 - 3);
+               Sh_wf.store tx (Sh_wf.root tm 1) (v1 + 3);
+               v4 + v5)));
+    |];
+  check (Alcotest.option (Alcotest.array int))
+    "no slot registered when the batch is published"
+    (Some [| 0; 0; 0; 0 |])
+    !at_publication;
+  check int "total conserved" (accounts * 100) (total tm);
+  for s = 0 to 3 do
+    check int (Printf.sprintf "shard %d: no capture" s) 0 (get "ro.captures" s)
+  done
+
+(* A member that reads both shards of a 2-shard router (a lock read,
+   then a pinned read, on each), allocates — on a pinned shard, whose
+   pin the leader drops before the write-ahead transaction — and then
+   reads uncached cells, which re-pin that shard.  Every read must see
+   the pre-transaction value (the block gets their sum) and the
+   transfer must conserve the total.  The same member failing after its
+   allocation rolls the block back through another transaction on the
+   pinned shard.  Concurrent runs of the member next to single-shard
+   transfers keep the total conserved throughout. *)
+let alloc_member tm ?(fail = false) tx =
+  let ld i = Sh_wf.load tx (Sh_wf.root tm i) in
+  let v0 = ld 0 in
+  let v2 = ld 2 in
+  let v1 = ld 1 in
+  let v3 = ld 3 in
+  let p = Sh_wf.alloc tx 2 in
+  let v4 = ld 4 in
+  let v5 = ld 5 in
+  Sh_wf.store tx p (v0 + v1 + v2 + v3 + v4 + v5);
+  Sh_wf.store tx (Sh_wf.root tm 8) p;
+  Sh_wf.store tx (Sh_wf.root tm 4) (v4 - 7);
+  Sh_wf.store tx (Sh_wf.root tm 5) (v5 + 7);
+  if fail then failwith "member fails after its allocation";
+  p
+
+let test_batch_pin_dropped_for_alloc () =
+  let _dev, tm = mk_sharded ~n:2 () in
+  init_accounts tm 100;
+  let get = per_shard (attach_all tm) in
+  let pins () = get "tx.ro_epoch_pins" 0 + get "tx.ro_epoch_pins" 1 in
+  let p = Sh_wf.update_tx tm (alloc_member tm) in
+  check int "two pins, one re-pin after the alloc" 3 (pins ());
+  check int "the block holds the pre-transaction sum" 600
+    (Sh_wf.read_tx tm (fun tx -> Sh_wf.load tx p));
+  check int "total conserved" (accounts * 100) (total tm);
+  check (Alcotest.array int) "no leader pin left registered" [| 0; 0 |]
+    (readers_of tm);
+  let base = Array.map Wf.allocated_cells (Sh_wf.shards tm) in
+  (match Sh_wf.update_tx tm (alloc_member tm ~fail:true) with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "the failing member's error was lost");
+  Array.iteri
+    (fun s sh ->
+      check int
+        (Printf.sprintf "shard %d: failed member's block rolled back" s)
+        base.(s) (Wf.allocated_cells sh))
+    (Sh_wf.shards tm);
+  check (Alcotest.array int) "no leader pin left after the rollback" [| 0; 0 |]
+    (readers_of tm);
+  let violations = ref 0 in
+  ignore
+    (Sched.run ~seed:9
+       [|
+         (fun () ->
+           for _ = 1 to 3 do
+             ignore (Sh_wf.update_tx tm (alloc_member tm))
+           done);
+         (fun () ->
+           for _ = 1 to 3 do
+             ignore (Sh_wf.update_tx tm (alloc_member tm))
+           done);
+         (fun () ->
+           for i = 1 to 6 do
+             (* accounts 2 and 6 live on shard 0: single-shard transfers *)
+             transfer tm 2 6 i
+           done);
+         (fun () ->
+           for _ = 1 to 6 do
+             if total tm <> accounts * 100 then incr violations
+           done);
+       |]);
+  check int "observer saw conservation" 0 !violations;
+  check int "total conserved after the concurrent run" (accounts * 100) (total tm)
+
 (* --- elastic sharding: live range migration ------------------------ *)
 
 (* shard-0 control appendix mirror (defaults: max_pending 32,
@@ -1063,6 +1227,15 @@ let () =
             test_rollback_recovery;
           Alcotest.test_case "lf-volatile-router" `Quick
             test_lf_router_volatile;
+        ] );
+      ( "capture-scope",
+        [
+          Alcotest.test_case "cross-read-ends-at-unpin" `Quick
+            test_cross_read_capture_scoped;
+          Alcotest.test_case "cross-batch-captures-nothing" `Quick
+            test_cross_batch_captures_nothing;
+          Alcotest.test_case "pin-dropped-for-alloc" `Quick
+            test_batch_pin_dropped_for_alloc;
         ] );
       ( "batch-recovery",
         [

@@ -479,6 +479,87 @@ let test_registration_survives_kill () =
   in
   check_bool "R's whole read was covered" true (from 0 > 10)
 
+(* Reader accounting survives kills.  R (logical slot 1) starts a
+   first-time snapshot read and is killed after [k] scheduler picks;
+   a respawned process adopts slot 1, reads, then updates, which ends
+   its registration.  Returns false when R finished within [k] picks
+   (nothing was left to kill). *)
+let killed_first_read tm ~k =
+  let r0 = Lf.root tm 0 and r2 = Lf.root tm 2 in
+  let read () = ignore (Lf.read_tx tm (fun tx -> Lf.load tx r0)) in
+  let picks = ref 0 and killed = ref false in
+  let pick ~step:_ ~enabled ~last:_ =
+    if (not !killed) && Array.mem 0 enabled then begin
+      incr picks;
+      0
+    end
+    else enabled.(0)
+  in
+  let on_step t =
+    if (not !killed) && !picks >= k then begin
+      killed := true;
+      if Sched.kill t 0 then
+        ignore
+          (Sched.spawn t (fun () ->
+               Sched.set_logical 1;
+               read ();
+               ignore (Lf.update_tx tm (fun tx -> Lf.store tx r2 k; 0))))
+      else killed := false
+    end
+  in
+  ignore
+    (Sched.run_controlled ~on_step ~pick
+       [| (fun () -> Sched.set_logical 1; read ()) |]);
+  !killed
+
+(* For every kill point of the first read, the respawned slot ends
+   registered nowhere, so five write-only 2-word updates from slot 0
+   must capture no version.  (An increment a kill separates from its
+   slot's state would leave the count at 1, and each of those updates
+   would capture both words.)  Then 300 kill/respawn cycles on one
+   slot, killing at every point of the read in turn, must leave the
+   packed reader count at 0 — a leak per cycle would wrap its 8-bit
+   field — and an instance whose count could exceed that field is
+   refused. *)
+let test_reader_accounting_survives_kills () =
+  let fresh () =
+    let tm = Lf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~ws_cap:64 () in
+    let r0 = Lf.root tm 0 and r1 = Lf.root tm 1 in
+    ignore (Lf.update_tx tm (fun tx -> Lf.store tx r0 10; Lf.store tx r1 10; 0));
+    tm
+  in
+  let rec from k =
+    let tm = fresh () in
+    let te = Telemetry.create () in
+    Lf.attach_telemetry tm te;
+    if not (killed_first_read tm ~k) then k
+    else begin
+      let r0 = Lf.root tm 0 and r1 = Lf.root tm 1 in
+      let before = Telemetry.get te "ro.captures" in
+      for i = 1 to 5 do
+        ignore (Lf.update_tx tm (fun tx -> Lf.store tx r0 i; Lf.store tx r1 i; 0))
+      done;
+      check_int
+        (Printf.sprintf "killed after %d picks: write-only updates capture nothing" k)
+        0
+        (Telemetry.get te "ro.captures" - before);
+      from (k + 1)
+    end
+  in
+  let len = from 0 in
+  check_bool "the first read's whole length was covered" true (len > 5);
+  let tm = fresh () in
+  for i = 0 to 299 do
+    ignore (killed_first_read tm ~k:(i mod len))
+  done;
+  check_int "300 kill/respawn cycles leave no reader counted" 0
+    (fst (Onefile.Core0.capture_info tm));
+  match
+    Onefile.Core0.create ~mode:Region.Volatile ~size:(1 lsl 16) ~max_threads:256 ()
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "max_threads 256 accepted: the reader count would wrap"
+
 (* Zero aborts under free-running write churn: ONE writer (so every
    writer-side conflict is impossible — any abort in the run would be
    attributable to the read-only transactions) hammers two roots while
@@ -734,6 +815,8 @@ let () =
             test_registration_handshake;
           Alcotest.test_case "registration-survives-kill" `Quick
             test_registration_survives_kill;
+          Alcotest.test_case "reader-accounting-survives-kills" `Quick
+            test_reader_accounting_survives_kills;
         ] );
       ( "router",
         [
