@@ -16,14 +16,17 @@
    simulated rounds.  See EXPERIMENTS.md for the paper-vs-measured record
    and the workload-scaling notes.
 
-   Every figure runs in a forked child, so its numbers are the same
-   whichever figures run before it.  With [--json], every figure run is
-   also serialized (config, seed, series tables, telemetry snapshot)
-   through {!Workloads.Bench_json}; [--baseline DIR] diffs each figure
-   against DIR/BENCH_<figure>.json and exits 1 when a series regressed
-   by more than {!Workloads.Bench_json.tolerance}.  With [--figure gates]
-   every gated figure must have its file in DIR and every
-   DIR/BENCH_*.json must belong to a gated figure. *)
+   All figures run in one process, and a figure's numbers do not depend
+   on the figures before it: every simulated run draws its backoff
+   jitter from per-fiber streams keyed by its own seed
+   ({!Runtime.Sched.jitter}), and [measure] starts each figure with
+   empty tables and telemetry.  With [--json], every figure run is also
+   serialized (config, seed, series tables, telemetry snapshot) through
+   {!Workloads.Bench_json}; [--baseline DIR] diffs each figure against
+   DIR/BENCH_<figure>.json and exits 1 when a series regressed by more
+   than {!Workloads.Bench_json.tolerance} (2 when a figure raised).
+   With [--figure gates] every gated figure must have its file in DIR
+   and every DIR/BENCH_*.json must belong to a gated figure. *)
 
 open Workloads
 module Region = Pmem.Region
@@ -65,7 +68,7 @@ let spec mode ~threads ~seed =
 
 let pr fmt = Format.printf fmt
 
-(* Telemetry registry of the figure this process runs; every OneFile
+(* Telemetry registry of the figure being measured; every OneFile
    instance built by the engines below reports into it. *)
 let tele = Telemetry.create ()
 
@@ -389,7 +392,6 @@ let latency_point (module T : TM_FRESH) ~threads ~rounds ~seed =
 
 let fig_latency mode =
   let percentiles = [ 50.0; 90.0; 99.0; 99.9; 99.99 ] in
-  (* OF-WF first: the row order also fixes each row's Backoff seeds *)
   let series = [ of_wf_v; of_lf_v; tiny; estm ] in
   List.iter
     (fun threads ->
@@ -576,6 +578,7 @@ let fig_ablation mode =
   (* 4. Persistence cost model: how the fig8 ranking depends on the fence
      price (1 = the paper's DRAM-emulated NVM, higher = real NVM) *)
   let saved = !Region.pfence_cost in
+  Fun.protect ~finally:(fun () -> Region.pfence_cost := saved) @@ fun () ->
   emit ~label_col:"pfence_cost"
     ~title:"Ablation: pfence price vs persistent-SPS ranking (8 threads, 1 swap/tx)"
     ~columns:[ "OF-LF"; "PMDK"; "RomLog" ] ~better:J.Higher_better
@@ -588,8 +591,7 @@ let fig_ablation mode =
          in
          let point (_, tm) = sps_point tm ~n:1024 ~swaps:1 ~alloc:false sp in
          (string_of_int c, [ point of_lf_p; point pmdk; point romlog ]))
-       [ 1; 4; 16 ]);
-  Region.pfence_cost := saved
+       [ 1; 4; 16 ])
 
 (* ------------------------------------------------------------------ *)
 (* Cost table (§V-B) *)
@@ -1135,9 +1137,14 @@ let names fs = String.concat ", " (List.map (fun f -> f.name) fs)
 let gated = List.filter (fun f -> f.gate) figures
 let file f = "BENCH_" ^ f.name ^ ".json"
 
-(* Run [f] and record it as a Bench_json document. *)
+(* Run [f] and record it as a Bench_json document.  [tables] and [tele]
+   start empty, so no earlier figure's series, counters or pull sources
+   leak into this one. *)
 let measure mode mode_name f =
   pr "@.==== %s ====@." f.title;
+  tables := [];
+  Telemetry.reset tele;
+  Telemetry.clear_sources tele;
   f.run mode;
   {
     J.figure = f.name;
@@ -1150,24 +1157,6 @@ let measure mode mode_name f =
     tables = List.rev !tables;
     telemetry = J.telemetry_items (Telemetry.snapshot tele);
   }
-
-(* Run [job] in a forked child and return its exit status: 0 passed, 1
-   regressed, anything else raised.  Backoff seeds its instances from a
-   process-global counter, so in one process a figure's numbers would
-   depend on the figures that ran before it. *)
-let forked job =
-  pr "@?";
-  match Unix.fork () with
-  | 0 ->
-      exit
-        (try job ()
-         with e ->
-           prerr_endline (Printexc.to_string e);
-           2)
-  | pid -> (
-      match snd (Unix.waitpid [] pid) with
-      | Unix.WEXITED code -> code
-      | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 2)
 
 (* With a baseline DIR, every selected figure needs its file there; with
    [gates], every DIR/BENCH_*.json must also belong to a gated figure, so
@@ -1249,28 +1238,34 @@ let () =
   let mode_name = if !use_full then "full" else "quick" in
   pr "# OneFile reproduction benchmarks — %s mode, %d simulated cores@."
     mode_name cores;
-  let run_one f () =
-    let r = measure mode mode_name f in
-    if !json then begin
-      let path =
-        if !out <> "" && List.length selected = 1 then !out else file f
-      in
-      J.write_run path r;
-      pr "@.wrote %s@." path
-    end;
-    if !baseline = "" then 0
-    else begin
-      let path = Filename.concat !baseline (file f) in
-      let regs = J.diff ~baseline:(J.read_run path) ~current:r () in
-      (* regressions go to stderr, which `dune runtest` shows on failure *)
-      Format.fprintf
-        (if regs = [] then Format.std_formatter else Format.err_formatter)
-        "@.baseline %s: %a@." path (J.pp_report ~tolerance:J.tolerance) regs;
-      if regs = [] then 0 else 1
-    end
+  (* 0 passed, 1 regressed, 2 raised *)
+  let run_one f =
+    try
+      let r = measure mode mode_name f in
+      if !json then begin
+        let path =
+          if !out <> "" && List.length selected = 1 then !out else file f
+        in
+        J.write_run path r;
+        pr "@.wrote %s@." path
+      end;
+      if !baseline = "" then 0
+      else begin
+        let path = Filename.concat !baseline (file f) in
+        let regs = J.diff ~baseline:(J.read_run path) ~current:r () in
+        (* regressions go to stderr, which `dune runtest` shows on failure *)
+        Format.fprintf
+          (if regs = [] then Format.std_formatter else Format.err_formatter)
+          "@.baseline %s: %a@." path (J.pp_report ~tolerance:J.tolerance) regs;
+        if regs = [] then 0 else 1
+      end
+    with e ->
+      Printf.eprintf "figure %s raised %s\n%!" f.name (Printexc.to_string e);
+      2
   in
-  let failed = List.filter (fun f -> forked (run_one f) <> 0) selected in
+  let codes = List.map (fun f -> (f, run_one f)) selected in
+  let failed = List.filter (fun (_, code) -> code <> 0) codes in
   if failed <> [] then begin
-    Printf.eprintf "failed figures: %s\n" (names failed);
-    exit 1
+    Printf.eprintf "failed figures: %s\n" (names (List.map fst failed));
+    exit (List.fold_left (fun m (_, code) -> max m code) 0 failed)
   end

@@ -180,8 +180,7 @@ let reset_tx tx =
 let update_tx inst f =
   let tx = inst.txs.(Sched.self ()) in
   let st = stats inst in
-  let b = Backoff.create () in
-  let rec attempt () =
+  let rec attempt cap =
     reset_tx tx;
     tx.read_only <- false;
     tx.rv <- Satomic.get inst.clock;
@@ -196,16 +195,14 @@ let update_tx inst f =
         r
     | exception Abort ->
         st.Pstats.aborts <- st.Pstats.aborts + 1;
-        Backoff.once b;
-        attempt ()
+        attempt (Backoff.once cap)
   in
-  attempt ()
+  attempt 1
 
 let read_tx inst f =
   let tx = inst.txs.(Sched.self ()) in
   let st = stats inst in
-  let b = Backoff.create () in
-  let rec attempt () =
+  let rec attempt cap =
     reset_tx tx;
     tx.read_only <- true;
     tx.rv <- Satomic.get inst.clock;
@@ -213,10 +210,9 @@ let read_tx inst f =
     | r -> r
     | exception Abort ->
         st.Pstats.aborts <- st.Pstats.aborts + 1;
-        Backoff.once b;
-        attempt ()
+        attempt (Backoff.once cap)
   in
-  attempt ()
+  attempt 1
 
 let alloc_ops tx =
   { Tm.Tm_intf.aload = (fun a -> load tx a); astore = (fun a v -> store tx a v) }

@@ -127,10 +127,11 @@ let sync_other inst ~src log =
   Region.pfence region
 
 let drain inst vi =
-  let b = Backoff.create () in
-  while Satomic.get inst.egress.(vi) <> Satomic.get inst.ingress.(vi) do
-    Backoff.once b
-  done
+  let rec wait cap =
+    if Satomic.get inst.egress.(vi) <> Satomic.get inst.ingress.(vi) then
+      wait (Backoff.once cap)
+  in
+  wait 1
 
 let run_update inst f =
   let me = Sched.self () in

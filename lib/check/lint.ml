@@ -232,7 +232,6 @@ let rule_relaxed ~path ~toks ~comments acc =
         :: !acc
     in
     lident toks [ "get_relaxed" ] (hit "get_relaxed");
-    lident toks [ "fetch_and_add_relaxed" ] (hit "fetch_and_add_relaxed");
     lident toks [ "peek_durable" ] (hit "peek_durable");
     module_meth toks "Region" [ "peek" ] (hit "Region.peek");
     !acc

@@ -10,7 +10,7 @@
     - [nondeterminism] — [Random.], [Unix.gettimeofday] and [Sys.time] are
       forbidden in [lib/]: runs must be reproducible from the seed.
     - [relaxed-needs-marker] — the non-stepping accessors ([get_relaxed],
-      [fetch_and_add_relaxed], [Region.peek], [peek_durable]) are allowed
+      [Region.peek], [peek_durable]) are allowed
       only in files carrying a [(* relaxed-ok: ... *)] marker stating why
       the access may bypass the scheduler.
     - [mutable-needs-marker] — [mutable] state in [lib/] requires a

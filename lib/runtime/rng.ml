@@ -7,7 +7,8 @@ let copy t = { state = t.state }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+(* inlined so that [at] keeps its int64s unboxed and allocates nothing *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -28,3 +29,12 @@ let float t =
   float_of_int r /. 9007199254740992.0
 
 let split t = { state = mix (next t) }
+
+(* Draw [i] of [create (mix (seed + (stream + 1) * gamma))], computed
+   without the generator. *)
+let at ~seed ~stream i bound =
+  assert (bound > 0);
+  let step k = Int64.mul golden_gamma (Int64.of_int (k + 1)) in
+  let key = mix (Int64.add (Int64.of_int seed) (step stream)) in
+  let z = mix (Int64.add key (step i)) in
+  Int64.to_int (Int64.shift_right_logical z 2) mod bound

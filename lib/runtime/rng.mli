@@ -23,3 +23,8 @@ val float : t -> float
 
 val split : t -> t
 (** A generator independent from the parent's future output. *)
+
+val at : seed:int -> stream:int -> int -> int -> int
+(** [at ~seed ~stream i bound] is draw [i] of the splitmix64 stream keyed
+    by ([seed], [stream]), uniform in [\[0, bound)].  Random access with no
+    state: it allocates nothing, and equal arguments give equal draws. *)

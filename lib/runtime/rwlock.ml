@@ -11,33 +11,25 @@ let create ~max_threads:_ =
   { readers = Satomic.make 0; writer = Spinlock.create () }
 
 let read_lock t =
-  let b = Backoff.create () in
-  let rec loop () =
-    if Spinlock.holder t.writer <> -1 then begin
-      Backoff.once b;
-      loop ()
-    end
+  let rec loop cap =
+    if Spinlock.holder t.writer <> -1 then loop (Backoff.once cap)
     else begin
       Satomic.incr t.readers;
-      if Spinlock.holder t.writer = -1 then ()
-      else begin
+      if Spinlock.holder t.writer <> -1 then begin
         (* writer arrived between check and increment: back out *)
         Satomic.decr t.readers;
-        Backoff.once b;
-        loop ()
+        loop (Backoff.once cap)
       end
     end
   in
-  loop ()
+  loop 1
 
 let read_unlock t = Satomic.decr t.readers
 
 let write_lock t =
   Spinlock.acquire t.writer;
-  let b = Backoff.create () in
-  while Satomic.get t.readers <> 0 do
-    Backoff.once b
-  done
+  let rec drain cap = if Satomic.get t.readers <> 0 then drain (Backoff.once cap) in
+  drain 1
 
 let write_unlock t = Spinlock.release t.writer
 

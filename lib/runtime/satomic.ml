@@ -1,4 +1,4 @@
-(* relaxed-ok: this module defines the relaxed accessors. *)
+(* relaxed-ok: this module defines the relaxed accessor. *)
 
 type 'a t = 'a Atomic.t
 
@@ -27,4 +27,3 @@ let fetch_and_add a n =
 let incr a = ignore (fetch_and_add a 1)
 let decr a = ignore (fetch_and_add a (-1))
 let get_relaxed a = Atomic.get a
-let fetch_and_add_relaxed a n = Atomic.fetch_and_add a n

@@ -31,9 +31,3 @@ val get_relaxed : 'a t -> 'a
     peeks) to files carrying a [(* relaxed-ok: ... *)] marker, because an
     access that is not a step point is invisible to the deterministic
     scheduler and silently shrinks the interleaving space it explores. *)
-
-val fetch_and_add_relaxed : int t -> int -> int
-(** Fetch-and-add without a scheduling step — for set-up-path ID counters
-    whose ordering is irrelevant to any checked schedule (e.g.
-    {!Backoff.create}'s per-instance seed).  Same restrictions as
-    {!get_relaxed}. *)

@@ -1,6 +1,6 @@
 (* mutable-ok: this IS the cooperative scheduler — its state is mutated
    only between fiber switches, on the scheduler side of the effect
-   handler. *)
+   handler; a fiber's [draws] only by that fiber. *)
 open Effect
 open Effect.Deep
 
@@ -13,7 +13,12 @@ type status =
   | Paused of (unit, unit) continuation
   | Done
 
-type fiber = { tid : int; mutable logical : int; mutable status : status }
+type fiber = {
+  tid : int;
+  mutable logical : int;
+  mutable status : status;
+  mutable draws : int;  (* jitter draws made so far *)
+}
 
 type policy = Round_robin | Random_order
 
@@ -24,6 +29,7 @@ type t = {
   cores : int;
   quantum : int;
   policy : policy;
+  seed : int;
   rng : Rng.t;
   mutable round_no : int;
   mutable steps : int;
@@ -39,6 +45,8 @@ let in_fiber () = !current <> None
 
 let step_point () = if !current <> None then perform Step
 
+let new_fiber tid status = { tid; logical = tid; status; draws = 0 }
+
 let dls_tid : int option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 let set_domain_tid id = Domain.DLS.get dls_tid := Some id
 
@@ -51,6 +59,20 @@ let self () =
   match !current with
   | Some f -> f.logical
   | None -> ( match !(Domain.DLS.get dls_tid) with Some id -> id | None -> 0)
+
+let dls_draws : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+let jitter n =
+  match (!current, !active) with
+  | Some f, Some t ->
+      let i = f.draws in
+      f.draws <- i + 1;
+      Rng.at ~seed:t.seed ~stream:f.tid i n
+  | _ ->
+      let c = Domain.DLS.get dls_draws in
+      let i = !c in
+      c := i + 1;
+      Rng.at ~seed:0 ~stream:(self ()) i n
 
 let round t = t.round_no
 let total_steps t = t.steps
@@ -76,13 +98,13 @@ let kill t tid =
 let spawn t fn =
   if t.nfibers = Array.length t.fibers then begin
     let bigger =
-      Array.make (2 * (t.nfibers + 1)) { tid = -1; logical = -1; status = Done }
+      Array.make (2 * (t.nfibers + 1)) (new_fiber (-1) Done)
     in
     Array.blit t.fibers 0 bigger 0 t.nfibers;
     t.fibers <- bigger
   end;
   let tid = t.nfibers in
-  t.fibers.(tid) <- { tid; logical = tid; status = Ready fn };
+  t.fibers.(tid) <- new_fiber tid (Ready fn);
   t.nfibers <- t.nfibers + 1;
   t.nlive <- t.nlive + 1;
   tid
@@ -154,28 +176,20 @@ let choose_random t =
   done;
   Array.to_list (Array.sub arr 0 want)
 
-(* One simulated CPU, one step per decision: the controlled entry point the
-   schedule-exploration layer (Explore) drives.  [pick] is called between
-   steps, on the scheduler side of the effect handler, with the sorted
-   runnable tids; the chosen fiber executes exactly one shared-memory step.
-   [on_step] runs after each step (same side) and may call [stop] — this is
-   how crash-point injection halts the world at an exact event without
-   unwinding any fiber. *)
-let run_controlled ?(max_steps = max_int) ?on_step ~pick fns =
-  if !active <> None then
-    failwith "Sched.run_controlled: nested simulations not supported";
-  let fibers =
-    Array.mapi (fun i f -> { tid = i; logical = i; status = Ready f }) fns
-  in
+(* Make a run over [fns] the active simulation for [loop]; re-raise the
+   first exception that escaped a fiber. *)
+let simulate who ~cores ~quantum ~policy ~seed fns loop =
+  if !active <> None then failwith (who ^ ": nested simulations not supported");
   let t =
     {
-      fibers;
+      fibers = Array.mapi (fun i f -> new_fiber i (Ready f)) fns;
       nfibers = Array.length fns;
       nlive = Array.length fns;
-      cores = 1;
-      quantum = 1;
-      policy = Round_robin;
-      rng = Rng.create 0;
+      cores;
+      quantum;
+      policy;
+      seed;
+      rng = Rng.create seed;
       round_no = 0;
       steps = 0;
       cursor = 0;
@@ -184,10 +198,25 @@ let run_controlled ?(max_steps = max_int) ?on_step ~pick fns =
     }
   in
   active := Some t;
-  Fun.protect ~finally:(fun () ->
+  Fun.protect
+    ~finally:(fun () ->
       active := None;
       current := None)
-  @@ fun () ->
+    (fun () -> loop t);
+  (match t.error with Some e -> raise e | None -> ());
+  t
+
+(* One simulated CPU, one step per decision: the controlled entry point the
+   schedule-exploration layer (Explore) drives.  [pick] is called between
+   steps, on the scheduler side of the effect handler, with the sorted
+   runnable tids; the chosen fiber executes exactly one shared-memory step.
+   [on_step] runs after each step (same side) and may call [stop] — this is
+   how crash-point injection halts the world at an exact event without
+   unwinding any fiber. *)
+let run_controlled ?(max_steps = max_int) ?on_step ~pick fns =
+  simulate "Sched.run_controlled" ~cores:1 ~quantum:1 ~policy:Round_robin ~seed:0
+    fns
+  @@ fun t ->
   let last = ref (-1) in
   while (not t.stopping) && t.nlive > 0 && t.steps < max_steps do
     let enabled = Array.make t.nlive 0 in
@@ -205,37 +234,13 @@ let run_controlled ?(max_steps = max_int) ?on_step ~pick fns =
     last := tid;
     t.round_no <- t.round_no + 1;
     (match on_step with Some f -> f t | None -> ())
-  done;
-  (match t.error with Some e -> raise e | None -> ());
-  t
+  done
 
 let run ?(cores = max_int) ?(quantum = 1) ?(policy = Round_robin) ?(seed = 42)
     ?(max_rounds = max_int) ?on_round fns =
-  if !active <> None then failwith "Sched.run: nested simulations not supported";
-  let fibers =
-    Array.mapi (fun i f -> { tid = i; logical = i; status = Ready f }) fns
-  in
-  let t =
-    {
-      fibers;
-      nfibers = Array.length fns;
-      nlive = Array.length fns;
-      cores = max cores 1;
-      quantum = max quantum 1;
-      policy;
-      rng = Rng.create seed;
-      round_no = 0;
-      steps = 0;
-      cursor = 0;
-      stopping = false;
-      error = None;
-    }
-  in
-  active := Some t;
-  Fun.protect ~finally:(fun () ->
-      active := None;
-      current := None)
-  @@ fun () ->
+  simulate "Sched.run" ~cores:(max cores 1) ~quantum:(max quantum 1) ~policy
+    ~seed fns
+  @@ fun t ->
   while (not t.stopping) && t.nlive > 0 && t.round_no < max_rounds do
     (match on_round with Some f -> f t | None -> ());
     if (not t.stopping) && t.nlive > 0 then begin
@@ -255,6 +260,4 @@ let run ?(cores = max_int) ?(quantum = 1) ?(policy = Round_robin) ?(seed = 42)
       List.iter step_fiber chosen;
       t.round_no <- t.round_no + 1
     end
-  done;
-  (match t.error with Some e -> raise e | None -> ());
-  t
+  done

@@ -78,6 +78,14 @@ val set_logical : int -> unit
 val in_fiber : unit -> bool
 (** True when called from inside a simulated fiber. *)
 
+val jitter : int -> int
+(** [jitter n] is uniform in [\[0, n)] ([n > 0]) and takes no step.  A
+    fiber's [k]th draw is {!Rng.at} keyed by the run's seed (0 under
+    {!run_controlled}), the fiber's spawn tid and [k], so a run's draws
+    depend on nothing outside it; a respawned process draws its own
+    stream.  Outside a simulation the key is seed 0, {!self} and the
+    calling domain's own draw count. *)
+
 val round : t -> int
 (** Current round number (simulated time). *)
 

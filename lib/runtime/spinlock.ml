@@ -8,10 +8,8 @@ let try_acquire t =
   Satomic.get t.cell = -1 && Satomic.compare_and_set t.cell (-1) (Sched.self ())
 
 let acquire t =
-  let b = Backoff.create () in
-  while not (try_acquire t) do
-    Backoff.once b
-  done
+  let rec spin cap = if not (try_acquire t) then spin (Backoff.once cap) in
+  spin 1
 
 let release t =
   assert (Satomic.get_relaxed t.cell = Sched.self ());

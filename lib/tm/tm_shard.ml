@@ -79,6 +79,12 @@ open Runtime
 exception Abort = Tm_intf.Abort
 exception Store_in_read_tx = Tm_intf.Store_in_read_tx
 
+(* Control-block caps: write-ahead allocations per shard, and buffered
+   writes and frees per batch commit record. *)
+let max_pending = 32
+let max_writes = 64
+let max_frees = 32
+
 module Make (T : Tm_intf.S) = struct
   let name = "Shard(" ^ T.name ^ ")"
 
@@ -175,9 +181,6 @@ module Make (T : Tm_intf.S) = struct
     map_base : int; (* persistent shard map (epoch + range table), shard 0 *)
     mig_base : int; (* persistent migration record, local to shard 0 *)
     max_ranges : int;
-    max_pending : int;
-    max_writes : int;
-    max_frees : int;
     max_threads : int;
     watermark : int; (* close the accumulation window at this many queued *)
     (* per-shard MPSC prepare queues: a ticket ring per shard, capacity
@@ -244,10 +247,10 @@ module Make (T : Tm_intf.S) = struct
   let applied_cell t s = t.ctl.(s) + 1
   let pcount_cell t s = t.ctl.(s) + 2
   let pslot_cell t s i = t.ctl.(s) + 3 + i
-  let esc_cell t s tid = t.ctl.(s) + 3 + t.max_pending + tid
-  let blk_cell t s tid = t.ctl.(s) + 3 + t.max_pending + t.max_threads + tid
+  let esc_cell t s tid = t.ctl.(s) + 3 + max_pending + tid
+  let blk_cell t s tid = t.ctl.(s) + 3 + max_pending + t.max_threads + tid
 
-  let mighold_cell t s = t.ctl.(s) + 3 + t.max_pending + (2 * t.max_threads)
+  let mighold_cell t s = t.ctl.(s) + 3 + max_pending + (2 * t.max_threads)
 
   (* ---------------------------------------------------------------- *)
   (* The shard map                                                     *)
@@ -295,9 +298,8 @@ module Make (T : Tm_intf.S) = struct
   let read_map sh0 map_base =
     Shard_map.decode (fun i -> T.read_tx sh0 (fun itx -> T.load itx (map_base + i)))
 
-  let make ?(max_pending = 32) ?(max_cross_writes = 64) ?(max_cross_frees = 32)
-      ?(max_threads = 64) ?(batch_watermark = 7) ?(max_ranges = 8) ~ro_snapshot
-      shards =
+  let make ?(max_threads = 64) ?(batch_watermark = 7) ?(max_ranges = 8)
+      ~ro_snapshot shards =
     let n = Array.length shards in
     if n < 1 then invalid_arg "Tm_shard.make: need at least one shard";
     if n > 62 then
@@ -314,7 +316,7 @@ module Make (T : Tm_intf.S) = struct
     if nroots < 2 then
       invalid_arg "Tm_shard.make: shards need >= 2 roots (one is reserved)";
     let ctl_cells = 4 + max_pending + (2 * max_threads) in
-    let rec_cells = 5 + (2 * max_cross_writes) + max_cross_frees in
+    let rec_cells = 5 + (2 * max_writes) + max_frees in
     let map_cells = Shard_map.cells ~max_ranges in
     let mig_cells = 8 in
     let ctl =
@@ -349,9 +351,6 @@ module Make (T : Tm_intf.S) = struct
         map_base;
         mig_base = ctl.(0) + ctl_cells + rec_cells + map_cells;
         max_ranges;
-        max_pending;
-        max_writes = max_cross_writes;
-        max_frees = max_cross_frees;
         max_threads;
         watermark = max 1 batch_watermark;
         qslots =
@@ -653,7 +652,7 @@ module Make (T : Tm_intf.S) = struct
           T.update_tx t.shards.(s) (fun itx ->
               let a = T.alloc itx nw in
               let pc = T.load itx (pcount_cell t s) in
-              if pc >= t.max_pending then
+              if pc >= max_pending then
                 failwith "Tm_shard: cross-shard pending-alloc overflow";
               T.store itx (pslot_cell t s pc) a;
               T.store itx (pcount_cell t s) (pc + 1);
@@ -717,16 +716,16 @@ module Make (T : Tm_intf.S) = struct
     end
 
   (* would merging [ov] overflow the commit record's capacity? *)
-  let overflow_writes t (bc : bctx) (ov : overlay) =
+  let overflow_writes (bc : bctx) (ov : overlay) =
     let fresh =
       List.fold_left
         (fun k g -> if Hashtbl.mem bc.uwrites g then k else k + 1)
         0 ov.oworder
     in
-    List.length bc.uworder + fresh > t.max_writes
+    List.length bc.uworder + fresh > max_writes
 
-  let overflow_frees t (bc : bctx) (ov : overlay) =
-    List.length bc.ufrees + List.length ov.ofrees > t.max_frees
+  let overflow_frees (bc : bctx) (ov : overlay) =
+    List.length bc.ufrees + List.length ov.ofrees > max_frees
 
   (* Apply a committed batch [gen] to shard [s] inside [itx]: the writes
      and frees that [s] owns, then commit the write-ahead allocations
@@ -788,7 +787,7 @@ module Make (T : Tm_intf.S) = struct
                T.store itx (rb + 5 + (2 * i) + 1) (Hashtbl.find bc.uwrites g))
              ws;
            List.iteri
-             (fun i g -> T.store itx (rb + 5 + (2 * t.max_writes) + i) g)
+             (fun i g -> T.store itx (rb + 5 + (2 * max_writes) + i) g)
              fs;
            T.store itx rb 1;
            (* fuse shard 0's apply into the record transaction: the
@@ -885,9 +884,8 @@ module Make (T : Tm_intf.S) = struct
      thundering onto the same idempotent apply (or onto the leader's
      own shard transactions with durable lock probes). *)
   let wait_unfrozen t home =
-    let bo = Backoff.create ~max:16 () in
     (* flowlint: bounded the freeze lifts when the in-flight batch completes; helping drives its apply/unlock steps, and a pre-publication leader holds the freeze only across its own bounded execution *)
-    let rec loop () =
+    let rec loop bo =
       if
         Satomic.get t.locked_mask land (1 lsl home) <> 0
         && (Satomic.get t.leader <> 0 || Satomic.get t.cur <> None)
@@ -895,11 +893,10 @@ module Make (T : Tm_intf.S) = struct
            clear, so a stale advisory bit (lost clear) cannot wedge us *)
       then begin
         help t;
-        Backoff.once bo;
-        loop ()
+        loop (Backoff.once ~max:16 bo)
       end
     in
-    loop ()
+    loop 1
 
   (* ---------------------------------------------------------------- *)
   (* Prepare queues and the batcher                                    *)
@@ -1071,27 +1068,24 @@ module Make (T : Tm_intf.S) = struct
      completes its own request), helps the in-flight batch to
      completion, or observes [closed] and returns. *)
   let await t r =
-    let bo = Backoff.create ~max:16 () in
     (* flowlint: bounded each iteration either leads (which completes the request) or helps the published batch; the backoff only spaces the iterations *)
-    let rec loop () =
-      if closed r then ()
-      else begin
-        (if Satomic.compare_and_set t.leader 0 1 then begin
-           (* a previous leader may have drained and completed us *)
-           if not (closed r) then run_leader t;
-           Satomic.set t.leader 0
-         end
-         else begin
-           help t;
-           (* spacing the help attempts keeps a whole batch of owners
-              from thundering onto the same idempotent apply
-              transaction at publication *)
-           Backoff.once bo
-         end);
-        loop ()
-      end
+    let rec loop bo =
+      if not (closed r) then
+        if Satomic.compare_and_set t.leader 0 1 then begin
+          (* a previous leader may have drained and completed us *)
+          if not (closed r) then run_leader t;
+          Satomic.set t.leader 0;
+          loop bo
+        end
+        else begin
+          help t;
+          (* spacing the help attempts keeps a whole batch of owners
+             from thundering onto the same idempotent apply
+             transaction at publication *)
+          loop (Backoff.once ~max:16 bo)
+        end
     in
-    loop ()
+    loop 1
 
   (* flowlint: bounded each Abort retry follows the member's own raise; the batch holds its locks so there is no cross-member conflict to wait out *)
   let attempt_member t ~out f bc =
@@ -1101,11 +1095,11 @@ module Make (T : Tm_intf.S) = struct
       in
       match f { rt = t; kind = Cross { bc; ov } } with
       | r ->
-          if overflow_writes t bc ov || overflow_frees t bc ov then begin
+          if overflow_writes bc ov || overflow_frees bc ov then begin
             rollback_allocs t bc ov;
             if bc.nmerged = 0 then
               failwith
-                (if overflow_writes t bc ov then
+                (if overflow_writes bc ov then
                    "Tm_shard: cross-shard write-set overflow"
                  else "Tm_shard: cross-shard free-set overflow");
             false (* defer to the next sub-batch *)
@@ -1341,19 +1335,17 @@ module Make (T : Tm_intf.S) = struct
      mid-apply), helping it along — the "drained-or-helped" barrier on
      both sides of the epoch flip *)
   let drain_batches t =
-    let bo = Backoff.create ~max:16 () in
     (* flowlint: bounded every published batch is completed by whoever observes it (helping below); the waits only space the observations *)
-    let rec loop () =
+    let rec loop bo =
       if
         Satomic.get t.pub_gen <> Satomic.get t.done_gen
         || Satomic.get t.cur <> None
       then begin
         help t;
-        Backoff.once bo;
-        loop ()
+        loop (Backoff.once ~max:16 bo)
       end
     in
-    loop ()
+    loop 1
 
   (* The durable migration record: publishing it (status = 1) is the
      point of no return — recovery rolls the move FORWARD from here,
@@ -1638,7 +1630,7 @@ module Make (T : Tm_intf.S) = struct
          Array.init nw (fun i ->
              (rd sh0 (b + 5 + (2 * i)), rd sh0 (b + 5 + (2 * i) + 1)))
        in
-       let fs = Array.init nf (fun i -> rd sh0 (b + 5 + (2 * t.max_writes) + i)) in
+       let fs = Array.init nf (fun i -> rd sh0 (b + 5 + (2 * max_writes) + i)) in
        for s = 0 to n - 1 do
          if parts land (1 lsl s) <> 0 then
            if rd t.shards.(s) (applied_cell t s) < id then

@@ -29,9 +29,6 @@ module Make (T : Tm_intf.S) : sig
   include Tm_intf.S
 
   val make :
-    ?max_pending:int ->
-    ?max_cross_writes:int ->
-    ?max_cross_frees:int ->
     ?max_threads:int ->
     ?batch_watermark:int ->
     ?max_ranges:int ->
@@ -40,12 +37,12 @@ module Make (T : Tm_intf.S) : sig
     t
   (** Build a router over 1–62 shards (equal region sizes and root
       counts; at least 2 roots each — the last root slot of every shard
-      is reserved for the router's control block).  Caps: [max_pending]
-      (default 32) write-ahead allocations per shard, [max_cross_writes]
-      (64) and [max_cross_frees] (32) buffered effects per batch commit
-      record (a drained generation that would overflow the record is
-      split into consecutive sub-batches), [max_threads] (64) per-owner
-      token and prepare-queue slots.  [batch_watermark] (7) closes the
+      is reserved for the router's control block).  Fixed caps: 32
+      write-ahead allocations per shard, and 64 buffered writes and 32
+      buffered frees per batch commit record (a drained generation that
+      would overflow the record is split into consecutive sub-batches).
+      [max_threads] (default 64) caps the per-owner token and
+      prepare-queue slots.  [batch_watermark] (7) closes the
       leader's group-commit accumulation window early once that many
       requests are queued; arrivals are at most one per thread, so a
       value near the expected thread count maximizes batch size (the

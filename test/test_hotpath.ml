@@ -106,6 +106,20 @@ let test_fresh_store_bounded () =
     true
     (per <= 64.0)
 
+(* A wait loop threads its backoff cap as an int and the jitter is a
+   keyed draw, so a wait of several iterations allocates nothing (here
+   outside a fiber, where each spin is a cpu_relax).  The first wait
+   creates the domain's draw counter. *)
+let test_backoff_wait_alloc_free () =
+  let wait () =
+    let cap = ref 1 in
+    for _ = 1 to 6 do
+      cap := Runtime.Backoff.once !cap
+    done
+  in
+  wait ();
+  assert_zero "backoff wait" (words_per wait 1_000)
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -117,5 +131,7 @@ let () =
             test_alloc_free_wf;
           Alcotest.test_case "fresh store bounded constant" `Quick
             test_fresh_store_bounded;
+          Alcotest.test_case "backoff wait allocates nothing" `Quick
+            test_backoff_wait_alloc_free;
         ] );
     ]

@@ -245,6 +245,42 @@ let test_real_domains_self () =
   Array.iteri (fun i s -> check int "domain tid" i s) seen
 
 (* ------------------------------------------------------------------ *)
+(* Backoff jitter *)
+
+let draws n = List.init n (fun _ -> Sched.jitter 1000)
+let in_range = List.for_all (fun v -> v >= 0 && v < 1000)
+
+(* A fiber's draws depend on the run's seed and the fiber's tid only: the
+   same run repeats them after an unrelated run drew from its own
+   streams, and two fibers of one run draw differently. *)
+let test_jitter_per_fiber () =
+  let sim seed =
+    let seen = Array.make 2 [] in
+    ignore (Sched.run ~seed (Array.init 2 (fun i () -> seen.(i) <- draws 16)));
+    seen
+  in
+  let first = sim 5 in
+  ignore (sim 6);
+  let again = sim 5 in
+  check bool "in range" true (Array.for_all in_range first);
+  check bool "same run, same draws" true (first = again);
+  check bool "fibers differ" true (first.(0) <> first.(1));
+  check bool "seeds differ" true (first <> sim 6)
+
+(* Outside a simulation each domain draws from its own counter, keyed by
+   its Parallel tid; plain sequential code is tid 0 and still backs off. *)
+let test_jitter_domains () =
+  let seen = Array.make 2 [] in
+  Parallel.run (Array.init 2 (fun i () -> seen.(i) <- draws 64));
+  check bool "in range" true (Array.for_all in_range seen);
+  check bool "domains differ" true (seen.(0) <> seen.(1));
+  let cap = ref 1 in
+  for _ = 1 to 8 do
+    cap := Backoff.once !cap
+  done;
+  check int "sequential cap saturates" 64 !cap
+
+(* ------------------------------------------------------------------ *)
 (* Histogram *)
 
 let test_histogram_percentiles () =
@@ -303,6 +339,11 @@ let () =
         [
           Alcotest.test_case "real domains atomic" `Quick test_real_domains_smoke;
           Alcotest.test_case "real domains self" `Quick test_real_domains_self;
+        ] );
+      ( "jitter",
+        [
+          Alcotest.test_case "per-fiber streams" `Quick test_jitter_per_fiber;
+          Alcotest.test_case "per-domain streams" `Quick test_jitter_domains;
         ] );
       ( "histogram",
         [

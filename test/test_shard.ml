@@ -192,8 +192,8 @@ let test_crash_recovery () =
    slot, so the test exercises the exact durable footprint a crash
    between the final prepare and the record commit leaves behind. *)
 
-(* mirror of the private control-block layout in tm_shard.ml: make's
-   default max_pending = 32 and mk_sharded's max_threads = 8, plus the
+(* mirror of the private control-block layout in tm_shard.ml: its
+   max_pending = 32 and mk_sharded's max_threads = 8, plus the
    migration-hold cell appended by the elastic-sharding refactor *)
 let ctl_cells = 4 + 32 + (2 * 8)
 
@@ -780,9 +780,9 @@ let test_batch_pin_dropped_for_alloc () =
 
 (* --- elastic sharding: live range migration ------------------------ *)
 
-(* shard-0 control appendix mirror (defaults: max_pending 32,
-   max_threads 8, max_cross_writes 64, max_cross_frees 32,
-   max_ranges 8): batch record, then map, then migration record *)
+(* shard-0 control appendix mirror (max_pending 32, max_threads 8,
+   max_writes 64, max_frees 32, max_ranges 8): batch record, then map,
+   then migration record *)
 let rec_cells = 5 + (2 * 64) + 32
 let map_base sh0 = ctl_base sh0 + ctl_cells + rec_cells
 let mig_base sh0 = map_base sh0 + Tm.Shard_map.cells ~max_ranges:8

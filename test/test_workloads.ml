@@ -318,6 +318,57 @@ let test_pwb_line_dedup () =
   check int "4 spread words: 4 data pwbs" 8 four_lines;
   check int "dedup saves exactly k-1 data flushes" 3 (four_lines - same_line)
 
+(* Cell-local determinism: a cell's numbers depend on its own seed only,
+   not on the cells that ran before it in the process.  Each pair runs
+   [cell], then [other] (a Backoff-heavy cell of another figure), then
+   [cell] again. *)
+let shard_cell () =
+  Workloads.Shard_bench.run ~shards:2 ~cross_pct:25 ~threads:16 ~rounds:20_000
+    ~seed:1 ()
+
+let elastic_cell () =
+  Workloads.Shard_bench.run_elastic ~shards:2 ~threads:8 ~rounds:20_000 ~seed:7 ()
+
+(* TinySTM on alternating counters under random scheduling: about 7
+   aborts, each followed by a backoff wait, per committed operation *)
+let tiny_cell () =
+  let module T = Baselines.Tinystm in
+  let module C = Structures.Counters.Make (T) in
+  let t = T.create ~size:(1 lsl 14) () in
+  let c = C.create t ~root:0 ~n:4 in
+  let flip = Array.make 4 true in
+  let sp =
+    { (Br.default ~threads:4 ~cores:4 ~rounds:4_000 ~seed:3 ()) with
+      policy = Sched.Random_order }
+  in
+  let ops =
+    Br.run_ops sp (fun ~tid ~rng:_ ->
+        C.increment_all c ~left_to_right:flip.(tid);
+        flip.(tid) <- not flip.(tid))
+  in
+  (* no read-back: the round cap can stop a fiber holding its locks *)
+  (ops, (Pmem.Region.stats (T.region t)).Pmem.Pstats.aborts)
+
+let again cell other =
+  let first = cell () in
+  ignore (other ());
+  check bool "same cell, same result" true (first = cell ())
+
+let test_cells_order_independent () =
+  let s = shard_cell () in
+  ignore (elastic_cell ());
+  let s' = shard_cell () in
+  let open Workloads.Shard_bench in
+  check int "ops" s.ops s'.ops;
+  check int "cross" s.cross s'.cross;
+  check int "pwb" s.pwb s'.pwb;
+  check bool "conserved" s.conserved s'.conserved;
+  check (Alcotest.array int) "per-shard commits" s.per_shard_commits
+    s'.per_shard_commits;
+  again elastic_cell shard_cell;
+  again tiny_cell shard_cell;
+  again shard_cell tiny_cell
+
 let () =
   Alcotest.run "workloads"
     [
@@ -327,6 +378,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_runner_deterministic;
           Alcotest.test_case "throughput unit" `Quick test_runner_throughput_unit;
           Alcotest.test_case "latency histogram" `Quick test_runner_latency_histogram;
+          Alcotest.test_case "cells order-independent" `Quick
+            test_cells_order_independent;
         ] );
       ( "kill-test",
         [
