@@ -133,16 +133,11 @@ let () =
         sanitize := false;
         parse rest
     | "--plant" :: v :: rest ->
-        (match v with
-        | "durability" -> fault := E.Durability_hole
-        | "lost-update" -> fault := E.Lost_update
-        | "stale-dedup" -> fault := E.Stale_dedup
-        | "torn-commit-record" -> fault := E.Torn_commit_record
-        | "torn-batch-record" -> fault := E.Torn_batch_record
-        | "stale-ro-snapshot" -> fault := E.Stale_ro_snapshot
-        | "skip-nocap" -> fault := E.Skip_nocap
-        | "torn-migration" -> fault := E.Torn_migration
-        | _ ->
+        (* "durability" is the documented short form of durability-hole *)
+        let name = if v = "durability" then "durability-hole" else v in
+        (match E.fault_of_name name with
+        | Some f -> fault := f
+        | None ->
             prerr_endline ("explore: unknown fault " ^ v);
             exit 2);
         parse rest
@@ -240,14 +235,7 @@ let () =
          (if !shards > 1 then Printf.sprintf " over %d shards" !shards else "")
          (match !fault with
          | E.No_fault -> ""
-         | E.Durability_hole -> " (planted: durability-hole)"
-         | E.Lost_update -> " (planted: lost-update)"
-         | E.Stale_dedup -> " (planted: stale-dedup)"
-         | E.Torn_commit_record -> " (planted: torn-commit-record)"
-         | E.Torn_batch_record -> " (planted: torn-batch-record)"
-         | E.Stale_ro_snapshot -> " (planted: stale-ro-snapshot)"
-         | E.Skip_nocap -> " (planted: skip-nocap)"
-         | E.Torn_migration -> " (planted: torn-migration)");
+         | f -> " (planted: " ^ E.fault_name f ^ ")");
        let report = find prog in
        Format.printf "%a" E.pp_report report;
        match report.E.failure with

@@ -1,4 +1,3 @@
-(* relaxed-ok: applied_batches is a step-free debug view. *)
 open Runtime
 
 type op = Enq of int | Deq
@@ -7,7 +6,6 @@ type announce = { opid : int; op : op }
 
 (* Immutable state; replaced wholesale by CAS. *)
 type state = {
-  version : int;
   front : int list;
   back : int list;
   applied : int array; (* last opid applied, per thread *)
@@ -26,7 +24,6 @@ let create ?(max_threads = 64) () =
     head =
       Satomic.make
         {
-          version = 0;
           front = [];
           back = [];
           applied = Array.make max_threads 0;
@@ -63,7 +60,7 @@ let transition t s =
     | _ -> ()
   done;
   let front, back = !q in
-  { version = s.version + 1; front; back; applied; results }
+  { front; back; applied; results }
 
 let perform t op =
   let me = Sched.self () in
@@ -91,5 +88,3 @@ let enqueue t v =
 let dequeue t =
   let r = perform t Deq in
   if r < 0 then None else Some r
-
-let applied_batches t = (Satomic.get_relaxed t.head).version

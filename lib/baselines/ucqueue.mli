@@ -13,5 +13,3 @@ type t
 val create : ?max_threads:int -> unit -> t
 val enqueue : t -> int -> unit
 val dequeue : t -> int option
-val applied_batches : t -> int
-(** Number of successful state transitions (diagnostics). *)

@@ -32,10 +32,3 @@ let analyze_source ?(config = Checks.repo_config) ~path src =
       annot_findings @ Checks.run config ~path file annots
       |> List.sort (fun (a : Check.Lint.finding) b ->
              compare (a.line, a.rule) (b.line, b.rule))
-
-let analyze_file ?config path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  analyze_source ?config ~path src

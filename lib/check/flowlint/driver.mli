@@ -8,6 +8,3 @@ val analyze_source :
   ?config:Checks.config -> path:string -> string -> Check.Lint.finding list
 (** [config] defaults to {!Checks.repo_config}; [path] is the
     repo-relative path used for scoping and reporting. *)
-
-val analyze_file : ?config:Checks.config -> string -> Check.Lint.finding list
-(** Read and analyze one file; the path is used verbatim. *)

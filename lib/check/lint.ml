@@ -7,9 +7,7 @@
    quoted strings the old character scanner could not strip — and char
    literals can never trip a rule.  Markers ((* relaxed-ok *),
    (* mutable-ok *), ...) are looked up in the comment list, where they
-   live.  The legacy [strip] scanner is kept only as an exported helper
-   (tests compare the two passes on the cases that used to
-   false-positive). *)
+   live. *)
 
 type finding = { file : string; line : int; rule : string; message : string }
 
@@ -17,109 +15,6 @@ let pp_finding ppf f =
   Format.fprintf ppf "%s:%d: [%s] %s" f.file f.line f.rule f.message
 
 let finding_to_string f = Format.asprintf "%a" pp_finding f
-
-(* ------------------------------------------------------------------ *)
-(* Legacy comment / literal stripping (exported for tests only)        *)
-
-let strip src =
-  let n = String.length src in
-  let buf = Buffer.create n in
-  let blank c = Buffer.add_char buf (if c = '\n' then '\n' else ' ') in
-  (* state: 0 code; depth>0 comment; string/char handled inline *)
-  let rec code i =
-    if i >= n then ()
-    else
-      let c = src.[i] in
-      if c = '(' && i + 1 < n && src.[i + 1] = '*' then begin
-        blank '(';
-        blank '*';
-        comment 1 (i + 2)
-      end
-      else if c = '"' then begin
-        blank '"';
-        string_lit (i + 1)
-      end
-      else if c = '\'' && i + 2 < n && src.[i + 1] = '\\' then begin
-        (* escaped char literal: '\n' '\\' '\034' '\x41' ... *)
-        let j = ref (i + 2) in
-        while !j < n && src.[!j] <> '\'' do
-          incr j
-        done;
-        for k = i to min !j (n - 1) do
-          blank src.[k]
-        done;
-        code (!j + 1)
-      end
-      else if c = '\'' && i + 2 < n && src.[i + 2] = '\'' then begin
-        (* plain char literal 'x' *)
-        blank '\'';
-        blank src.[i + 1];
-        blank '\'';
-        code (i + 3)
-      end
-      else begin
-        Buffer.add_char buf c;
-        code (i + 1)
-      end
-  and comment depth i =
-    if i >= n then ()
-    else
-      let c = src.[i] in
-      if c = '(' && i + 1 < n && src.[i + 1] = '*' then begin
-        blank '(';
-        blank '*';
-        comment (depth + 1) (i + 2)
-      end
-      else if c = '*' && i + 1 < n && src.[i + 1] = ')' then begin
-        blank '*';
-        blank ')';
-        if depth = 1 then code (i + 2) else comment (depth - 1) (i + 2)
-      end
-      else if c = '"' then begin
-        blank '"';
-        comment_string depth (i + 1)
-      end
-      else begin
-        blank c;
-        comment depth (i + 1)
-      end
-  and string_lit i =
-    if i >= n then ()
-    else
-      let c = src.[i] in
-      if c = '\\' && i + 1 < n then begin
-        blank c;
-        blank src.[i + 1];
-        string_lit (i + 2)
-      end
-      else if c = '"' then begin
-        blank '"';
-        code (i + 1)
-      end
-      else begin
-        blank c;
-        string_lit (i + 1)
-      end
-  and comment_string depth i =
-    if i >= n then ()
-    else
-      let c = src.[i] in
-      if c = '\\' && i + 1 < n then begin
-        blank c;
-        blank src.[i + 1];
-        comment_string depth (i + 2)
-      end
-      else if c = '"' then begin
-        blank '"';
-        comment depth (i + 1)
-      end
-      else begin
-        blank c;
-        comment_string depth (i + 1)
-      end
-  in
-  code 0;
-  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Token patterns                                                      *)
@@ -263,9 +158,9 @@ let rule_mutable ~path ~toks ~comments acc =
 
 (* The TM hot path (lib/onefile) is kept allocation-free by construction:
    Option-returning lookups box their result on every access and
-   string-keyed telemetry hashes the name on every bump, so both are
-   banned there in favour of Writeset.find_idx / pre-resolved
-   Telemetry handles.  Cold paths that genuinely want the convenience
+   string-keyed telemetry ([incr]/[sample] on a registry) hashes the name
+   on every call, so both are banned there in favour of
+   Writeset.find_idx / pre-resolved Telemetry handles.  Cold paths that genuinely want the convenience
    carry an (* alloc-ok: ... *) marker. *)
 let rule_hotpath ~path ~toks ~comments acc =
   if (not (under "lib/onefile" path)) || Srclex.has_marker comments "alloc-ok"
@@ -288,8 +183,8 @@ let rule_hotpath ~path ~toks ~comments acc =
         :: !acc
     in
     lident toks [ "find_opt" ] (hit "find_opt");
-    module_meth toks "Telemetry" [ "bump" ] (hit "Telemetry.bump");
-    module_meth toks "Telemetry" [ "record" ] (hit "Telemetry.record");
+    module_meth toks "Telemetry" [ "incr" ] (hit "Telemetry.incr");
+    module_meth toks "Telemetry" [ "sample" ] (hit "Telemetry.sample");
     !acc
   end
 
@@ -302,7 +197,7 @@ let rule_hotpath ~path ~toks ~comments acc =
    ...); a Satomic or Region access that takes a step anywhere in it is
    flagged.  Step-free reads ([get_relaxed], [Region.peek]) are the
    fix, under the file's relaxed-ok marker. *)
-let telemetry_samplers = [ "observe"; "tick"; "record"; "bump"; "sample"; "incr" ]
+let telemetry_samplers = [ "observe"; "tick"; "sample"; "incr" ]
 
 let satomic_steps =
   [ "get"; "set"; "exchange"; "compare_and_set"; "fetch_and_add"; "incr"; "decr" ]

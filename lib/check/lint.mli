@@ -1,4 +1,4 @@
-(** tm_lint — source-level concurrency lint (pure stdlib token scan).
+(** tm_lint — source-level concurrency lint (compiler-libs token scan).
 
     The deterministic scheduler only controls interleavings it can see:
     every shared access must be a {!Runtime.Sched.step_point}.  These
@@ -18,8 +18,8 @@
       the cooperative scheduler, set-up code...).  Plain mutable counters
       such as {!Pmem.Pstats} are only sound under the cooperative [Sched].
     - [missing-mli] — every [lib/**/*.ml] must have an [.mli].
-    - [hotpath-alloc] — [find_opt], [Telemetry.bump] and
-      [Telemetry.record] are forbidden in [lib/onefile]: per-access
+    - [hotpath-alloc] — [find_opt], [Telemetry.incr] and
+      [Telemetry.sample] are forbidden in [lib/onefile]: per-access
       [option] boxes and string-hashed counter bumps are exactly the
       overhead the hot-path overhaul removed (use [Writeset.find_idx] and
       pre-resolved {!Runtime.Telemetry} handles).  Cold paths may carry an
@@ -32,8 +32,7 @@
     - [telemetry-step] — in [lib/], no step-taking [Satomic] or [Region]
       access ([Satomic.get]/[set]/[fetch_and_add]/[compare_and_set]/...,
       [Region.load]/[store]/[cas]/[cas1]) inside the argument of a
-      [Telemetry] sample ([observe], [tick], [record], [bump], [sample],
-      [incr]): instrumentation that takes a scheduling step changes the
+      [Telemetry] sample ([observe], [tick], [sample], [incr]): instrumentation that takes a scheduling step changes the
       schedule of every run that samples, attached registry or not.
       Read step-free ([get_relaxed], [Region.peek]) under a
       [(* relaxed-ok: ... *)] marker instead.
@@ -49,13 +48,6 @@ type finding = { file : string; line : int; rule : string; message : string }
 
 val pp_finding : Format.formatter -> finding -> unit
 val finding_to_string : finding -> string
-
-val strip : string -> string
-(** Blank out comments (nested, string-aware), string literals and char
-    literals, preserving newlines.  Legacy character scanner, no longer
-    used by the rules (it cannot strip [{|...|}] quoted strings — the
-    false-positive class that motivated the {!Srclex} rewrite); exposed
-    for the regression tests that document exactly that. *)
 
 val lint_source : path:string -> string -> finding list
 (** Token rules for one [.ml] file ([path] repo-relative).  Files outside

@@ -780,6 +780,54 @@ let publish_log inst ~me (ws : Writeset.t) ~seq =
   Region.pwb_range region base (2 + n)
 
 (* ------------------------------------------------------------------ *)
+(* Attempt bookkeeping and the commit, shared by all transactions      *)
+
+(* Ready slot [tx] for one attempt at snapshot [start_seq], dropping any
+   epoch a fiber abandoned mid-snapshot-read left on the slot. *)
+let begin_attempt inst tx ~read_only start_seq =
+  tx.start_seq <- start_seq;
+  tx.read_only <- read_only;
+  tx.snap_epoch <- -1;
+  if not read_only then Writeset.clear tx.ws;
+  with_chk inst.checker (fun c -> Tmcheck.tx_begin c ~read_only ~start_seq)
+
+let abort inst =
+  with_chk inst.checker Tmcheck.tx_abort;
+  let st = stats inst in
+  st.Pstats.aborts <- st.Pstats.aborts + 1;
+  Telemetry.tick inst.c_aborts
+
+(* an attempt that ends without writing anything *)
+let ro_end inst =
+  with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None);
+  Telemetry.tick inst.c_ro_commits
+
+(* Commit the write-set of an update attempt begun at the closed curTx
+   [ct] — WF commits its aggregated write-set the same way (§III-E):
+   publish the redo log, CAS curTx to the next sequence, then persist
+   curTx, apply and close the request.  Returns whether the CAS won; a
+   lost CAS aborts the attempt. *)
+let commit inst ~me tx ct =
+  let ct = if inst.faults.stale_commit_snapshot then read_curtx inst else ct in
+  let seq = ct.Word.v + 1 in
+  publish_log inst ~me tx.ws ~seq;
+  if Region.cas1 inst.region curtx_cell ct (Word.make seq me) then begin
+    with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:(Some seq));
+    Region.pwb inst.region curtx_cell;
+    apply_own inst ~me ~seq tx.ws;
+    close_request inst ~tid:me ~seq;
+    stable_bump inst.vst seq;
+    let st = stats inst in
+    st.Pstats.commits <- st.Pstats.commits + 1;
+    Telemetry.tick inst.c_commits;
+    true
+  end
+  else begin
+    abort inst;
+    false
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Allocator interposition                                              *)
 
 (* The allocator's own free-list traffic is exempt from the sanitizer's
@@ -924,10 +972,8 @@ let snap_read_tx inst f =
   let me = Sched.self () in
   let tx = inst.txs.(me) in
   let r = snap_pin inst in
-  tx.start_seq <- r;
-  tx.read_only <- true;
+  begin_attempt inst tx ~read_only:true r;
   tx.snap_epoch <- r;
-  with_chk inst.checker (fun c -> Tmcheck.tx_begin c ~read_only:true ~start_seq:r);
   match f tx with
   | exception e ->
       tx.snap_epoch <- -1;
@@ -936,8 +982,7 @@ let snap_read_tx inst f =
       raise e
   | v ->
       tx.snap_epoch <- -1;
-      with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None);
-      Telemetry.tick inst.c_ro_commits;
+      ro_end inst;
       (* a telemetry sample, step-free whether or not a registry is
          attached, so the traced and untraced schedules stay identical *)
       Telemetry.observe inst.s_ro_lag (Satomic.get_relaxed inst.vst.ro_stable - r);
@@ -946,50 +991,47 @@ let snap_read_tx inst f =
 
 let snapshot_ops = { Tm.Tm_intf.snap_pin; snap_load; snap_unpin }
 
+(* The pre-snapshot validating read path (§III-B, §III-E), kept as the
+   comparison baseline for --figure readmix: optimistic reads against
+   curTx, helping and restarting on conflict.  LF passes no [fallback]
+   and restarts without bound; WF's runs once [read_tries] attempts
+   have aborted. *)
+let validating_read inst ~fallback f =
+  let me = Sched.self () in
+  let tx = inst.txs.(me) in
+  release_orphan_pin inst ~me;
+  (* flowlint: bounded without a fallback (LF) a retry happens only when another transaction committed in the meantime (curtx advanced), which is global progress; with one (WF) k strictly decreases to it *)
+  let rec attempt k =
+    match fallback with
+    | Some fallback when k <= 0 -> fallback inst f
+    | _ ->
+        let ct = read_curtx inst in
+        if is_open inst ct then begin
+          help inst ~me ct;
+          attempt k
+        end
+        else begin
+          begin_attempt inst tx ~read_only:true ct.Word.v;
+          match f tx with
+          | exception Abort ->
+              abort inst;
+              attempt (k - 1)
+          | r ->
+              ro_end inst;
+              r
+        end
+  in
+  attempt inst.read_tries
+
 (* ------------------------------------------------------------------ *)
 (* Lock-free transactions (§III-B)                                     *)
 
 let lf_read_tx = snap_read_tx
-
-(* The pre-snapshot validating read path, kept as the comparison
-   baseline for --figure readmix: optimistic reads against curTx with
-   helping and restart on conflict. *)
-let lf_read_tx_validating inst f =
-  let me = Sched.self () in
-  let tx = inst.txs.(me) in
-  let st = stats inst in
-  release_orphan_pin inst ~me;
-  (* flowlint: bounded lock-free path: a retry happens only when another transaction committed in the meantime (curtx advanced), which is global progress *)
-  let rec attempt () =
-    let ct = read_curtx inst in
-    if is_open inst ct then begin
-      help inst ~me ct;
-      attempt ()
-    end
-    else begin
-      tx.start_seq <- ct.Word.v;
-      tx.read_only <- true;
-      tx.snap_epoch <- -1;
-      with_chk inst.checker (fun c ->
-          Tmcheck.tx_begin c ~read_only:true ~start_seq:tx.start_seq);
-      match f tx with
-      | exception Abort ->
-          with_chk inst.checker Tmcheck.tx_abort;
-          st.Pstats.aborts <- st.Pstats.aborts + 1;
-          Telemetry.tick inst.c_aborts;
-          attempt ()
-      | r ->
-          with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None);
-          Telemetry.tick inst.c_ro_commits;
-          r
-    end
-  in
-  attempt ()
+let lf_read_tx_validating inst f = validating_read inst ~fallback:None f
 
 let lf_update_tx inst f =
   let me = Sched.self () in
   let tx = inst.txs.(me) in
-  let st = stats inst in
   let t0 = Sched.now () in
   release_orphan_pin inst ~me;
   deregister inst ~me;
@@ -1003,50 +1045,21 @@ let lf_update_tx inst f =
     end
     else begin
       stable_bump inst.vst ct.Word.v;
-      tx.start_seq <- ct.Word.v;
-      tx.read_only <- false;
-      (* a fiber abandoned mid-snapshot-read leaves its pin behind;
-         this slot is ours now, so drop the stale epoch *)
-      tx.snap_epoch <- -1;
-      Writeset.clear tx.ws;
-      with_chk inst.checker (fun c ->
-          Tmcheck.tx_begin c ~read_only:false ~start_seq:tx.start_seq);
+      begin_attempt inst tx ~read_only:false ct.Word.v;
       match f tx with
       | exception Abort ->
-          with_chk inst.checker Tmcheck.tx_abort;
-          st.Pstats.aborts <- st.Pstats.aborts + 1;
-          Telemetry.tick inst.c_aborts;
+          abort inst;
           attempt ()
       | result ->
           if Writeset.is_empty tx.ws then begin
-            with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None);
-            Telemetry.tick inst.c_ro_commits;
+            ro_end inst;
             result
           end
-          else begin
-            let ct =
-              if inst.faults.stale_commit_snapshot then read_curtx inst else ct
-            in
-            let seq = ct.Word.v + 1 in
-            publish_log inst ~me tx.ws ~seq;
-            if Region.cas1 inst.region curtx_cell ct (Word.make seq me) then begin
-              with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:(Some seq));
-              Region.pwb inst.region curtx_cell;
-              apply_own inst ~me ~seq tx.ws;
-              close_request inst ~tid:me ~seq;
-              stable_bump inst.vst seq;
-              st.Pstats.commits <- st.Pstats.commits + 1;
-              Telemetry.tick inst.c_commits;
-              Telemetry.observe inst.s_latency (Sched.now () - t0 + 1);
-              result
-            end
-            else begin
-              with_chk inst.checker Tmcheck.tx_abort;
-              st.Pstats.aborts <- st.Pstats.aborts + 1;
-              Telemetry.tick inst.c_aborts;
-              attempt ()
-            end
+          else if commit inst ~me tx ct then begin
+            Telemetry.observe inst.s_latency (Sched.now () - t0 + 1);
+            result
           end
+          else attempt ()
     end
   in
   attempt ()
@@ -1090,7 +1103,6 @@ let aggregate inst tx =
 let wf_update_tx inst f =
   let me = Sched.self () in
   let tx = inst.txs.(me) in
-  let st = stats inst in
   let region_ = inst.region in
   let t0 = Sched.now () in
   release_orphan_pin inst ~me;
@@ -1126,47 +1138,18 @@ let wf_update_tx inst f =
       end
       else begin
         stable_bump inst.vst ct.Word.v;
-        tx.start_seq <- ct.Word.v;
-        tx.read_only <- false;
-        tx.snap_epoch <- -1;
-        Writeset.clear tx.ws;
-        with_chk inst.checker (fun c ->
-            Tmcheck.tx_begin c ~read_only:false ~start_seq:tx.start_seq);
+        begin_attempt inst tx ~read_only:false ct.Word.v;
         Hazard_eras.set_era inst.he ct.Word.v;
         match aggregate inst tx with
         | exception Abort ->
-            with_chk inst.checker Tmcheck.tx_abort;
-            st.Pstats.aborts <- st.Pstats.aborts + 1;
-            Telemetry.tick inst.c_aborts;
+            abort inst;
             loop ()
         | () ->
-            if Writeset.is_empty tx.ws then begin
-              with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None);
-              loop ()
-            end
-            else begin
-              let ct =
-                if inst.faults.stale_commit_snapshot then read_curtx inst else ct
-              in
-              let seq = ct.Word.v + 1 in
-              publish_log inst ~me tx.ws ~seq;
-              if Region.cas1 region_ curtx_cell ct (Word.make seq me) then begin
-                with_chk inst.checker (fun c ->
-                    Tmcheck.tx_end c ~committed:(Some seq));
-                Region.pwb region_ curtx_cell;
-                apply_own inst ~me ~seq tx.ws;
-                close_request inst ~tid:me ~seq;
-                stable_bump inst.vst seq;
-                st.Pstats.commits <- st.Pstats.commits + 1;
-                Telemetry.tick inst.c_commits
-              end
-              else begin
-                with_chk inst.checker Tmcheck.tx_abort;
-                st.Pstats.aborts <- st.Pstats.aborts + 1;
-                Telemetry.tick inst.c_aborts
-              end;
-              loop ()
-            end
+            (* an empty aggregate commits nothing, not even read-only *)
+            if Writeset.is_empty tx.ws then
+              with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None)
+            else ignore (commit inst ~me tx ct);
+            loop ()
       end
     end
   in
@@ -1174,49 +1157,16 @@ let wf_update_tx inst f =
   Hazard_eras.clear inst.he;
   r
 
-let wf_read_tx inst f = snap_read_tx inst f
+let wf_read_tx = snap_read_tx
 
-(* Pre-snapshot-store read path, kept for the readmix benchmark baseline:
-   optimistic validated reads with a bounded retry budget falling back to
-   the wait-free update path. *)
+(* the bounded fallback: publish the read-only function as an operation *)
 let wf_read_tx_validating inst f =
-  let me = Sched.self () in
-  let tx = inst.txs.(me) in
-  let st = stats inst in
-  release_orphan_pin inst ~me;
-  (* flowlint: bounded k strictly decreases to the wf_update_tx fallback *)
-  let rec attempt k =
-    if k <= 0 then begin
-      (* bounded fallback: publish the read-only function as an operation *)
-      Telemetry.tick inst.c_wf_fallbacks;
-      wf_update_tx inst f
-    end
-    else begin
-      let ct = read_curtx inst in
-      if is_open inst ct then begin
-        help inst ~me ct;
-        attempt k
-      end
-      else begin
-        tx.start_seq <- ct.Word.v;
-        tx.read_only <- true;
-        tx.snap_epoch <- -1;
-        with_chk inst.checker (fun c ->
-            Tmcheck.tx_begin c ~read_only:true ~start_seq:tx.start_seq);
-        match f tx with
-        | exception Abort ->
-            with_chk inst.checker Tmcheck.tx_abort;
-            st.Pstats.aborts <- st.Pstats.aborts + 1;
-            Telemetry.tick inst.c_aborts;
-            attempt (k - 1)
-        | r ->
-            with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None);
-            Telemetry.tick inst.c_ro_commits;
-            r
-      end
-    end
-  in
-  attempt inst.read_tries
+  validating_read inst f
+    ~fallback:
+      (Some
+         (fun inst f ->
+           Telemetry.tick inst.c_wf_fallbacks;
+           wf_update_tx inst f))
 
 (* Debug view of the commit state: (seq, tid, request still open).  Uses
    peeks — no scheduling steps, no counters; safe from an [on_round] hook. *)

@@ -1,10 +1,11 @@
 (** Shared core of the OneFile algorithms (internal module).
 
-    [Onefile_lf] and [Onefile_wf] are thin views over this module; use
-    those.  The extra surface here — the protocol internals and the
-    sanitizer attachment — exists for the test-suite, which drives
-    half-finished commit protocols (crash-point and seeded-violation
-    tests) that the public API deliberately cannot express. *)
+    [Onefile_lf] and [Onefile_wf] export it through one signature
+    ({!Front.S}) and pick different transaction functions, which share
+    one commit routine; use those.  The extra surface here — the protocol internals
+    and the sanitizer attachment — exists for the test-suite, which
+    drives half-finished commit protocols (crash-point and
+    seeded-violation tests) that the public API cannot express. *)
 
 type tx
 type t
@@ -48,11 +49,11 @@ val wf_update_tx : t -> (tx -> int) -> int
 
 val lf_read_tx_validating : t -> (tx -> 'a) -> 'a
 val wf_read_tx_validating : t -> (tx -> int) -> int
-(** Pre-snapshot-store read paths (optimistic reads validated against
-    curTx, restarting on conflict).  [read_tx] now runs on the wait-free
-    snapshot path (see {!snapshot_ops}); these remain as the comparison
-    baseline for the readmix benchmark and the paper's §III-B/§III-E
-    read algorithms. *)
+(** Pre-snapshot-store read paths, one loop: reads validated against
+    curTx, restarting on conflict — LF without bound, WF until
+    [read_tries] aborts and then as a published update.  [read_tx] runs
+    on the wait-free snapshot path ({!snapshot_ops}); these remain as the
+    readmix baseline and the paper's §III-B/§III-E read algorithms. *)
 
 (** {1 Wait-free snapshot reads} (DESIGN.md §13)
 
@@ -115,10 +116,6 @@ val desanitize : t -> unit
 (** Detach the checker and the region observer. *)
 
 val checker : t -> Check.Tmcheck.t option
-
-val set_checker : t -> Check.Tmcheck.t option -> unit
-(** Low-level variant of {!sanitize}/{!desanitize} for tests that build
-    the checker themselves (e.g. in [Collect] mode over a custom layout). *)
 
 (** {1 Telemetry attachment}
 

@@ -98,25 +98,6 @@ let partition ?(id_prefix = "s") t sizes =
   if root != t then root.views <- root.views @ vs;
   vs
 
-let subview ?(id = "sub") t ~off ~len =
-  if off < 0 || len <= 0 || off + len > t.len then
-    invalid_arg "Region.subview: window out of range";
-  let root = root_of t in
-  let v =
-    {
-      t with
-      off = t.off + off;
-      len;
-      id;
-      parent = Some root;
-      stats = Pstats.create ();
-      observer = None;
-      views = [];
-    }
-  in
-  root.views <- root.views @ [ v ];
-  v
-
 let set_observer t o = t.observer <- o
 let notify t ev = match t.observer with None -> () | Some f -> f ev
 

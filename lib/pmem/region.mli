@@ -44,19 +44,6 @@ val partition : ?id_prefix:string -> t -> int list -> t list
     root, not the intermediate view), and they join the root's view list
     so they receive [Ev_crash] like first-level views. *)
 
-val subview : ?id:string -> t -> off:int -> len:int -> t
-(** [subview t ~off ~len] is a remappable window over [t]'s cells
-    [off .. off+len-1] (view-local coordinates; any byte-window within
-    bounds, no line alignment required).  Unlike {!partition} it may
-    alias existing views: it is an {e observation} handle — its
-    {!dirty_line_indices}, {!peek} and {!peek_durable} are restricted to
-    the window, which is how the crash-point explorer aims evictions at
-    a live range migration's copy window and how the elastic-shard
-    tooling inspects the migrated range without disturbing the shard
-    views.  Accesses through the shard views are {e not} mirrored into an
-    aliasing subview's [Pstats] (stats are per-handle, not per-range).
-    The subview points at the root device and receives [Ev_crash]. *)
-
 val mode : t -> mode
 val size : t -> int
 (** Cells addressable through this handle — the view length for a view. *)

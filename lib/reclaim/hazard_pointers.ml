@@ -66,10 +66,6 @@ let protect t ~slot ~read =
 
 let clear t ~slot = Satomic.set t.slots.(Sched.self ()).(slot) None
 
-let clear_all t =
-  let me = Sched.self () in
-  Array.iter (fun cell -> Satomic.set cell None) t.slots.(me)
-
 let hazardous t obj =
   let found = ref false in
   for i = 0 to t.max_threads - 1 do

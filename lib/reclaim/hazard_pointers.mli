@@ -24,7 +24,6 @@ val publish : 'a t -> slot:int -> 'a option -> unit
 (** Raw slot write, for algorithms that validate stability themselves. *)
 
 val clear : 'a t -> slot:int -> unit
-val clear_all : 'a t -> unit
 val retire : 'a t -> 'a -> unit
 val flush : 'a t -> unit
 val pending : 'a t -> int

@@ -3,9 +3,10 @@
    A [t] is a sink: named monotonic counters, named latency spans (bounded
    sample histograms), and pull sources (closures folded in at snapshot
    time — e.g. a region's Pstats).  Components hold a [sink]
-   ([t option ref]); when no sink is attached every [bump]/[sample] is a
-   cheap no-op, so instrumented hot paths cost one pointer load + branch
-   when telemetry is off (measured in DESIGN.md §7). *)
+   ([t option ref]) and fire pre-resolved handles on it; when no sink is
+   attached every fire is a cheap no-op, so instrumented hot paths cost
+   one pointer load + branch when telemetry is off (measured in
+   DESIGN.md §7). *)
 (* mutable-ok: counters and span tallies are plain mutable state,
    incremented only between scheduling points of the cooperative Sched (or
    from sequential code) — the same confinement argument as Pmem.Pstats.
@@ -144,14 +145,6 @@ let reset (t : t) =
    snapshot N+1 still sums counters of executions 1..N. *)
 let clear_sources (t : t) = t.sources <- []
 
-let pp_snapshot ppf snap =
-  List.iter (fun (name, v) -> Format.fprintf ppf "%-24s %d@." name v) snap.counters;
-  List.iter
-    (fun (name, s) ->
-      Format.fprintf ppf "%-24s count=%d mean=%.1f p50=%d p90=%d p99=%d max=%d@."
-        name s.count s.mean s.p50 s.p90 s.p99 s.max)
-    snap.spans
-
 (* ------------------------------------------------------------------ *)
 (* Optional-sink plumbing                                              *)
 
@@ -160,8 +153,6 @@ type sink = t option ref
 let sink () = ref None
 let attach s t = s := Some t
 let detach s = s := None
-let bump ?by s name = match !s with None -> () | Some t -> incr ?by t name
-let record s name v = match !s with None -> () | Some t -> sample t name v
 
 (* ------------------------------------------------------------------ *)
 (* Pre-resolved handles                                                *)

@@ -2,10 +2,11 @@
 
     Components (the OneFile core, the reclaimers, the simulated NVM
     region) are instrumented with named monotonic counters and latency
-    spans.  Each instrumented component holds a {!sink}; while no sink is
-    attached, every {!bump}/{!record} is a no-op costing one pointer load
-    and branch, so telemetry-off runs pay nothing measurable (the measured
-    delta is recorded in DESIGN.md §7).
+    spans.  Each instrumented component holds a {!sink} and fires
+    pre-resolved {!handle}s on it; while no registry is attached, every
+    fire is a no-op costing one pointer load and branch, so telemetry-off
+    runs pay nothing measurable (the measured delta is recorded in
+    DESIGN.md §7).
 
     Counter names are dot-separated ("tx.commits", "pmem.pwb", …); the
     {!snapshot} merges direct counters with pull {e sources} — closures
@@ -70,14 +71,14 @@ val clear_sources : t -> unit
     executions, then re-attach the fresh instance; otherwise the sources
     of dead instances keep leaking their counters into later snapshots. *)
 
-val pp_snapshot : Format.formatter -> snapshot -> unit
-
 (** {1 Optional-sink plumbing}
 
     The pattern for instrumenting a component: hold a [sink] (initially
-    empty), call {!bump}/{!record} on it at the interesting points, and
-    let users {!attach} a registry.  Detached sinks make every call a
-    no-op. *)
+    empty), resolve a {!handle} per counter and a {!span_handle} per span
+    on it at creation, fire them at the interesting points, and let
+    users {!attach} a registry.  Detached sinks make every fire a no-op.
+    Handles are the only way to count through a sink: a string-keyed
+    call would hash the name on every fire (DESIGN.md §7). *)
 
 type sink = t option ref
 
@@ -86,13 +87,6 @@ val sink : unit -> sink
 
 val attach : sink -> t -> unit
 val detach : sink -> unit
-
-val bump : ?by:int -> sink -> string -> unit
-(** String-keyed bump: hashes [name] on every call when a registry is
-    attached.  Fine for cold paths; hot paths should pre-resolve a
-    {!handle} with {!counter} and use {!tick}. *)
-
-val record : sink -> string -> int -> unit
 
 (** {1 Pre-resolved handles}
 

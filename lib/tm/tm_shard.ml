@@ -385,17 +385,30 @@ module Make (T : Tm_intf.S) = struct
           };
       }
     in
-    (* fresh batch ids must stay above any persisted applied id (an
-       adopted device may carry state from an earlier incarnation) *)
+    (* fresh batch ids must stay above any persisted applied id, and
+       fresh escape/blocked tokens above every token cell: an adopted
+       device may carry state from an earlier incarnation, and a freshly
+       allocated control block is not zeroed.  A stale token equal to a
+       fresh one would make [single_update] mistake a genuine [-token]
+       result for an escape and run the closure again. *)
     let hi = ref (T.read_tx shards.(0) (fun itx -> T.load itx (t.rec_base + 1))) in
+    let tok = ref 0 in
     for s = 0 to n - 1 do
-      hi := max !hi (T.read_tx shards.(s) (fun itx -> T.load itx (applied_cell t s)))
+      let applied =
+        T.read_tx shards.(s) (fun itx ->
+            for tid = 0 to max_threads - 1 do
+              tok := max !tok (T.load itx (esc_cell t s tid));
+              tok := max !tok (T.load itx (blk_cell t s tid))
+            done;
+            T.load itx (applied_cell t s))
+      in
+      hi := max !hi applied
     done;
     Satomic.set t.next_txid !hi;
+    Satomic.set t.next_token !tok;
     t
 
   let shards t = t.shards
-  let num_shards t = Array.length t.shards
   let span t = t.span
   let faults t = t.faults
   let attach_telemetry t reg = Telemetry.attach t.tele reg

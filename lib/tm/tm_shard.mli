@@ -63,7 +63,6 @@ module Make (T : Tm_intf.S) : sig
       shard's own wait-free [read_tx]. *)
 
   val shards : t -> T.t array
-  val num_shards : t -> int
 
   val span : t -> int
   (** Cells per shard: global address [g] is {e natively} homed on shard

@@ -64,7 +64,7 @@ let onefile_sps ~wf ~trials ?(evict = 0.0) ?(sanitize = false) ?telemetry () =
                  0))
         done)
   in
-  let recover (_, (tm, _)) = if wf then Wf.recover tm else Lf.recover tm in
+  let recover (_, (tm, _)) = Lf.recover tm in
   let audit (_, (_, sps)) =
     let sum = Sps_lf.checksum sps in
     let expected = n * (n - 1) / 2 in
@@ -114,7 +114,7 @@ let onefile_queues ~wf ~trials ?(evict = 0.0) ?(sanitize = false) ?telemetry () 
                  0))
         done)
   in
-  let recover (_, (tm, _, _, _)) = if wf then Wf.recover tm else Lf.recover tm in
+  let recover (_, (tm, _, _, _)) = Lf.recover tm in
   let audit (_, (tm, q1, q2, base)) =
     let l = List.sort compare (Q.to_list q1 @ Q.to_list q2) in
     let torn = if l <> List.init items (fun i -> i + 1) then 1 else 0 in
@@ -158,7 +158,7 @@ let onefile_tree ~wf ~trials ?(evict = 0.0) ?(sanitize = false) ?telemetry () =
                  0))
         done)
   in
-  let recover (_, (tm, _)) = if wf then Wf.recover tm else Lf.recover tm in
+  let recover (_, (tm, _)) = Lf.recover tm in
   let audit (_, (tm, tr)) =
     let sound = Tree.check_invariants tr in
     let expected_nodes = Tree.cardinal tr in

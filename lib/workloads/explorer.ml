@@ -12,13 +12,7 @@ module Seqtm = Tm.Seqtm
 module Tmcheck = Check.Tmcheck
 module J = Bench_json
 
-module Sh_lf = Tm.Tm_shard.Make (Lf)
-module Sh_wf = Tm.Tm_shard.Make (Wf)
 module Run_seq = Proggen.Exec (Seqtm)
-module Run_lf = Proggen.Exec (Lf)
-module Run_wf = Proggen.Exec (Wf)
-module Run_sh_lf = Proggen.Exec (Sh_lf)
-module Run_sh_wf = Proggen.Exec (Sh_wf)
 
 type fault =
   | No_fault
@@ -30,6 +24,25 @@ type fault =
   | Stale_ro_snapshot
   | Skip_nocap
   | Torn_migration
+
+let fault_name = function
+  | No_fault -> "none"
+  | Durability_hole -> "durability-hole"
+  | Lost_update -> "lost-update"
+  | Stale_dedup -> "stale-dedup"
+  | Torn_commit_record -> "torn-commit-record"
+  | Torn_batch_record -> "torn-batch-record"
+  | Stale_ro_snapshot -> "stale-ro-snapshot"
+  | Skip_nocap -> "skip-nocap"
+  | Torn_migration -> "torn-migration"
+
+let fault_of_name s =
+  List.find_opt
+    (fun f -> fault_name f = s)
+    [
+      No_fault; Durability_hole; Lost_update; Stale_dedup; Torn_commit_record;
+      Torn_batch_record; Stale_ro_snapshot; Skip_nocap; Torn_migration;
+    ]
 
 type config = {
   wf : bool;
@@ -151,6 +164,107 @@ let oracle_explains ~memo ~mk_seq ~complete ~parts_a ~results ~done_ ~observed
       r
 
 (* ------------------------------------------------------------------ *)
+(* The instance under test                                             *)
+
+(* Re-open [fault] in one OneFile instance; the torn-record and
+   torn-migration faults live in the router, which [build] plants. *)
+let plant_engine fault tm =
+  let f = Lf.faults tm in
+  match fault with
+  | No_fault | Torn_commit_record | Torn_batch_record | Torn_migration -> ()
+  | Durability_hole -> f.drop_publish_pwb <- true
+  | Lost_update -> f.stale_commit_snapshot <- true
+  | Stale_dedup -> f.stale_dedup_flush <- true
+  | Stale_ro_snapshot -> f.stale_ro_snapshot <- true
+  | Skip_nocap -> f.skip_nocap <- true
+
+(* One rig per OneFile front-end.  [Lf] and [Wf] share [Lf.t] and every
+   function but [update_tx] and [read_tx_validating], so only [F] tells
+   them apart.
+   [build] makes the instance for [cfg] over a fresh [mode] region whose
+   events go to [count], and returns (region to crash, transaction
+   runner, observer, recovery, migrator fiber).  Its order numbers the
+   crash sites: create, plant, telemetry, sanitizer, observer, then the
+   router's [make], telemetry and faults. *)
+module Rig (F : Tm.Tm_intf.S with type t = Lf.t) = struct
+  module Sh = Tm.Tm_shard.Make (F)
+  module Run = Proggen.Exec (F)
+  module Run_sh = Proggen.Exec (Sh)
+
+  let build cfg ~mode ~count =
+    if cfg.shards <= 1 then begin
+      let tm =
+        Lf.create ~mode ~size:(1 lsl 12) ~max_threads:(max 1 cfg.threads)
+          ~ws_cap:128 ()
+      in
+      plant_engine cfg.fault tm;
+      Option.iter (Lf.attach_telemetry tm) cfg.telemetry;
+      let region = Lf.region tm in
+      let checker = if cfg.sanitize then Some (Lf.sanitize tm) else None in
+      (* single observer slot: compose the sanitizer with the event counter *)
+      Region.set_observer region
+        (Some
+           (fun ev ->
+             (match checker with Some c -> Tmcheck.on_event c ev | None -> ());
+             count region ev));
+      ( region, Run.exec_txn tm, (fun () -> Run.observe tm),
+        (fun () -> Lf.recover tm), None )
+    end
+    else begin
+      (* sharded: per-shard instances over views of one partitioned device
+         behind the Tm_shard router.  Sanitizers attach to each view's
+         observer slot; the event counter and crash trigger sit on the
+         device's (a view notifies both).  Crash sites are counted in
+         device events, which include the router's control-block setup. *)
+      let span = 1 lsl 12 in
+      let device = Region.create ~mode (cfg.shards * span) in
+      let views =
+        Region.partition device (List.init cfg.shards (fun _ -> span))
+      in
+      (* the torn-migration fault needs a migrator fiber (one extra
+         router thread) and a root count whose split range — and in
+         particular the torn-off upper half of the half-length persisted
+         entry — covers a root slot the program actually addresses:
+         6 roots give 5 usable slots, a split moves slots 2..4 (router
+         roots 4, 6, 8 at two shards) and the torn half is slots 3..4,
+         putting live root 6 behind the stale route after a crash *)
+      let with_mig = cfg.migrate || cfg.fault = Torn_migration in
+      let mt = (max 1 cfg.threads) + if with_mig then 1 else 0 in
+      let nroots = if with_mig then 6 else 8 in
+      Region.set_observer device (Some (count device));
+      let shards =
+        Array.of_list
+          (List.map
+             (fun v ->
+               Lf.create ~region:v ~instance:(Region.id v) ~max_threads:mt
+                 ~ws_cap:128 ~num_roots:nroots ())
+             views)
+      in
+      Array.iter (plant_engine cfg.fault) shards;
+      Option.iter
+        (fun te -> Array.iter (fun sh -> Lf.attach_telemetry sh te) shards)
+        cfg.telemetry;
+      if cfg.sanitize then Array.iter (fun sh -> ignore (Lf.sanitize sh)) shards;
+      let tm = Sh.make ~max_threads:mt ~ro_snapshot:Lf.snapshot_ops shards in
+      Option.iter (Sh.attach_telemetry tm) cfg.telemetry;
+      if cfg.fault = Torn_commit_record then
+        (Sh.faults tm).torn_commit_record <- true;
+      if cfg.fault = Torn_batch_record then
+        (Sh.faults tm).torn_batch_record <- true;
+      if cfg.fault = Torn_migration then (Sh.faults tm).torn_migration <- true;
+      ( device,
+        Run_sh.exec_txn tm,
+        (fun () -> Run_sh.observe tm),
+        (fun () -> Sh.recover ~shard_recover:Lf.recover tm),
+        if with_mig then Some (fun () -> ignore (Sh.split tm ~src:0 ~dst:1))
+        else None )
+    end
+end
+
+module Rig_lf = Rig (Lf)
+module Rig_wf = Rig (Wf)
+
+(* ------------------------------------------------------------------ *)
 (* One controlled execution                                            *)
 
 type exec = {
@@ -194,150 +308,7 @@ let execute_one cfg ~memo prog ~pick ~crash =
       Telemetry.clear_sources te
   | None -> ());
   let region, exec_txn, observe, recover, migrator =
-    if cfg.shards <= 1 then begin
-      let tm =
-        Lf.create ~mode ~size:(1 lsl 12) ~max_threads:(max 1 cfg.threads)
-          ~ws_cap:128 ()
-      in
-      (match cfg.fault with
-      | No_fault | Torn_commit_record | Torn_batch_record | Torn_migration ->
-          (* the torn-record and torn-migration faults live in the
-             cross-shard router: nothing to plant on an unsharded
-             instance *)
-          ()
-      | Durability_hole -> (Lf.faults tm).drop_publish_pwb <- true
-      | Lost_update -> (Lf.faults tm).stale_commit_snapshot <- true
-      | Stale_dedup -> (Lf.faults tm).stale_dedup_flush <- true
-      | Stale_ro_snapshot -> (Lf.faults tm).stale_ro_snapshot <- true
-      | Skip_nocap -> (Lf.faults tm).skip_nocap <- true);
-      (match cfg.telemetry with
-      | Some te -> Lf.attach_telemetry tm te
-      | None -> ());
-      let region = Lf.region tm in
-      let checker = if cfg.sanitize then Some (Lf.sanitize tm) else None in
-      (* single observer slot: compose the sanitizer with the event counter *)
-      Region.set_observer region
-        (Some
-           (fun ev ->
-             (match checker with Some c -> Tmcheck.on_event c ev | None -> ());
-             count region ev));
-      ( region,
-        (if cfg.wf then Run_wf.exec_txn tm else Run_lf.exec_txn tm),
-        (fun () -> if cfg.wf then Run_wf.observe tm else Run_lf.observe tm),
-        (fun () -> if cfg.wf then Wf.recover tm else Lf.recover tm),
-        None )
-    end
-    else begin
-      (* sharded: per-shard instances over views of one partitioned device
-         behind the Tm_shard router.  Sanitizers attach to each view's
-         observer slot; the event counter and crash trigger sit on the
-         device's (a view notifies both).  Crash sites are counted in
-         device events, which include the router's control-block setup. *)
-      let span = 1 lsl 12 in
-      let device = Region.create ~mode (cfg.shards * span) in
-      let views =
-        Region.partition device (List.init cfg.shards (fun _ -> span))
-      in
-      (* the torn-migration fault needs a migrator fiber (one extra
-         router thread) and a root count whose split range — and in
-         particular the torn-off upper half of the half-length persisted
-         entry — covers a root slot the program actually addresses:
-         6 roots give 5 usable slots, a split moves slots 2..4 (router
-         roots 4, 6, 8 at two shards) and the torn half is slots 3..4,
-         putting live root 6 behind the stale route after a crash *)
-      let with_mig = cfg.migrate || cfg.fault = Torn_migration in
-      let mt = (max 1 cfg.threads) + if with_mig then 1 else 0 in
-      let nroots = if with_mig then 6 else 8 in
-      Region.set_observer device (Some (count device));
-      if cfg.wf then begin
-        let shards =
-          Array.of_list
-            (List.map
-               (fun v ->
-                 Wf.create ~region:v ~instance:(Region.id v) ~max_threads:mt
-                   ~ws_cap:128 ~num_roots:nroots ())
-               views)
-        in
-        Array.iter
-          (fun sh ->
-            let f = Wf.faults sh in
-            match cfg.fault with
-            | No_fault | Torn_commit_record | Torn_batch_record
-            | Torn_migration ->
-                ()
-            | Durability_hole -> f.drop_publish_pwb <- true
-            | Lost_update -> f.stale_commit_snapshot <- true
-            | Stale_dedup -> f.stale_dedup_flush <- true
-            | Stale_ro_snapshot -> f.stale_ro_snapshot <- true
-            | Skip_nocap -> f.skip_nocap <- true)
-          shards;
-        (match cfg.telemetry with
-        | Some te -> Array.iter (fun sh -> Wf.attach_telemetry sh te) shards
-        | None -> ());
-        if cfg.sanitize then
-          Array.iter (fun sh -> ignore (Wf.sanitize sh)) shards;
-        let tm = Sh_wf.make ~max_threads:mt ~ro_snapshot:Wf.snapshot_ops shards in
-        (match cfg.telemetry with
-        | Some te -> Sh_wf.attach_telemetry tm te
-        | None -> ());
-        if cfg.fault = Torn_commit_record then
-          (Sh_wf.faults tm).torn_commit_record <- true;
-        if cfg.fault = Torn_batch_record then
-          (Sh_wf.faults tm).torn_batch_record <- true;
-        if cfg.fault = Torn_migration then
-          (Sh_wf.faults tm).torn_migration <- true;
-        ( device,
-          Run_sh_wf.exec_txn tm,
-          (fun () -> Run_sh_wf.observe tm),
-          (fun () -> Sh_wf.recover ~shard_recover:Wf.recover tm),
-          if with_mig then Some (fun () -> ignore (Sh_wf.split tm ~src:0 ~dst:1))
-          else None )
-      end
-      else begin
-        let shards =
-          Array.of_list
-            (List.map
-               (fun v ->
-                 Lf.create ~region:v ~instance:(Region.id v) ~max_threads:mt
-                   ~ws_cap:128 ~num_roots:nroots ())
-               views)
-        in
-        Array.iter
-          (fun sh ->
-            let f = Lf.faults sh in
-            match cfg.fault with
-            | No_fault | Torn_commit_record | Torn_batch_record
-            | Torn_migration ->
-                ()
-            | Durability_hole -> f.drop_publish_pwb <- true
-            | Lost_update -> f.stale_commit_snapshot <- true
-            | Stale_dedup -> f.stale_dedup_flush <- true
-            | Stale_ro_snapshot -> f.stale_ro_snapshot <- true
-            | Skip_nocap -> f.skip_nocap <- true)
-          shards;
-        (match cfg.telemetry with
-        | Some te -> Array.iter (fun sh -> Lf.attach_telemetry sh te) shards
-        | None -> ());
-        if cfg.sanitize then
-          Array.iter (fun sh -> ignore (Lf.sanitize sh)) shards;
-        let tm = Sh_lf.make ~max_threads:mt ~ro_snapshot:Lf.snapshot_ops shards in
-        (match cfg.telemetry with
-        | Some te -> Sh_lf.attach_telemetry tm te
-        | None -> ());
-        if cfg.fault = Torn_commit_record then
-          (Sh_lf.faults tm).torn_commit_record <- true;
-        if cfg.fault = Torn_batch_record then
-          (Sh_lf.faults tm).torn_batch_record <- true;
-        if cfg.fault = Torn_migration then
-          (Sh_lf.faults tm).torn_migration <- true;
-        ( device,
-          Run_sh_lf.exec_txn tm,
-          (fun () -> Run_sh_lf.observe tm),
-          (fun () -> Sh_lf.recover ~shard_recover:Lf.recover tm),
-          if with_mig then Some (fun () -> ignore (Sh_lf.split tm ~src:0 ~dst:1))
-          else None )
-      end
-    end
+    (if cfg.wf then Rig_wf.build else Rig_lf.build) cfg ~mode ~count
   in
   let parts_a = Array.map Array.of_list (Proggen.split ~threads:cfg.threads prog) in
   let results = Array.map (fun p -> Array.make (Array.length p) 0) parts_a in
@@ -628,17 +599,6 @@ let pp_schedule ppf s =
     done
   end
 
-let fault_name = function
-  | No_fault -> "none"
-  | Durability_hole -> "durability-hole"
-  | Lost_update -> "lost-update"
-  | Stale_dedup -> "stale-dedup"
-  | Torn_commit_record -> "torn-commit-record"
-  | Torn_batch_record -> "torn-batch-record"
-  | Stale_ro_snapshot -> "stale-ro-snapshot"
-  | Skip_nocap -> "skip-nocap"
-  | Torn_migration -> "torn-migration"
-
 let pp_failure ppf f =
   let c = f.config in
   Format.fprintf ppf "failure: %s@." f.reason;
@@ -721,18 +681,6 @@ let txn_of_json j =
   in
   { Proggen.read_only; ops }
 
-let fault_of_name = function
-  | "none" -> No_fault
-  | "durability-hole" -> Durability_hole
-  | "lost-update" -> Lost_update
-  | "stale-dedup" -> Stale_dedup
-  | "torn-commit-record" -> Torn_commit_record
-  | "torn-batch-record" -> Torn_batch_record
-  | "stale-ro-snapshot" -> Stale_ro_snapshot
-  | "skip-nocap" -> Skip_nocap
-  | "torn-migration" -> Torn_migration
-  | s -> bad ("unknown fault " ^ s)
-
 let config_to_json c =
   J.Obj
     [
@@ -762,7 +710,12 @@ let config_of_json j =
     persistent = b "persistent";
     sanitize = b "sanitize";
     fault =
-      (match J.member "fault" j with J.Str s -> fault_of_name s | _ -> bad "fault");
+      (match J.member "fault" j with
+      | J.Str s -> (
+          match fault_of_name s with
+          | Some f -> f
+          | None -> bad ("unknown fault " ^ s))
+      | _ -> bad "fault");
     (* older traces predate elastic sharding: missing member means none *)
     migrate =
       (match J.member "migrate" j with

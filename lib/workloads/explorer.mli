@@ -81,6 +81,13 @@ type fault =
           program addresses.  Only the crash strategy can expose it — a
           no-op on an unsharded instance *)
 
+val fault_name : fault -> string
+(** The fault's name in traces and on the [bin/explore.exe] command line
+    (["none"], ["durability-hole"], ["lost-update"], ...). *)
+
+val fault_of_name : string -> fault option
+(** Inverse of {!fault_name}; [None] for an unknown name. *)
+
 type config = {
   wf : bool;  (** wait-free algorithm instead of lock-free *)
   threads : int;

@@ -17,8 +17,9 @@ let run ~wf ~processes ~rounds ~kill_every ~items ~seed ?(sanitize = false) () =
       ~max_threads:(processes + 1) ~ws_cap:128 ()
   in
   if sanitize then ignore (Lf.sanitize tm);
+  (* only [update_tx] differs: both front-ends read through the one
+     snapshot path, [Lf.read_tx] *)
   let update = if wf then Wf.update_tx else Lf.update_tx in
-  let read = if wf then Wf.read_tx else Lf.read_tx in
   let q1 = Q.create tm ~root:0 and q2 = Q.create tm ~root:1 in
   for i = 1 to items do
     Q.enqueue q1 i
@@ -50,7 +51,7 @@ let run ~wf ~processes ~rounds ~kill_every ~items ~seed ?(sanitize = false) () =
   let observer () =
     Sched.set_logical processes;
     while Sched.now () < rounds do
-      let total = read tm (fun tx -> Q.length_in tx h1 + Q.length_in tx h2) in
+      let total = Lf.read_tx tm (fun tx -> Q.length_in tx h1 + Q.length_in tx h2) in
       if total <> items then incr torn
     done
   in
@@ -81,7 +82,7 @@ let run ~wf ~processes ~rounds ~kill_every ~items ~seed ?(sanitize = false) () =
         if i < processes then worker i else observer)
   in
   ignore (Sched.run ~seed ~max_rounds:(rounds + 1) ~on_round fibers);
-  let final_total = read tm (fun tx -> Q.length_in tx h1 + Q.length_in tx h2) in
+  let final_total = Lf.read_tx tm (fun tx -> Q.length_in tx h1 + Q.length_in tx h2) in
   {
     transfers = Array.fold_left ( + ) 0 transfers;
     kills = !kills;

@@ -304,8 +304,7 @@ let test_lint_raw_atomic () =
 
 (* Regression: the pre-v2 character scanner could not strip [{|...|}]
    quoted strings, so banned tokens inside them false-positived.  The
-   token rules run on the real lexer and cannot be fooled; the legacy
-   [strip] is kept exported to document exactly the case it misses. *)
+   token rules run on the real lexer and cannot be fooled. *)
 let test_lint_quoted_strings () =
   check int "Atomic in a quoted string is fine" 0
     (nfindings ~path:"lib/foo/bar.ml" "let doc = {|use Atomic.get here|}\n");
@@ -314,21 +313,7 @@ let test_lint_quoted_strings () =
   check int "Random in a quoted string is fine" 0
     (nfindings ~path:"lib/foo/bar.ml" "let doc = {|Random.int 5|}\n");
   check int "quoted string with an id is fine" 0
-    (nfindings ~path:"lib/foo/bar.ml" "let doc = {x|Atomic.get|x}\n");
-  (* the legacy scanner demonstrably misses it: the banned token survives
-     stripping, which is why the old rules fired *)
-  let contains hay needle =
-    let n = String.length needle in
-    let rec go i =
-      i + n <= String.length hay
-      && (String.sub hay i n = needle || go (i + 1))
-    in
-    go 0
-  in
-  check bool "legacy strip keeps quoted-string text" true
-    (contains (Lint.strip "let doc = {|Atomic.get|}\n") "Atomic.get");
-  check bool "legacy strip does blank normal strings" false
-    (contains (Lint.strip "let doc = \"Atomic.get\"\n") "Atomic.get")
+    (nfindings ~path:"lib/foo/bar.ml" "let doc = {x|Atomic.get|x}\n")
 
 let test_lint_determinism () =
   check Alcotest.string "Random in lib flagged" "nondeterminism"
@@ -357,10 +342,10 @@ let test_lint_markers () =
 let test_lint_hotpath () =
   check Alcotest.string "find_opt in lib/onefile flagged" "hotpath-alloc"
     (rule_at ~path:"lib/onefile/foo.ml" "let x = Hashtbl.find_opt h k\n");
-  check Alcotest.string "string-keyed bump flagged" "hotpath-alloc"
-    (rule_at ~path:"lib/onefile/foo.ml" "let () = Telemetry.bump s \"x\"\n");
-  check Alcotest.string "string-keyed record flagged" "hotpath-alloc"
-    (rule_at ~path:"lib/onefile/foo.ml" "let () = Telemetry.record s \"x\" 1\n");
+  check Alcotest.string "string-keyed incr flagged" "hotpath-alloc"
+    (rule_at ~path:"lib/onefile/foo.ml" "let () = Telemetry.incr t \"x\"\n");
+  check Alcotest.string "string-keyed sample flagged" "hotpath-alloc"
+    (rule_at ~path:"lib/onefile/foo.ml" "let () = Telemetry.sample t \"x\" 1\n");
   check int "alloc-ok marker allows it" 0
     (nfindings ~path:"lib/onefile/foo.ml"
        "(* alloc-ok: cold path *)\nlet x = Hashtbl.find_opt h k\n");

@@ -159,7 +159,7 @@ let test_stats_reset_diff () =
   check int "reset" 0 st.Pstats.loads
 
 (* ------------------------------------------------------------------ *)
-(* Views: partition / subview — the elastic-sharding substrate.        *)
+(* Views: partition — the sharding substrate.                         *)
 
 let test_partition_uneven () =
   let r = Region.create 64 in
@@ -240,88 +240,6 @@ let test_repartition_composes_offsets () =
     | exception Invalid_argument _ -> true
     | () -> false)
 
-let test_subview_window () =
-  let r = Region.create 64 in
-  let s1 = List.nth (Region.partition r [ 32; 32 ]) 1 in
-  (* unaligned observation window over the middle of shard 1, the way the
-     explorer aims at a migration's copy window *)
-  let win = Region.subview ~id:"mig" s1 ~off:5 ~len:7 in
-  check int "offset composes" 37 (Region.offset win);
-  check int "window length" 7 (Region.size win);
-  check Alcotest.string "window id" "mig" (Region.id win);
-  (* aliasing: traffic through the shard view is visible through the
-     window's peek but not mirrored into the window's Pstats *)
-  Region.store s1 6 (w 42 1);
-  check int "peek sees the shard store" 42 (wv (Region.peek win 1));
-  check int "window stats not charged" 0 (Region.stats win).Pstats.stores;
-  (* dirt outside the window is invisible; inside it, view-local lines *)
-  Region.store s1 30 (w 9 1);
-  check
-    Alcotest.(list int)
-    "only the window's line, window-locally" [ 0 ]
-    (Region.dirty_line_indices win);
-  check
-    Alcotest.(list int)
-    "the shard view sees both, shard-locally" [ 1; 7 ]
-    (Region.dirty_line_indices s1);
-  (* the window's dirt, translated to device lines, aims an eviction *)
-  let evict =
-    List.map
-      (fun l -> l + (Region.offset win / Region.line_cells))
-      (Region.dirty_line_indices win)
-  in
-  Region.crash r ~evict_lines:evict ();
-  check int "aimed eviction persisted the window line" 42
-    (wv (Region.peek r 38));
-  check int "dirt outside the window dropped" 0 (wv (Region.peek r 62))
-
-let test_subview_bounds () =
-  let r = Region.create 32 in
-  let bad f =
-    match f () with exception Invalid_argument _ -> true | _ -> false
-  in
-  check bool "negative off" true
-    (bad (fun () -> Region.subview r ~off:(-1) ~len:4));
-  check bool "zero len" true (bad (fun () -> Region.subview r ~off:0 ~len:0));
-  check bool "past the end" true
-    (bad (fun () -> Region.subview r ~off:30 ~len:4));
-  (* a window over a view is bounded by the view, not the device *)
-  let s0 = List.nth (Region.partition r [ 16; 16 ]) 0 in
-  check bool "window clipped to the view" true
-    (bad (fun () -> Region.subview s0 ~off:12 ~len:8));
-  let whole = Region.subview s0 ~off:0 ~len:16 in
-  check int "full-view window shares the base" (Region.offset s0)
-    (Region.offset whole)
-
-(* The elastic shard map reserves a control block at the head of shard 0
-   (DESIGN.md §14).  When the block length is not a line multiple, the
-   boundary cache line is shared between the control and data windows,
-   so both report it as dirty — tooling that fans dirt out to windows
-   must dedupe on device lines, not on windows. *)
-let test_ctl_block_boundary () =
-  let r = Region.create 64 in
-  let s0 = List.nth (Region.partition r [ 32; 32 ]) 0 in
-  let ctl = Region.subview ~id:"ctl" s0 ~off:0 ~len:6 in
-  let data = Region.subview ~id:"data" s0 ~off:6 ~len:26 in
-  (* a store into the data half of the shared boundary line *)
-  Region.store s0 7 (w 1 1);
-  check
-    Alcotest.(list int)
-    "boundary line shows in the control window" [ 1 ]
-    (Region.dirty_line_indices ctl);
-  check
-    Alcotest.(list int)
-    "and in the data window, window-locally" [ 0 ]
-    (Region.dirty_line_indices data);
-  Region.pwb r 4;
-  check int "clean after flushing the boundary line" 0 (Region.dirty_lines ctl);
-  (* deep-data dirt never reaches the control window *)
-  Region.store s0 20 (w 2 1);
-  check
-    Alcotest.(list int)
-    "control window silent" []
-    (Region.dirty_line_indices ctl)
-
 let () =
   Alcotest.run "pmem"
     [
@@ -349,9 +267,5 @@ let () =
           Alcotest.test_case "partition rejects" `Quick test_partition_rejects;
           Alcotest.test_case "re-partition composes offsets" `Quick
             test_repartition_composes_offsets;
-          Alcotest.test_case "subview window" `Quick test_subview_window;
-          Alcotest.test_case "subview bounds" `Quick test_subview_bounds;
-          Alcotest.test_case "control-block boundary" `Quick
-            test_ctl_block_boundary;
         ] );
     ]

@@ -614,6 +614,52 @@ let test_lf_router_volatile () =
   in
   check int "volatile lf cross tx" 3 v
 
+(* Escape and blocked tokens must stay unique across router incarnations:
+   [single_update] tells a genuine [-token] result from an escape by the
+   token cells, and a second [make] over the same shards adopts their
+   control blocks, tokens included.  Incarnation 1 escapes once, leaving
+   token 2 in tid 0's escape cell on shard 0; incarnation 2's second
+   single-shard update returns -2 and must still apply exactly once. *)
+module Token_reuse (F : Tm.Tm_intf.S with type t = Lf.t) = struct
+  module Sh = Tm.Tm_shard.Make (F)
+
+  let run () =
+    let device = Region.create (2 * 4096) in
+    let views = Region.partition device [ 4096; 4096 ] in
+    let shards =
+      Array.of_list
+        (List.map
+           (fun v ->
+             Lf.create ~region:v ~instance:(Region.id v) ~max_threads:8
+               ~ws_cap:256 ())
+           views)
+    in
+    let make () = Sh.make ~max_threads:8 ~ro_snapshot:Lf.snapshot_ops shards in
+    let tm = make () in
+    (* roots 0 and 2 live on shard 0, root 1 on shard 1 *)
+    let r0 = Sh.root tm 0 and r1 = Sh.root tm 1 and r2 = Sh.root tm 2 in
+    ignore (Sh.update_tx tm (fun tx -> Sh.store tx r0 1; 0));
+    (* the classify pre-pass loads r0 as 0 and predicts shard 0; the real
+       run loads 1 and also writes shard 1, so it escapes *)
+    ignore
+      (Sh.update_tx tm (fun tx ->
+           if Sh.load tx r0 <> 0 then Sh.store tx r1 1;
+           0));
+    check int "the escape applied" 1 (Sh.read_tx tm (fun tx -> Sh.load tx r1));
+    let tm = make () in
+    ignore (Sh.update_tx tm (fun tx -> Sh.store tx r0 2; 0));
+    let r =
+      Sh.update_tx tm (fun tx ->
+          Sh.store tx r2 (Sh.load tx r2 + 1);
+          -2)
+    in
+    check int "genuine result" (-2) r;
+    check int "applied once" 1 (Sh.read_tx tm (fun tx -> Sh.load tx r2))
+end
+
+module Token_reuse_lf = Token_reuse (Lf)
+module Token_reuse_wf = Token_reuse (Wf)
+
 (* --- capture scoping and batch-pinned reads ------------------------- *)
 
 (* Every shard has its own instance id ([mk_sharded]), so each shard's
@@ -1227,6 +1273,10 @@ let () =
             test_rollback_recovery;
           Alcotest.test_case "lf-volatile-router" `Quick
             test_lf_router_volatile;
+          Alcotest.test_case "reopened-token-unique-lf" `Quick
+            Token_reuse_lf.run;
+          Alcotest.test_case "reopened-token-unique-wf" `Quick
+            Token_reuse_wf.run;
         ] );
       ( "capture-scope",
         [
