@@ -32,14 +32,16 @@
    telemetry uses pre-resolved handles, and the interposition ops record
    is built once per thread slot.  tm_lint's hotpath rule keeps it that
    way. *)
-(* relaxed-ok: curtx_info/capture_info/allocated_cells are step-free debug
-   views, usable from a scheduler on_round hook without perturbing the
-   schedule; the ro.snapshot_lag sample in snap_read_tx is telemetry, read
-   step-free so attaching a registry never changes a schedule. *)
+(* relaxed-ok: curtx_info/capture_info/claim_info/allocated_cells are
+   step-free debug views, usable from a scheduler on_round hook without
+   perturbing the schedule; the ro.snapshot_lag sample in snap_read_tx is
+   telemetry, read step-free so attaching a registry never changes a
+   schedule. *)
 (* mutable-ok: tx records and the desc freed flag are confined to their
    owning fiber / the reclamation epoch; the checker slot is written from
    sequential set-up code only; the per-thread flush-dedup scratch is
-   confined to its thread slot. *)
+   confined to its thread slot; [pub_once.(i)] is written only by thread
+   [i] and sequential recovery. *)
 
 module Region = Pmem.Region
 module Word = Pmem.Word
@@ -115,6 +117,11 @@ type tx = {
 
 type desc = { opid : int; fn : tx -> int; mutable freed : bool }
 
+(* A thread slot's published WF operation.  [Solo] marks one whose
+   closure raised inside some aggregate: aggregators skip it and its
+   owner runs it alone, so an exception reaches only its caller. *)
+type pending = Empty | Published of desc | Solo of desc
+
 (* Test-only fault injection: each flag re-opens a specific, once-real bug
    so the explorer's planted-bug self-checks can prove the harness would
    catch it.  All flags default to false and must never be set outside
@@ -157,9 +164,18 @@ type t = {
   txs : tx array;
   read_tries : int; (* read-only attempts before WF fallback *)
   (* wait-free state *)
-  pending : desc option Satomic.t array;
+  pending : pending Satomic.t array;
   he : desc Hazard_eras.t;
   next_opid : int Satomic.t;
+  (* [pub_watermark] is a monotone upper bound (exclusive) on the slot of
+     every thread that has ever published, raised once per slot
+     ([pub_once] is written only by its slot, plus sequential recovery),
+     so an aggregate scans only the slots in use *)
+  pub_watermark : int Satomic.t;
+  pub_once : bool array;
+  (* the WF aggregator election: [(seq lsl 8) lor tid] of the thread that
+     aggregates the commit of [seq] (see [wf_update_tx]) *)
+  agg_claim : int Satomic.t;
   (* per-thread scratch used when helping to apply a foreign write-set *)
   scratch_addrs : int array array;
   scratch_vals : int array array;
@@ -181,6 +197,9 @@ type t = {
   c_wf_published : Telemetry.handle;
   c_wf_aggregated : Telemetry.handle;
   c_wf_fallbacks : Telemetry.handle;
+  c_wf_claims : Telemetry.handle;
+  c_wf_claim_waits : Telemetry.handle;
+  c_wf_claim_timeouts : Telemetry.handle;
   c_rec_runs : Telemetry.handle;
   c_rec_helped : Telemetry.handle;
   c_ro_pins : Telemetry.handle;
@@ -196,6 +215,10 @@ let entry_cell inst tid i = req_cell inst tid + 2 + i
 let op_cell inst tid = inst.wf_base + (3 * tid)
 let res_cell inst tid = inst.wf_base + (3 * tid) + 1
 let ack_cell inst tid = inst.wf_base + (3 * tid) + 2
+
+(* [agg_claim] fields; a tid fits 8 bits since [max_threads] <= 255 *)
+let claim_seq c = c lsr 8
+let claim_tid c = c land 0xff
 let stats inst = Region.stats inst.region
 
 (* ------------------------------------------------------------------ *)
@@ -274,7 +297,7 @@ let store tx addr v =
 let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
     ?(ws_cap = 2048) ?(num_roots = 8) ?(read_tries = 4) ?linear_threshold () =
   if max_threads > 255 then
-    invalid_arg "Core0.create: max_threads > 255 (packed reader count)";
+    invalid_arg "Core0.create: max_threads > 255 (packed reader count and claim tid)";
   let region =
     match backing with
     | Some r ->
@@ -363,9 +386,12 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       vst;
       txs;
       read_tries;
-      pending = Array.init max_threads (fun _ -> Satomic.make None);
+      pending = Array.init max_threads (fun _ -> Satomic.make Empty);
       he = Hazard_eras.create ~max_threads ~free:free_desc ();
       next_opid = Satomic.make 0;
+      pub_watermark = Satomic.make 0;
+      pub_once = Array.make max_threads false;
+      agg_claim = Satomic.make 0;
       scratch_addrs = Array.init max_threads (fun _ -> Array.make ws_cap 0);
       scratch_vals = Array.init max_threads (fun _ -> Array.make ws_cap 0);
       seen_lines = Array.init max_threads (fun _ -> Array.make 64 (-1));
@@ -382,6 +408,9 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       c_wf_published = Telemetry.counter tele (key "wf.published");
       c_wf_aggregated = Telemetry.counter tele (key "wf.aggregated");
       c_wf_fallbacks = Telemetry.counter tele (key "wf.fallbacks");
+      c_wf_claims = Telemetry.counter tele (key "wf.claims");
+      c_wf_claim_waits = Telemetry.counter tele (key "wf.claim_waits");
+      c_wf_claim_timeouts = Telemetry.counter tele (key "wf.claim_timeouts");
       c_rec_runs = Telemetry.counter tele (key "recovery.runs");
       c_rec_helped = Telemetry.counter tele (key "recovery.helped");
       c_ro_pins = Telemetry.counter tele (key "tx.ro_epoch_pins");
@@ -669,7 +698,15 @@ let apply_own inst ~me ~seq (ws : Writeset.t) =
    shorter than the interval, where the in-loop check never fires and a
    late helper would re-flush every line the owner already flushed.
    Returns [true] when this helper ran the apply to completion (and may
-   thus close the request). *)
+   thus close the request).
+
+   The put pass is striped: a helper starts at an entry spread by its tid
+   distance from the owner and wraps around, so the owner (from entry 0)
+   and the helpers split the write-set instead of trailing one another.
+   Every put is idempotent under the sequence guard and a capture dedups
+   on (addr, del), so the order is free; a helper that loses an entry's
+   DCAS to the owner pays one failed DCAS.  The in-loop re-check counts
+   iterations, not entries. *)
 let help_check_interval = 8
 
 let apply_foreign inst ~me ~tid ~seq ~n addrs vals =
@@ -678,11 +715,14 @@ let apply_foreign inst ~me ~tid ~seq ~n addrs vals =
   let is_closed () = (Region.load region req).Word.v <> seq in
   let closed i = i > 0 && i land (help_check_interval - 1) = 0 && is_closed () in
   let cap = decide_capture inst ~seq in
+  let mt = inst.max_threads in
+  let start = (me - tid + mt) mod mt * n / mt in
   let rec put_from i =
     if i >= n then true
     else if closed i then false
     else begin
-      put inst ~seq ~cap addrs.(i) vals.(i);
+      let j = if start + i >= n then start + i - n else start + i in
+      put inst ~seq ~cap addrs.(j) vals.(j);
       put_from (i + 1)
     end
   in
@@ -1067,9 +1107,9 @@ let lf_update_tx inst f =
 (* ------------------------------------------------------------------ *)
 (* Wait-free transactions (§III-E)                                     *)
 
-(* Execute every published-but-unacknowledged operation inside [tx],
-   writing each result (and the opid acknowledgment that marks it
-   committed) to the owner's result cells transactionally.
+(* Run the published operation [d] of slot [u] inside [tx]: its closure,
+   then its result and the opid acknowledgment that marks it committed,
+   both written to the owner's cells transactionally.
 
    Deviation from the paper: the paper detects completion by comparing the
    sequence numbers of the operation and result TMTypes.  When a killed
@@ -1079,27 +1119,108 @@ let lf_update_tx inst f =
    explicit opid acknowledgment cell (opids are globally unique) makes the
    routing exact; the cost is one extra modified word per operation,
    reported as such by the cost-table benchmark. *)
+let run_op inst tx u d =
+  Telemetry.tick inst.c_wf_aggregated;
+  let r = d.fn tx in
+  store tx (res_cell inst u) r;
+  store tx (ack_cell inst u) d.opid
+
+(* Execute every published-but-unacknowledged operation inside [tx].  Only
+   slots below the publication watermark are scanned: an operation
+   published after the watermark read counts as published after its slot
+   was scanned.  A closure that raises its own error, or overflows the
+   combined write-set, must not reach other threads: its slot is marked
+   [Solo], left to its owner, and this attempt aborts.  [Abort], a
+   sanitizer verdict and fatal runtime errors pass through unchanged. *)
 let aggregate inst tx =
-  for u = 0 to inst.max_threads - 1 do
+  let wm = Satomic.get inst.pub_watermark in
+  for u = 0 to wm - 1 do
     let opw = Region.load inst.region (op_cell inst u) in
     if opw.Word.v <> 0 then begin
       let ack = load tx (ack_cell inst u) in
       if ack <> opw.Word.v then
         match Satomic.get inst.pending.(u) with
-        | Some d when d.opid = opw.Word.v ->
+        | Published d as p when d.opid = opw.Word.v -> (
             (match !(inst.checker) with
             | Some c -> Tmcheck.closure_exec c ~opid:d.opid ~freed:d.freed
             | None ->
                 if d.freed then
                   failwith "OneFile-WF: hazard-era violation (freed closure)");
-            Telemetry.tick inst.c_wf_aggregated;
-            let r = d.fn tx in
-            store tx (res_cell inst u) r;
-            store tx (ack_cell inst u) d.opid
+            match run_op inst tx u d with
+            | () -> ()
+            | exception
+                ((Abort | Tmcheck.Violation _ | Out_of_memory | Stack_overflow) as e)
+              ->
+                raise e
+            | exception _ ->
+                ignore (Satomic.compare_and_set inst.pending.(u) p (Solo d));
+                raise Abort)
         | _ -> ()
     end
   done
 
+(* A thread that finds another thread's claim on the next commit waits at
+   most this many loop iterations (five steps each) per operation before
+   it aggregates anyway.  Budget sweeps at 8/16/32/64/128/256, with the
+   share of operations that spent the budget:
+   - wf-kv-write (benchmark/run.exe, seed 1, --seconds 2): 88%/88%/77%/
+     0.08%/0%/0% spent, 22.06/22.14/16.91/8.59/8.59/8.59 pwb/op;
+   - the shards figure's WF cells (transfers): 63%/31%/9.3%/0%/0%/0%
+     spent, 1-shard pwb/tx 18.0/15.8/4.4/4.0/4.0/4.0;
+   - fig5's OF-WF list cells: 55%/53%/52%/44%/30%/14% spent over all
+     cells, 87% at 64 and 28% at 256 at 100% updates on 8 threads, with
+     no throughput trend across the sweep.
+   64 is the smallest budget at the knee of the workloads whose closures
+   touch a few words: there the elected aggregator commits within the
+   budget.  A list closure walks tens of nodes, so an aggregate of
+   several outlasts these budgets and its waiters aggregate too; there a
+   longer budget cuts the share that spends it but not the throughput,
+   and lengthens the wait bound (DESIGN.md §5). *)
+let claim_budget = 64
+
+(* What a thread whose operation is unacknowledged does at a closed curTx. *)
+type turn =
+  | Run (* aggregate and commit at this curTx *)
+  | Wait (* another thread aggregates this commit: spend one iteration *)
+  | Reread (* the claim moved under us: loop without spending budget *)
+  | Alone (* our operation became [Solo]: cancel it, then run it alone *)
+
+(* The aggregator election at the closed curTx [ct]: one volatile claim
+   word names the thread that aggregates commit [ct + 1].  A claim on an
+   older sequence is taken with one CAS; a claim on [ct + 1] by another
+   thread is waited on while [budget] lasts; our own claim (an attempt
+   that aborted) or a spent budget aggregates as the paper does.  A claim
+   on a newer sequence means curTx moved since [ct] was read. *)
+let elect inst ~me ~budget (ct : Word.t) =
+  match Satomic.get inst.pending.(me) with
+  | Solo _ -> Alone
+  | Empty | Published _ ->
+      let seq = ct.Word.v + 1 in
+      let c = Satomic.get inst.agg_claim in
+      if claim_seq c < seq then
+        if Satomic.compare_and_set inst.agg_claim c ((seq lsl 8) lor me) then begin
+          Telemetry.tick inst.c_wf_claims;
+          Run
+        end
+        else Reread
+      else if claim_seq c > seq then Reread
+      else if claim_tid c = me || budget = 0 then Run
+      else begin
+        Telemetry.tick inst.c_wf_claim_waits;
+        if budget = 1 then Telemetry.tick inst.c_wf_claim_timeouts;
+        Wait
+      end
+
+(* A published operation is normally committed by the elected aggregator
+   of some commit (§III-E, one redo-log flush per commit).  An operation
+   marked [Solo] is cancelled first, in one transaction from a fresh
+   snapshot: either the operation is already acknowledged — an
+   aggregator that read it [Published] committed it, and that result
+   stands — or the transaction acknowledges it itself, which moves curTx
+   past every aggregate still running it, so none of them can commit it.
+   A cancelled operation then runs as an LF transaction: its closure's
+   exception reaches only this caller with nothing committed, and a lost
+   commit CAS retries — lock-free, not wait-free. *)
 let wf_update_tx inst f =
   let me = Sched.self () in
   let tx = inst.txs.(me) in
@@ -1107,53 +1228,87 @@ let wf_update_tx inst f =
   let t0 = Sched.now () in
   release_orphan_pin inst ~me;
   deregister inst ~me;
+  if not inst.pub_once.(me) then begin
+    cas_max inst.pub_watermark (me + 1);
+    inst.pub_once.(me) <- true
+  end;
   (* publish the operation (its "birth era" is the seq it was tagged with) *)
   let opid = Satomic.fetch_and_add inst.next_opid 1 + 1 in
   let rs = (Region.load region_ (res_cell inst me)).Word.s in
   let d = { opid; fn = f; freed = false } in
-  Satomic.set inst.pending.(me) (Some d);
+  Satomic.set inst.pending.(me) (Published d);
   Region.store region_ (op_cell inst me) (Word.make opid rs);
   Region.pwb region_ (op_cell inst me);
   Telemetry.tick inst.c_wf_published;
-  (* flowlint: bounded the op is published in the request ring, so every committing thread helps it; the ack arrives after at most one helping round per active thread *)
-  let rec loop () =
+  (* reclaim the closure descriptor through hazard eras *)
+  let unpublish ~del =
+    Satomic.set inst.pending.(me) Empty;
+    Hazard_eras.retire_at inst.he ~birth:rs ~del d
+  in
+  let run_alone () =
+    let ack = ack_cell inst me in
+    let acked =
+      lf_update_tx inst (fun tx ->
+          if load tx ack = opid then 1
+          else begin
+            store tx ack opid;
+            0
+          end)
+    in
+    unpublish ~del:(Region.load region_ ack).Word.s;
+    Hazard_eras.clear inst.he;
+    (* a closed snapshot holding the acknowledgment holds the result too *)
+    if acked = 1 then (Region.load region_ (res_cell inst me)).Word.v
+    else lf_update_tx inst f
+  in
+  (* flowlint: bounded the op is published, so every aggregator that starts after a commit following the publication runs it; a thread waits on another's claim for at most claim_budget iterations per operation and re-reads without spending budget only after a claim or commit by another thread; a Solo op leaves the loop for two LF transactions *)
+  let rec loop budget =
     let ackw = Region.load region_ (ack_cell inst me) in
     if ackw.Word.v = opid then begin
-      (* committed: reclaim the closure descriptor through hazard eras *)
       let resw = Region.load region_ (res_cell inst me) in
-      Satomic.set inst.pending.(me) None;
-      Hazard_eras.retire_at inst.he ~birth:rs ~del:ackw.Word.s d;
+      unpublish ~del:ackw.Word.s;
       (* session order for snapshot reads: a snap_read_tx issued by this
-         thread after we return must observe this operation's commit. *)
+         thread after we return must observe this operation's commit.
+         That also finishes the commit's apply.  A striped helper may put
+         the acknowledgment before the result, so a result word older
+         than the acknowledgment is read again once the apply is done. *)
       ensure_stable inst ~me ackw.Word.s;
+      let r =
+        if resw.Word.s = ackw.Word.s then resw.Word.v
+        else (Region.load region_ (res_cell inst me)).Word.v
+      in
       Telemetry.observe inst.s_latency (Sched.now () - t0 + 1);
-      resw.Word.v
+      r
     end
     else begin
       let ct = read_curtx inst in
       if is_open inst ct then begin
         stable_bump inst.vst (ct.Word.v - 1);
         help inst ~me ct;
-        loop ()
+        loop budget
       end
-      else begin
-        stable_bump inst.vst ct.Word.v;
-        begin_attempt inst tx ~read_only:false ct.Word.v;
-        Hazard_eras.set_era inst.he ct.Word.v;
-        match aggregate inst tx with
-        | exception Abort ->
-            abort inst;
-            loop ()
-        | () ->
-            (* an empty aggregate commits nothing, not even read-only *)
-            if Writeset.is_empty tx.ws then
-              with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None)
-            else ignore (commit inst ~me tx ct);
-            loop ()
-      end
+      else
+        match elect inst ~me ~budget ct with
+        | Wait -> loop (budget - 1)
+        | Reread -> loop budget
+        | Alone -> run_alone ()
+        | Run -> (
+            stable_bump inst.vst ct.Word.v;
+            begin_attempt inst tx ~read_only:false ct.Word.v;
+            Hazard_eras.set_era inst.he ct.Word.v;
+            match aggregate inst tx with
+            | exception Abort ->
+                abort inst;
+                loop budget
+            | () ->
+                (* an empty aggregate commits nothing, not even read-only *)
+                if Writeset.is_empty tx.ws then
+                  with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None)
+                else ignore (commit inst ~me tx ct);
+                loop budget)
     end
   in
-  let r = loop () in
+  let r = loop claim_budget in
   Hazard_eras.clear inst.he;
   r
 
@@ -1181,6 +1336,12 @@ let capture_info inst =
   let c = Satomic.get_relaxed inst.vst.capst in
   (cap_readers c, cap_nocap c)
 
+(* Debug view of the aggregator claim: (claimed sequence, claimer tid),
+   (0, 0) when none.  Step-free like [curtx_info]. *)
+let claim_info inst =
+  let c = Satomic.get_relaxed inst.agg_claim in
+  (claim_seq c, claim_tid c)
+
 (* Allocator accounting over the quiescent volatile state (no transaction,
    no scheduling steps) — testing/diagnostics only. *)
 let allocated_cells inst =
@@ -1197,10 +1358,15 @@ let allocated_cells inst =
 
 let recover inst =
   Array.iter (fun tx -> Writeset.clear tx.ws) inst.txs;
-  Array.iter (fun p -> Satomic.set p None) inst.pending;
+  Array.iter (fun p -> Satomic.set p Empty) inst.pending;
   (* closures are not executable after a restart: orphaned published
      operations will never run, but committed ones already have their
-     results applied by the help below. *)
+     results applied by the help below.  The publication watermark and the
+     aggregator claim are volatile too: a claim left by a killed fiber
+     would otherwise delay the next waiter by up to [claim_budget]. *)
+  Array.fill inst.pub_once 0 inst.max_threads false;
+  Satomic.set inst.pub_watermark 0;
+  Satomic.set inst.agg_claim 0;
   Telemetry.tick inst.c_rec_runs;
   let ct = read_curtx inst in
   if is_open inst ct then begin

@@ -97,6 +97,11 @@ val capture_info : t -> int * int
 (** Step-free debug view of the capture word: (registered snapshot
     readers, highest commit applied without version capture). *)
 
+val claim_info : t -> int * int
+(** Step-free debug view of the WF aggregator claim: (the commit sequence
+    claimed, the claiming thread's tid); [(0, 0)] when none, as after
+    {!recover}. *)
+
 (** {1 Sanitizer attachment}
 
     Simulation-only (see {!Check.Tmcheck}).  Attach to a quiescent
@@ -126,7 +131,10 @@ val attach_telemetry : t -> Runtime.Telemetry.t -> unit
 (** Wire this instance into the registry: transaction counters and the
     commit-latency span ("tx.commits", "tx.ro_commits", "tx.ro_epoch_pins",
     "tx.aborts", "tx.helps", "tx.help_exits", "log.recycles",
-    "wf.published", "wf.aggregated", "wf.fallbacks", "recovery.runs",
+    "wf.published", "wf.aggregated", "wf.fallbacks", "wf.claims"
+    (aggregator claims taken), "wf.claim_waits" (loop iterations spent
+    waiting on another thread's claim), "wf.claim_timeouts" (operations
+    that spent their whole wait budget), "recovery.runs",
     "recovery.helped", "ro.captures" (versions handed to the version
     store), spans "tx.latency" and "ro.snapshot_lag"),
     the region's Pstats as a pull source ("pmem.*"),
@@ -175,6 +183,14 @@ val curtx_cell : int
 val req_cell : t -> int -> int
 val nstores_cell : t -> int -> int
 val entry_cell : t -> int -> int -> int
+val op_cell : t -> int -> int
+(** The cell where thread [tid] publishes its WF operation's opid. *)
+
+val res_cell : t -> int -> int
+val ack_cell : t -> int -> int
+(** Thread [tid]'s WF result and acknowledgment cells, written in the
+    commit that runs its operation. *)
+
 val read_curtx : t -> Pmem.Word.t
 val is_open : t -> Pmem.Word.t -> bool
 

@@ -3,7 +3,21 @@
     {!Onefile_lf} and {!Onefile_wf} are views over {!Core0}: one
     instance type, one commit routine, one null recovery (§III-D).  Only
     [update_tx] and [read_tx_validating] differ — WF publishes each
-    update for any committer to aggregate into its write-set (§III-E). *)
+    update for an elected aggregator to commit in its write-set (§III-E).
+
+    Exceptions: under both front-ends a transaction function that raises
+    anything but {!Tm.Tm_intf.Abort} reaches only its caller, who gets
+    either the exception with nothing committed or a result committed
+    once.  Under WF the published function may run inside another
+    thread's aggregate: if it raises there, that thread aborts its
+    attempt and leaves the operation to its caller, who first cancels it
+    (an aggregate that ran it without raising may have committed it
+    already, and then that result is returned) and otherwise runs it as
+    an LF transaction, lock-free rather than wait-free, re-raising if it
+    raises again.  A write-set overflow counts as raising: an operation
+    that overflows only together with others still completes.  The
+    sanitizer's {!Check.Tmcheck.Violation} and fatal runtime errors
+    escape whichever thread hit them. *)
 
 module type S = sig
   include Tm.Tm_intf.S with type t = Core0.t and type tx = Core0.tx

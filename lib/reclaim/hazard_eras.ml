@@ -1,5 +1,6 @@
 (* mutable-ok: the telemetry sink is a ref written from sequential set-up
-   code; bumps happen between scheduling points of the cooperative Sched. *)
+   code; bumps happen between scheduling points of the cooperative Sched.
+   [limbo.(i)] and the scan scratch [seen.(i)] are confined to thread i. *)
 open Runtime
 
 type 'a record = { obj : 'a; birth : int; del : int }
@@ -8,6 +9,7 @@ type 'a t = {
   clock : int Satomic.t;
   eras : int Satomic.t array; (* 0 = not reading *)
   limbo : 'a record list array; (* per-thread retired lists *)
+  seen : int array array; (* per-thread scan scratch: every slot's era *)
   free : 'a -> unit;
   scan_threshold : int;
   max_threads : int;
@@ -23,6 +25,7 @@ let create ?(scan_threshold = 8) ~max_threads ~free () =
     clock = Satomic.make 1;
     eras = Array.init max_threads (fun _ -> Satomic.make 0);
     limbo = Array.make max_threads [];
+    seen = Array.init max_threads (fun _ -> Array.make max_threads 0);
     free;
     scan_threshold;
     max_threads;
@@ -63,16 +66,23 @@ let reset t =
     Satomic.set t.eras.(i) 0
   done
 
-let conflicts t r =
+let conflicts seen r =
   let alive = ref false in
-  for i = 0 to t.max_threads - 1 do
-    let e = era t i in
+  for i = 0 to Array.length seen - 1 do
+    let e = seen.(i) in
     if e <> 0 && e >= r.birth && e <= r.del then alive := true
   done;
   !alive
 
+(* Each era slot is read once per scan, not once per record: every record
+   was retired before the scan began, so an era published after its slot
+   was read cannot reach the record (it is unreachable by then). *)
 let scan t me =
-  let keep, drop = List.partition (conflicts t) t.limbo.(me) in
+  let seen = t.seen.(me) in
+  for i = 0 to t.max_threads - 1 do
+    seen.(i) <- era t i
+  done;
+  let keep, drop = List.partition (conflicts seen) t.limbo.(me) in
   t.limbo.(me) <- keep;
   Telemetry.tick t.c_scans;
   Telemetry.tick t.c_freed ~by:(List.length drop);

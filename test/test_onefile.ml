@@ -367,6 +367,378 @@ let test_wf_readonly_fallback () =
   check int "fallback read returns value" 99 v;
   check int "read published once" 1 (Telemetry.get te "wf.fallbacks")
 
+(* A closure that raises anything but [Abort] must reach only its own
+   caller.  Under WF another thread may be the one running it inside an
+   aggregate: that thread must abort its attempt and leave the operation
+   to its owner, instead of raising the owner's exception itself. *)
+let test_raise_reaches_only_caller api () =
+  let t = api.mk ~mode:Region.Volatile () in
+  let r1 = Lf.root t 1 in
+  let a_err = ref "" and b_err = ref "" and b_res = ref (-1) in
+  let a () =
+    match api.update t (fun tx -> ignore (Lf.load tx (Lf.root t 0)); failwith "boom") with
+    | exception Failure m -> a_err := m
+    | _ -> ()
+  in
+  let b () =
+    for _ = 1 to 50 do
+      Sched.step_point ()
+    done;
+    match
+      api.update t (fun tx ->
+          let v = Lf.load tx r1 + 1 in
+          Lf.store tx r1 v;
+          v)
+    with
+    | exception Failure m -> b_err := m
+    | v -> b_res := v
+  in
+  ignore (Sched.run ~seed:1 [| a; b |]);
+  check Alcotest.string (api.label ^ ": the raising caller sees its exception") "boom" !a_err;
+  check Alcotest.string (api.label ^ ": the other caller sees none") "" !b_err;
+  check int (api.label ^ ": the other increment returns") 1 !b_res;
+  check int (api.label ^ ": and commits once") 1 (api.read t (fun tx -> Lf.load tx r1))
+
+(* Eight WF operations of 20 stores each fit a 64-entry write-set alone
+   (22 entries with the result and acknowledgment words), but an
+   aggregate of three does not.  The overflow must not fail the
+   operations: each one the overflow hits runs alone instead. *)
+let test_wf_aggregate_overflow () =
+  let n = 8 and iters = 5 and width = 20 in
+  let t =
+    Wf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~max_threads:n ~ws_cap:64
+      ~num_roots:(n * width) ()
+  in
+  let done_ = ref 0 and errors = ref [] in
+  run_fibers ~seed:4 n (fun i ->
+      for _ = 1 to iters do
+        match
+          Wf.update_tx t (fun tx ->
+              for j = 0 to width - 1 do
+                let a = Wf.root t ((i * width) + j) in
+                Wf.store tx a (Wf.load tx a + 1)
+              done;
+              0)
+        with
+        | exception Failure m -> errors := m :: !errors
+        | _ -> incr done_
+      done);
+  check (Alcotest.list Alcotest.string) "no operation failed" [] !errors;
+  check int "every operation completed" (n * iters) !done_;
+  for a = 0 to (n * width) - 1 do
+    check int "each word incremented once per operation" iters
+      (Wf.read_tx t (fun tx -> Wf.load tx (Wf.root t a)))
+  done
+
+(* Run [fibers] one step at a time: each stage [(f, cond)] runs fiber [f]
+   until [cond ()] holds or [f] is done, then the rest run round-robin.
+   Returns whether every stage was reached. *)
+let run_stages fibers stages =
+  let stages = ref stages in
+  let rec pick ~step ~enabled ~last =
+    match !stages with
+    | (f, cond) :: rest when cond () || not (Array.mem f enabled) ->
+        stages := rest;
+        pick ~step ~enabled ~last
+    | (f, _) :: _ -> f
+    | [] -> enabled.(step mod Array.length enabled)
+  in
+  ignore (Sched.run_controlled ~pick fibers);
+  !stages = []
+
+(* Count the loads of each (fiber, address) on [region]: the returned
+   function reads the count. *)
+let count_loads region =
+  let tbl = Hashtbl.create 16 in
+  let get key = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
+  Region.set_observer region
+    (Some
+       (function
+       | Region.Ev_load { addr; _ } ->
+           let key = (Sched.self (), addr) in
+           Hashtbl.replace tbl key (get key + 1)
+       | _ -> ()));
+  fun f addr -> get (f, addr)
+
+(* A pop that finds the counter at 0 raises.  Two aggregates at one
+   snapshot can disagree on it, and the pop must then be committed
+   exactly when its caller gets a result.  The schedule: Q publishes a
+   pop; C2 claims the commit and, before P publishes a push, scans past
+   P's slot into Q's pop; P publishes; C1 spends its wait budget,
+   aggregates P's push, and reads Q's pop as published; C2 finds the
+   counter at 0, marks the pop [Solo] and aborts; Q runs alone to the
+   end; then everyone runs.  C1's aggregate pops the pushed unit, so Q
+   may see "empty" only if C1's commit fails. *)
+let test_wf_raise_in_one_aggregate () =
+  let module C = Onefile.Core0 in
+  let p = 0 and q = 1 and c1 = 2 and c2 = 3 in
+  let t = C.create ~mode:Region.Volatile ~max_threads:4 ~num_roots:8 () in
+  let x = C.root t 0 and m = C.root t 1 in
+  let push tx =
+    C.store tx x (C.load tx x + 1);
+    0
+  in
+  let pop tx =
+    ignore (C.load tx m);
+    let v = C.load tx x in
+    if v = 0 then failwith "empty";
+    C.store tx x (v - 1);
+    v
+  in
+  let own i tx =
+    C.store tx (C.root t (4 + i)) 1;
+    0
+  in
+  let q_result = ref "" in
+  let fibers =
+    [|
+      (fun () -> ignore (C.wf_update_tx t push));
+      (fun () ->
+        match C.wf_update_tx t pop with
+        | exception Failure e -> q_result := e
+        | v -> q_result := string_of_int v);
+      (fun () -> ignore (C.wf_update_tx t (own c1)));
+      (fun () -> ignore (C.wf_update_tx t (own c2)));
+    |]
+  in
+  let region = C.region t in
+  let published u () = (Region.peek region (C.op_cell t u)).Word.v <> 0 in
+  let loads = count_loads region in
+  let staged =
+    run_stages fibers
+      [
+        (q, published q);
+        (c2, fun () -> loads c2 m >= 1);
+        (p, published p);
+        (c1, fun () -> loads c1 m >= 1);
+        (c2, fun () -> loads c2 (C.ack_cell t c2) >= 2 (* aborted and looped *));
+        (q, fun () -> false (* to the end *));
+      ]
+  in
+  Region.set_observer region None;
+  check bool "every stage ran" true staged;
+  check bool "both aggregates ran the pop" true (loads c1 m >= 1 && loads c2 m >= 1);
+  check Alcotest.string "the pop saw an empty counter" "empty" !q_result;
+  check int "so the pushed unit is still there" 1
+    (C.lf_read_tx t (fun tx -> C.load tx x));
+  check (Alcotest.list int) "the other operations committed" [ 1; 1 ]
+    (List.map (fun i -> C.lf_read_tx t (fun tx -> C.load tx (C.root t (4 + i)))) [ c1; c2 ])
+
+(* A striped helper may put an operation's acknowledgment before its
+   result.  The owner that then reads the acknowledgment must still
+   return the result, not the stale word under it.  The schedule: X
+   publishes; A aggregates X's operation with its own, wins the commit
+   CAS and stops; H, whose stripe starts at X's acknowledgment, puts
+   that one entry; X runs to the end. *)
+let test_wf_result_after_striped_ack () =
+  let module C = Onefile.Core0 in
+  let x = 0 and a = 1 and h = 2 in
+  let t = C.create ~mode:Region.Volatile ~max_threads:3 ~num_roots:2 () in
+  let region = C.region t in
+  let result = ref (-1) in
+  let fibers =
+    [|
+      (fun () -> result := C.wf_update_tx t (fun _ -> 42));
+      (fun () -> ignore (C.wf_update_tx t (fun _ -> 0)));
+      (fun () -> C.help t ~me:h (C.read_curtx t));
+    |]
+  in
+  let peek addr = (Region.peek region addr).Word.v in
+  let res_at_ack = ref (-1) in
+  let acked () =
+    peek (C.ack_cell t x) <> 0
+    && begin
+         res_at_ack := peek (C.res_cell t x);
+         true
+       end
+  in
+  let ct0 = peek C.curtx_cell in
+  (* A's log is [res X; ack X; res A; ack A]: H starts at entry
+     (h - a) * 4 / 3 = 1 *)
+  let staged =
+    run_stages fibers
+      [
+        (x, fun () -> peek (C.op_cell t x) <> 0);
+        (a, fun () -> peek C.curtx_cell > ct0);
+        (h, acked);
+        (x, fun () -> false);
+      ]
+  in
+  check bool "every stage ran" true staged;
+  check int "the result word was stale when the ack landed" 0 !res_at_ack;
+  check int "the owner returns its result" 42 !result
+
+(* The sanitizer's verdict is not a closure's own error: a planted
+   opacity fault that fires only when another thread runs the closure
+   inside its aggregate must still stop the run, not be turned into a
+   [Solo] operation that its owner then runs cleanly. *)
+let test_wf_violation_in_aggregate_reported () =
+  let module C = Onefile.Core0 in
+  let t = C.create ~mode:Region.Volatile ~max_threads:2 ~num_roots:2 () in
+  let c = C.sanitize t in
+  let r = C.root t 0 in
+  let planted tx =
+    if Sched.self () <> 0 then Check.Tmcheck.tx_load c ~addr:r ~v:7 ~s:max_int;
+    C.store tx r 1;
+    0
+  in
+  let fibers =
+    [|
+      (fun () -> ignore (C.wf_update_tx t planted));
+      (fun () -> ignore (C.wf_update_tx t (fun tx -> C.store tx (C.root t 1) 1; 0)));
+    |]
+  in
+  (* fiber 0 publishes, then fiber 1 runs first and aggregates its closure *)
+  let pick ~step:_ ~enabled ~last:_ =
+    if (Region.peek (C.region t) (C.op_cell t 0)).Word.v = 0 || not (Array.mem 1 enabled)
+    then enabled.(0)
+    else 1
+  in
+  match Sched.run_controlled ~pick fibers with
+  | exception Check.Tmcheck.Violation v ->
+      check Alcotest.string "reported as an opacity violation" "opacity" v.rule
+  | _ -> Alcotest.fail "the planted violation was swallowed"
+
+(* One elected aggregator per commit: with eight fibers incrementing
+   their own roots in lockstep, each closure runs about once and almost
+   no attempt loses its commit CAS.  Without an election each of the
+   eight threads would run every published closure and all but one
+   would lose the CAS. *)
+let test_wf_one_aggregator () =
+  let n = 8 and iters = 20 in
+  let t = Wf.create ~mode:Region.Volatile ~max_threads:n () in
+  let te = Telemetry.create () in
+  Wf.attach_telemetry t te;
+  run_fibers ~seed:9 n (fun i ->
+      for k = 1 to iters do
+        let v =
+          Wf.update_tx t (fun tx ->
+              let r = Wf.root t i in
+              let v = Wf.load tx r + 1 in
+              Wf.store tx r v;
+              v)
+        in
+        check int "result routed to its caller" k v
+      done);
+  let g = Telemetry.get te in
+  let published = g "wf.published" and aggregated = g "wf.aggregated" in
+  check int "every operation published" (n * iters) published;
+  check bool
+    (Printf.sprintf "closure runs per operation %d/%d <= 1.5" aggregated published)
+    true
+    (2 * aggregated <= 3 * published);
+  check bool
+    (Printf.sprintf "aborts %d <= commits %d / 10" (g "tx.aborts") (g "tx.commits"))
+    true
+    (10 * g "tx.aborts" <= g "tx.commits");
+  check bool "claims taken" true (g "wf.claims" > 0);
+  for i = 0 to n - 1 do
+    check int "exact count" iters (Wf.read_tx t (fun tx -> Wf.load tx (Wf.root t i)))
+  done
+
+(* A claimer killed mid-aggregate delays the others by at most the wait
+   budget: every other operation completes with its exact result, and
+   recovery drops the stale claim. *)
+let test_wf_killed_claimer () =
+  let n = 6 and iters = 10 in
+  let t = Wf.create ~mode:Region.Volatile ~max_threads:n () in
+  let te = Telemetry.create () in
+  Wf.attach_telemetry t te;
+  let results = Array.make n [] in
+  let victim = ref (-1) in
+  let body i () =
+    for _ = 1 to iters do
+      let v =
+        Wf.update_tx t (fun tx ->
+            let r = Wf.root t i in
+            let v = Wf.load tx r + 1 in
+            Wf.store tx r v;
+            v)
+      in
+      results.(i) <- v :: results.(i)
+    done
+  in
+  let on_round sched =
+    if !victim < 0 && Sched.round sched > 100 then begin
+      let cseq, ctid = Onefile.Core0.claim_info t in
+      let seq, _, open_ = Wf.curtx_info t in
+      if cseq = seq + 1 && not open_ then begin
+        ignore (Sched.kill sched ctid);
+        victim := ctid
+      end
+    end
+  in
+  ignore (Sched.run ~seed:6 ~on_round ~max_rounds:200_000 (Array.init n body));
+  check bool "a claimer was killed" true (!victim >= 0);
+  check bool "a waiter spent its budget" true (Telemetry.get te "wf.claim_timeouts" > 0);
+  for i = 0 to n - 1 do
+    if i <> !victim then begin
+      check (Alcotest.list int)
+        (Printf.sprintf "fiber %d completed every operation" i)
+        (List.init iters (fun k -> iters - k))
+        results.(i);
+      check int "exact count" iters (Wf.read_tx t (fun tx -> Wf.load tx (Wf.root t i)))
+    end
+  done;
+  Wf.recover t;
+  check (Alcotest.pair int int) "recovery drops the claim" (0, 0)
+    (Onefile.Core0.claim_info t)
+
+(* A helper's put pass starts at an entry spread by its tid distance from
+   the owner, so owner and helpers split the write-back instead of
+   trailing one another through the same entries. *)
+let test_striped_help () =
+  let module C = Onefile.Core0 in
+  let mt = 8 and n = 16 and helper = 4 in
+  let t = C.create ~mode:Region.Volatile ~max_threads:mt ~ws_cap:32 ~num_roots:n () in
+  let ws = Writeset.create 32 in
+  for i = 0 to n - 1 do
+    Writeset.put ws (C.root t i) (100 + i)
+  done;
+  let ct = C.read_curtx t in
+  let seq = ct.Word.v + 1 in
+  C.publish_log t ~me:0 ws ~seq;
+  check bool "commit cas"
+    true
+    (Region.cas1 (C.region t) C.curtx_cell ct (Word.make seq 0));
+  let first = ref (-1) in
+  Region.set_observer (C.region t)
+    (Some
+       (function
+       | Region.Ev_cas { addr; ok = true; dcas = true; _ } when !first < 0 ->
+           first := addr
+       | _ -> ()));
+  ignore
+    (Sched.run_controlled
+       ~pick:(fun ~step:_ ~enabled ~last:_ -> enabled.(0))
+       [| (fun () -> C.help t ~me:helper (C.read_curtx t)) |]);
+  Region.set_observer (C.region t) None;
+  check int "first DCAS at the helper's stripe" (C.root t (helper * n / mt)) !first;
+  for i = 0 to n - 1 do
+    check int "entry applied" (100 + i) (C.lf_read_tx t (fun tx -> C.load tx (C.root t i)))
+  done;
+  let _, _, open_ = C.curtx_info t in
+  check bool "request closed" false open_
+
+(* The aggregate scans only the slots in use: one thread on a 64-slot
+   instance loads one operation cell per aggregate. *)
+let test_wf_scans_used_slots () =
+  let module C = Onefile.Core0 in
+  let t = C.create ~mode:Region.Volatile ~max_threads:64 () in
+  let te = Telemetry.create () in
+  C.attach_telemetry t te;
+  ignore (C.wf_update_tx t (fun tx -> C.store tx (C.root t 0) 1; 0));
+  let op_loads = ref 0 in
+  let is_op a = List.exists (fun u -> C.op_cell t u = a) (List.init 64 Fun.id) in
+  Region.set_observer (C.region t)
+    (Some (function Region.Ev_load { addr; _ } when is_op addr -> incr op_loads | _ -> ()));
+  let aborts = Telemetry.get te "tx.aborts" and commits = Telemetry.get te "tx.commits" in
+  ignore (C.wf_update_tx t (fun tx -> C.store tx (C.root t 0) 2; 0));
+  Region.set_observer (C.region t) None;
+  check int "one attempt" 1
+    (Telemetry.get te "tx.aborts" - aborts + Telemetry.get te "tx.commits" - commits);
+  check int "one operation cell loaded" 1 !op_loads
+
 (* ------------------------------------------------------------------ *)
 (* Real domains: same code under genuine parallelism *)
 
@@ -633,6 +1005,8 @@ let () =
             (test_zero_is_null api);
           Alcotest.test_case (api.label ^ ": seq monotone") `Quick
             (test_many_small_txs_seq_monotone api);
+          Alcotest.test_case (api.label ^ ": raise reaches only caller") `Quick
+            (test_raise_reaches_only_caller api);
         ])
       apis
   in
@@ -667,6 +1041,18 @@ let () =
             test_wf_all_ops_complete_hostile_schedule;
           Alcotest.test_case "results routed" `Quick test_wf_result_values_correct;
           Alcotest.test_case "read-only fallback" `Quick test_wf_readonly_fallback;
+          Alcotest.test_case "aggregate overflow runs alone" `Quick
+            test_wf_aggregate_overflow;
+          Alcotest.test_case "raise in one aggregate, result in another" `Quick
+            test_wf_raise_in_one_aggregate;
+          Alcotest.test_case "sanitizer verdict in an aggregate" `Quick
+            test_wf_violation_in_aggregate_reported;
+          Alcotest.test_case "result after a striped ack" `Quick
+            test_wf_result_after_striped_ack;
+          Alcotest.test_case "one aggregator per commit" `Quick test_wf_one_aggregator;
+          Alcotest.test_case "killed claimer" `Quick test_wf_killed_claimer;
+          Alcotest.test_case "striped help" `Quick test_striped_help;
+          Alcotest.test_case "aggregate scans used slots" `Quick test_wf_scans_used_slots;
         ] );
       ("crash", crash_cases);
       ( "costs",

@@ -90,6 +90,21 @@ let test_he_pending_count () =
   He.flush he;
   check int "drained" 0 (He.pending he)
 
+(* A scan reads each era slot once, not once per limbo record: eight
+   records over eight slots cost eight era reads (scheduling steps), and
+   a record is still kept alive by an era inside its window. *)
+let test_he_scan_reads_each_slot_once () =
+  let he = He.create ~max_threads:8 ~free:(fun o -> o.freed <- true) () in
+  let objs = Array.init 8 (fun id -> { id; freed = false }) in
+  let body () =
+    Array.iteri (fun i o -> He.retire_at he ~birth:(i + 1) ~del:(i + 1) o) objs
+  in
+  let steps f = Sched.total_steps (Sched.run [| f |]) in
+  ignore (steps (fun () -> He.set_era he 3));
+  check int "one scan of 8 slots" 8 (steps body - steps ignore);
+  check int "one record protected" 1 (He.pending he);
+  check bool "the protected record survives" false objs.(2).freed
+
 let test_hp_protect_blocks_free () =
   let hp = Hp.create ~scan_threshold:1 ~max_threads:2 ~free:(fun o -> o.freed <- true) () in
   let shared = Satomic.make (Some { id = 5; freed = false }) in
@@ -148,6 +163,8 @@ let () =
           Alcotest.test_case "era window" `Quick test_he_era_window;
           Alcotest.test_case "disjoint window" `Quick test_he_disjoint_window_freed;
           Alcotest.test_case "pending count" `Quick test_he_pending_count;
+          Alcotest.test_case "scan reads each slot once" `Quick
+            test_he_scan_reads_each_slot_once;
         ] );
       ( "hazard-pointers",
         [
