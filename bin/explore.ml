@@ -40,6 +40,7 @@ let usage () =
   --plant F        plant a fault: durability | lost-update | stale-dedup
                    | torn-commit-record | torn-batch-record
                    | stale-ro-snapshot | skip-nocap | torn-migration
+                   | help-curtx
                    (the torn-record and torn-migration faults need
                    --shards >= 2)
   --max-steps N    per-execution step budget (default 50000)

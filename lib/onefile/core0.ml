@@ -15,10 +15,11 @@
 
    Persistence ordering note: the paper flushes curTx right after the
    commit CAS (step 7) and any thread entering the apply phase (steps 8-10)
-   has done so too.  We make this explicit: [help] pwbs curTx before
-   applying, so no data word can become durable with a sequence newer than
-   the durable curTx — otherwise a crash could resurrect a half-persisted
-   transaction that recovery no longer knows about.
+   has done so too.  We make this explicit: a helper pwbs curTx before its
+   first DCAS of a commit ([put]), so no data word can become durable with
+   a sequence newer than the durable curTx — otherwise a crash could
+   resurrect a half-persisted transaction that recovery no longer knows
+   about.
 
    That note, and the rest of the correctness argument, are checkable: the
    [Check.Tmcheck] sanitizer (attached with [sanitize]) observes every
@@ -39,9 +40,10 @@
    schedule. *)
 (* mutable-ok: tx records and the desc freed flag are confined to their
    owning fiber / the reclamation epoch; the checker slot is written from
-   sequential set-up code only; the per-thread flush-dedup scratch is
-   confined to its thread slot; [pub_once.(i)] is written only by thread
-   [i] and sequential recovery. *)
+   sequential set-up code only; the per-thread flush-dedup scratch, curTx
+   stamps and request words are confined to their thread slot;
+   [pub_once.(i)] is written only by thread [i] and sequential
+   recovery. *)
 
 module Region = Pmem.Region
 module Word = Pmem.Word
@@ -145,6 +147,10 @@ type faults = {
       (* a registering reader ignores [nocap]: it can pin below a commit
          that was applied without capture and then miss the version of a
          word that commit overwrote *)
+  mutable skip_help_curtx_pwb : bool;
+      (* a helper treats its curTx stamp as set: it DCASes a foreign
+         commit's entries without writing back curTx first, so a data word
+         can become durable ahead of the durable curTx *)
 }
 
 type t = {
@@ -173,9 +179,10 @@ type t = {
      so an aggregate scans only the slots in use *)
   pub_watermark : int Satomic.t;
   pub_once : bool array;
-  (* the WF aggregator election: [(seq lsl 8) lor tid] of the thread that
-     aggregates the commit of [seq] (see [wf_update_tx]) *)
-  agg_claim : int Satomic.t;
+  (* the commit claim: [(seq lsl 8) lor tid] of the thread that commits
+     [seq] — an LF updater with its write-set ready, or the elected WF
+     aggregator (see [claim_commit]) *)
+  claim : int Satomic.t;
   (* per-thread scratch used when helping to apply a foreign write-set *)
   scratch_addrs : int array array;
   scratch_vals : int array array;
@@ -185,6 +192,12 @@ type t = {
   seen_lines : int array array;
   seen_gens : int array array;
   line_gen : int array;
+  (* [curtx_stamp.(i)]: the newest commit sequence for which thread [i]
+     wrote back curTx (see [put]) *)
+  curtx_stamp : int array;
+  (* [req_word.(i)]: the request word thread [i]'s last [publish_log]
+     stored, so its commit closes the request with one CAS *)
+  req_word : Word.t array;
   checker : Tmcheck.t option ref;
   tele : Telemetry.sink; (* no-op counters until a registry is attached *)
   (* pre-resolved telemetry handles (no string hash on the hot paths) *)
@@ -197,9 +210,9 @@ type t = {
   c_wf_published : Telemetry.handle;
   c_wf_aggregated : Telemetry.handle;
   c_wf_fallbacks : Telemetry.handle;
-  c_wf_claims : Telemetry.handle;
-  c_wf_claim_waits : Telemetry.handle;
-  c_wf_claim_timeouts : Telemetry.handle;
+  c_claims : Telemetry.handle;
+  c_claim_waits : Telemetry.handle;
+  c_claim_timeouts : Telemetry.handle;
   c_rec_runs : Telemetry.handle;
   c_rec_helped : Telemetry.handle;
   c_ro_pins : Telemetry.handle;
@@ -216,7 +229,7 @@ let op_cell inst tid = inst.wf_base + (3 * tid)
 let res_cell inst tid = inst.wf_base + (3 * tid) + 1
 let ack_cell inst tid = inst.wf_base + (3 * tid) + 2
 
-(* [agg_claim] fields; a tid fits 8 bits since [max_threads] <= 255 *)
+(* [claim] fields; a tid fits 8 bits since [max_threads] <= 255 *)
 let claim_seq c = c lsr 8
 let claim_tid c = c land 0xff
 let stats inst = Region.stats inst.region
@@ -391,12 +404,14 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       next_opid = Satomic.make 0;
       pub_watermark = Satomic.make 0;
       pub_once = Array.make max_threads false;
-      agg_claim = Satomic.make 0;
+      claim = Satomic.make 0;
       scratch_addrs = Array.init max_threads (fun _ -> Array.make ws_cap 0);
       scratch_vals = Array.init max_threads (fun _ -> Array.make ws_cap 0);
       seen_lines = Array.init max_threads (fun _ -> Array.make 64 (-1));
       seen_gens = Array.init max_threads (fun _ -> Array.make 64 0);
       line_gen = Array.make max_threads 0;
+      curtx_stamp = Array.make max_threads 0;
+      req_word = Array.make max_threads Word.zero;
       checker;
       tele;
       c_commits = Telemetry.counter tele (key "tx.commits");
@@ -408,9 +423,9 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       c_wf_published = Telemetry.counter tele (key "wf.published");
       c_wf_aggregated = Telemetry.counter tele (key "wf.aggregated");
       c_wf_fallbacks = Telemetry.counter tele (key "wf.fallbacks");
-      c_wf_claims = Telemetry.counter tele (key "wf.claims");
-      c_wf_claim_waits = Telemetry.counter tele (key "wf.claim_waits");
-      c_wf_claim_timeouts = Telemetry.counter tele (key "wf.claim_timeouts");
+      c_claims = Telemetry.counter tele (key "tx.claims");
+      c_claim_waits = Telemetry.counter tele (key "tx.claim_waits");
+      c_claim_timeouts = Telemetry.counter tele (key "tx.claim_timeouts");
       c_rec_runs = Telemetry.counter tele (key "recovery.runs");
       c_rec_helped = Telemetry.counter tele (key "recovery.helped");
       c_ro_pins = Telemetry.counter tele (key "tx.ro_epoch_pins");
@@ -424,6 +439,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
           stale_dedup_flush = false;
           stale_ro_snapshot = false;
           skip_nocap = false;
+          skip_help_curtx_pwb = false;
         };
     }
   in
@@ -611,17 +627,28 @@ let decide_capture inst ~seq =
 (* Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15).
    [cap] is the pass's capture decision ([decide_capture]).
 
+   With [flush_curtx], a thread writes curTx back before its first DCAS
+   for [seq]; [curtx_stamp] records that it did.  A data word gets
+   sequence [seq] only through a DCAS for [seq], so the durable curTx is
+   >= [seq] before any word carries it (Tmcheck rule (b)), and a helper
+   whose puts all fail the guard writes nothing back.  The owner's commit
+   writes curTx back right after its CAS and sets its stamp there.
+
    Under a capturing decision the word about to be overwritten is
    installed in the version store before the winning CAS: it covered the
    commit interval [w.s, seq - 1], exactly what a reader pinned inside
    that interval still needs.  Capture precedes the CAS so no reader can
    observe the new word while the old version is absent from the store;
    racing helpers capture the identical record and dedup on (addr, del). *)
-let put inst ~seq ~cap addr v =
+let put inst ~me ~flush_curtx ~seq ~cap addr v =
   (* flowlint: bounded a CAS miss means a helper already installed this entry with sequence >= seq, so the seq guard fails on the next round *)
   let rec go () =
     let w = Region.load inst.region addr in
     if w.Word.s < seq then begin
+      if flush_curtx && inst.curtx_stamp.(me) < seq then begin
+        Region.pwb inst.region curtx_cell;
+        inst.curtx_stamp.(me) <- seq
+      end;
       if cap && addr >= inst.roots_base then
         vinstall inst (vbucket addr)
           { vaddr = addr; vval = w.Word.v; vbirth = w.Word.s; vdel = seq - 1 };
@@ -630,7 +657,8 @@ let put inst ~seq ~cap addr v =
   in
   go ()
 
-let put_one inst ~seq addr v = put inst ~seq ~cap:(decide_capture inst ~seq) addr v
+let put_one inst ~seq addr v =
+  put inst ~me:0 ~flush_curtx:false ~seq ~cap:(decide_capture inst ~seq) addr v
 
 let close_request inst ~tid ~seq =
   let cell = req_cell inst tid in
@@ -674,7 +702,8 @@ let apply_own inst ~me ~seq (ws : Writeset.t) =
   let n = Writeset.size ws in
   let cap = decide_capture inst ~seq in
   for i = 0 to n - 1 do
-    put inst ~seq ~cap (Writeset.addr_at ws i) (Writeset.val_at ws i)
+    put inst ~me ~flush_curtx:true ~seq ~cap (Writeset.addr_at ws i)
+      (Writeset.val_at ws i)
   done;
   let gen = flush_gen inst ~me in
   let last = ref (-1) in
@@ -706,7 +735,9 @@ let apply_own inst ~me ~seq (ws : Writeset.t) =
    Every put is idempotent under the sequence guard and a capture dedups
    on (addr, del), so the order is free; a helper that loses an entry's
    DCAS to the owner pays one failed DCAS.  The in-loop re-check counts
-   iterations, not entries. *)
+   iterations, not entries.  A helper writes curTx back before its first
+   DCAS ([put]), not on entry: one that finds every entry applied writes
+   none. *)
 let help_check_interval = 8
 
 let apply_foreign inst ~me ~tid ~seq ~n addrs vals =
@@ -715,6 +746,7 @@ let apply_foreign inst ~me ~tid ~seq ~n addrs vals =
   let is_closed () = (Region.load region req).Word.v <> seq in
   let closed i = i > 0 && i land (help_check_interval - 1) = 0 && is_closed () in
   let cap = decide_capture inst ~seq in
+  let flush_curtx = not inst.faults.skip_help_curtx_pwb in
   let mt = inst.max_threads in
   let start = (me - tid + mt) mod mt * n / mt in
   let rec put_from i =
@@ -722,7 +754,7 @@ let apply_foreign inst ~me ~tid ~seq ~n addrs vals =
     else if closed i then false
     else begin
       let j = if start + i >= n then start + i - n else start + i in
-      put inst ~seq ~cap addrs.(j) vals.(j);
+      put inst ~me ~flush_curtx ~seq ~cap addrs.(j) vals.(j);
       put_from (i + 1)
     end
   in
@@ -747,7 +779,6 @@ let apply_foreign inst ~me ~tid ~seq ~n addrs vals =
 let help inst ~me (ct : Word.t) =
   let region = inst.region in
   let tid = ct.Word.s and seq = ct.Word.v in
-  Region.pwb region curtx_cell;
   let req = Region.load region (req_cell inst tid) in
   (if req.Word.v = seq then begin
      let n = (Region.load region (nstores_cell inst tid)).Word.v in
@@ -816,7 +847,9 @@ let publish_log inst ~me (ws : Writeset.t) ~seq =
       (Word.make (Writeset.addr_at ws i) (Writeset.val_at ws i))
   done;
   Region.store region (base + 1) (Word.make n 0);
-  Region.store region base (Word.make seq 0);
+  let req = Word.make seq 0 in
+  inst.req_word.(me) <- req;
+  Region.store region base req;
   Region.pwb_range region base (2 + n)
 
 (* ------------------------------------------------------------------ *)
@@ -845,8 +878,10 @@ let ro_end inst =
 (* Commit the write-set of an update attempt begun at the closed curTx
    [ct] — WF commits its aggregated write-set the same way (§III-E):
    publish the redo log, CAS curTx to the next sequence, then persist
-   curTx, apply and close the request.  Returns whether the CAS won; a
-   lost CAS aborts the attempt. *)
+   curTx, apply and close the request.  The close is one CAS from the
+   request word [publish_log] stored: it fails, changing nothing, when a
+   helper closed the request first.  Returns whether the commit CAS won;
+   a lost CAS aborts the attempt. *)
 let commit inst ~me tx ct =
   let ct = if inst.faults.stale_commit_snapshot then read_curtx inst else ct in
   let seq = ct.Word.v + 1 in
@@ -854,8 +889,12 @@ let commit inst ~me tx ct =
   if Region.cas1 inst.region curtx_cell ct (Word.make seq me) then begin
     with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:(Some seq));
     Region.pwb inst.region curtx_cell;
+    inst.curtx_stamp.(me) <- seq;
     apply_own inst ~me ~seq tx.ws;
-    close_request inst ~tid:me ~seq;
+    if
+      Region.cas1 inst.region (req_cell inst me) inst.req_word.(me)
+        (Word.make (seq + 1) 0)
+    then Telemetry.tick inst.c_recycles;
     stable_bump inst.vst seq;
     let st = stats inst in
     st.Pstats.commits <- st.Pstats.commits + 1;
@@ -1064,18 +1103,102 @@ let validating_read inst ~fallback f =
   attempt inst.read_tries
 
 (* ------------------------------------------------------------------ *)
+(* The commit claim, shared by LF commits and the WF election          *)
+
+(* A thread that finds another thread's claim on the next commit waits at
+   most this many iterations before it commits anyway: per WF operation,
+   loop iterations of six steps each; per LF attempt, reads of curTx.
+   WF budget sweeps at 8/16/32/64/128/256, with the share of operations
+   that spent the budget:
+   - wf-kv-write (benchmark/run.exe, seed 1, --seconds 2): 88%/88%/77%/
+     0.08%/0%/0% spent, 22.06/22.14/16.91/8.59/8.59/8.59 pwb/op;
+   - the shards figure's WF cells (transfers): 63%/31%/9.3%/0%/0%/0%
+     spent, 1-shard pwb/tx 18.0/15.8/4.4/4.0/4.0/4.0;
+   - fig5's OF-WF list cells: 55%/53%/52%/44%/30%/14% spent over all
+     cells, 87% at 64 and 28% at 256 at 100% updates on 8 threads, with
+     no throughput trend across the sweep.
+   64 is the smallest budget at the knee of the workloads whose closures
+   touch a few words: there the elected aggregator commits within the
+   budget.  A list closure walks tens of nodes, so an aggregate of
+   several outlasts these budgets and its waiters aggregate too; there a
+   longer budget cuts the share that spends it but not the throughput,
+   and lengthens the wait bound (DESIGN.md §5).  LF at 64: on the
+   benchmark's shard-local and shard-cross workloads no waiter spent the
+   budget, since an LF claimer's closure has already run and it is a
+   redo-log publish away from its CAS. *)
+let claim_budget = 64
+
+(* What a thread about to commit at a closed curTx finds in the claim. *)
+type claim = Claimed | Held | Lost
+
+(* Claim commit [ct + 1] at the closed curTx [ct]: one volatile word
+   names the thread that commits it.  The first step is one blind CAS
+   from [(ct lsl 8) lor tid], the word the committer of [ct] leaves,
+   since it claimed [ct] and curTx names it.  Failing that, the word is
+   read: a claim on an older sequence is taken with one CAS ([Lost] when
+   that CAS misses); our own claim on [ct + 1] (an earlier attempt of
+   ours at [ct]) is [Claimed]; another thread's is [Held]; a newer
+   sequence means curTx moved since [ct] was read ([Lost]).  The claim
+   only decides who writes a redo log: every commit still goes through
+   the curTx CAS. *)
+let claim_commit inst ~me (ct : Word.t) =
+  let seq = ct.Word.v + 1 in
+  let mine = (seq lsl 8) lor me in
+  if Satomic.compare_and_set inst.claim ((ct.Word.v lsl 8) lor ct.Word.s) mine
+  then begin
+    Telemetry.tick inst.c_claims;
+    Claimed
+  end
+  else
+    let c = Satomic.get inst.claim in
+    if claim_seq c < seq then
+      if Satomic.compare_and_set inst.claim c mine then begin
+        Telemetry.tick inst.c_claims;
+        Claimed
+      end
+      else Lost
+    else if claim_seq c > seq then Lost
+    else if claim_tid c = me then Claimed
+    else Held
+
+(* ------------------------------------------------------------------ *)
 (* Lock-free transactions (§III-B)                                     *)
 
 let lf_read_tx = snap_read_tx
 let lf_read_tx_validating inst f = validating_read inst ~fallback:None f
 
+(* The wait of an LF updater that did not get the claim on [ct + 1]: it
+   has published nothing.  It re-reads curTx at most [budget] times and
+   aborts once curTx moved (its commit CAS would have failed); a spent
+   budget publishes and races for the CAS as the paper does.  Returns
+   whether it committed. *)
+(* flowlint: bounded budget strictly decreases to 0, where the wait ends in one commit attempt *)
+let rec wait_claim inst ~me tx (ct : Word.t) budget =
+  if budget = 0 then begin
+    Telemetry.tick inst.c_claim_timeouts;
+    commit inst ~me tx ct
+  end
+  else if (read_curtx inst).Word.v <> ct.Word.v then begin
+    abort inst;
+    false
+  end
+  else begin
+    Telemetry.tick inst.c_claim_waits;
+    wait_claim inst ~me tx ct (budget - 1)
+  end
+
+(* Only the thread that will commit writes a redo log: an updater whose
+   closure left a write-set claims the commit ([claim_commit]) before it
+   publishes, and a claim loser waits in [wait_claim].  A claimer killed
+   between its claim and its CAS delays each attempt of a waiter by at
+   most [claim_budget] steps, so LF stays lock-free. *)
 let lf_update_tx inst f =
   let me = Sched.self () in
   let tx = inst.txs.(me) in
   let t0 = Sched.now () in
   release_orphan_pin inst ~me;
   deregister inst ~me;
-  (* flowlint: bounded lock-free path: a retry happens only when another transaction committed in the meantime (curtx advanced), which is global progress *)
+  (* flowlint: bounded lock-free path: a retry happens only when another transaction committed in the meantime (curtx advanced), which is global progress, or after a claim loser's wait, which ends after at most claim_budget reads of curtx *)
   let rec attempt () =
     let ct = read_curtx inst in
     if is_open inst ct then begin
@@ -1095,11 +1218,22 @@ let lf_update_tx inst f =
             ro_end inst;
             result
           end
-          else if commit inst ~me tx ct then begin
-            Telemetry.observe inst.s_latency (Sched.now () - t0 + 1);
-            result
-          end
-          else attempt ()
+          else
+            let committed =
+              (* the planted lost update commits from the current curTx:
+                 it ignores the claim, whose verdict would otherwise send
+                 a stale attempt back to retry, as well as the snapshot *)
+              if inst.faults.stale_commit_snapshot then commit inst ~me tx ct
+              else
+                match claim_commit inst ~me ct with
+                | Claimed -> commit inst ~me tx ct
+                | Held | Lost -> wait_claim inst ~me tx ct claim_budget
+            in
+            if committed then begin
+              Telemetry.observe inst.s_latency (Sched.now () - t0 + 1);
+              result
+            end
+            else attempt ()
     end
   in
   attempt ()
@@ -1159,25 +1293,6 @@ let aggregate inst tx =
     end
   done
 
-(* A thread that finds another thread's claim on the next commit waits at
-   most this many loop iterations (five steps each) per operation before
-   it aggregates anyway.  Budget sweeps at 8/16/32/64/128/256, with the
-   share of operations that spent the budget:
-   - wf-kv-write (benchmark/run.exe, seed 1, --seconds 2): 88%/88%/77%/
-     0.08%/0%/0% spent, 22.06/22.14/16.91/8.59/8.59/8.59 pwb/op;
-   - the shards figure's WF cells (transfers): 63%/31%/9.3%/0%/0%/0%
-     spent, 1-shard pwb/tx 18.0/15.8/4.4/4.0/4.0/4.0;
-   - fig5's OF-WF list cells: 55%/53%/52%/44%/30%/14% spent over all
-     cells, 87% at 64 and 28% at 256 at 100% updates on 8 threads, with
-     no throughput trend across the sweep.
-   64 is the smallest budget at the knee of the workloads whose closures
-   touch a few words: there the elected aggregator commits within the
-   budget.  A list closure walks tens of nodes, so an aggregate of
-   several outlasts these budgets and its waiters aggregate too; there a
-   longer budget cuts the share that spends it but not the throughput,
-   and lengthens the wait bound (DESIGN.md §5). *)
-let claim_budget = 64
-
 (* What a thread whose operation is unacknowledged does at a closed curTx. *)
 type turn =
   | Run (* aggregate and commit at this curTx *)
@@ -1185,31 +1300,23 @@ type turn =
   | Reread (* the claim moved under us: loop without spending budget *)
   | Alone (* our operation became [Solo]: cancel it, then run it alone *)
 
-(* The aggregator election at the closed curTx [ct]: one volatile claim
-   word names the thread that aggregates commit [ct + 1].  A claim on an
-   older sequence is taken with one CAS; a claim on [ct + 1] by another
-   thread is waited on while [budget] lasts; our own claim (an attempt
-   that aborted) or a spent budget aggregates as the paper does.  A claim
-   on a newer sequence means curTx moved since [ct] was read. *)
+(* The aggregator election at the closed curTx [ct]: the claim on
+   [ct + 1] ([claim_commit]) names the thread that aggregates it.  A
+   claim held by another thread is waited on while [budget] lasts; a
+   spent budget aggregates as the paper does.  A lost claim re-reads
+   without spending budget. *)
 let elect inst ~me ~budget (ct : Word.t) =
   match Satomic.get inst.pending.(me) with
   | Solo _ -> Alone
-  | Empty | Published _ ->
-      let seq = ct.Word.v + 1 in
-      let c = Satomic.get inst.agg_claim in
-      if claim_seq c < seq then
-        if Satomic.compare_and_set inst.agg_claim c ((seq lsl 8) lor me) then begin
-          Telemetry.tick inst.c_wf_claims;
-          Run
-        end
-        else Reread
-      else if claim_seq c > seq then Reread
-      else if claim_tid c = me || budget = 0 then Run
-      else begin
-        Telemetry.tick inst.c_wf_claim_waits;
-        if budget = 1 then Telemetry.tick inst.c_wf_claim_timeouts;
-        Wait
-      end
+  | Empty | Published _ -> (
+      match claim_commit inst ~me ct with
+      | Claimed -> Run
+      | Lost -> Reread
+      | Held when budget = 0 -> Run
+      | Held ->
+          Telemetry.tick inst.c_claim_waits;
+          if budget = 1 then Telemetry.tick inst.c_claim_timeouts;
+          Wait)
 
 (* A published operation is normally committed by the elected aggregator
    of some commit (§III-E, one redo-log flush per commit).  An operation
@@ -1336,10 +1443,10 @@ let capture_info inst =
   let c = Satomic.get_relaxed inst.vst.capst in
   (cap_readers c, cap_nocap c)
 
-(* Debug view of the aggregator claim: (claimed sequence, claimer tid),
+(* Debug view of the commit claim: (claimed sequence, claimer tid),
    (0, 0) when none.  Step-free like [curtx_info]. *)
 let claim_info inst =
-  let c = Satomic.get_relaxed inst.agg_claim in
+  let c = Satomic.get_relaxed inst.claim in
   (claim_seq c, claim_tid c)
 
 (* Allocator accounting over the quiescent volatile state (no transaction,
@@ -1362,11 +1469,14 @@ let recover inst =
   (* closures are not executable after a restart: orphaned published
      operations will never run, but committed ones already have their
      results applied by the help below.  The publication watermark and the
-     aggregator claim are volatile too: a claim left by a killed fiber
-     would otherwise delay the next waiter by up to [claim_budget]. *)
+     commit claim are volatile too: a claim left by a killed fiber would
+     otherwise delay the next waiter by up to [claim_budget].  The curTx
+     stamps are cleared too: a sequence lost in the crash is reused after
+     it, and a stale stamp would skip that sequence's curTx write-back. *)
   Array.fill inst.pub_once 0 inst.max_threads false;
   Satomic.set inst.pub_watermark 0;
-  Satomic.set inst.agg_claim 0;
+  Satomic.set inst.claim 0;
+  Array.fill inst.curtx_stamp 0 inst.max_threads 0;
   Telemetry.tick inst.c_rec_runs;
   let ct = read_curtx inst in
   if is_open inst ct then begin

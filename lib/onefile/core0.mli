@@ -98,9 +98,10 @@ val capture_info : t -> int * int
     readers, highest commit applied without version capture). *)
 
 val claim_info : t -> int * int
-(** Step-free debug view of the WF aggregator claim: (the commit sequence
-    claimed, the claiming thread's tid); [(0, 0)] when none, as after
-    {!recover}. *)
+(** Step-free debug view of the commit claim, which an LF updater takes
+    before it publishes its redo log and a WF thread takes to aggregate:
+    (the commit sequence claimed, the claiming thread's tid); [(0, 0)]
+    when none, as after {!recover}. *)
 
 (** {1 Sanitizer attachment}
 
@@ -131,10 +132,11 @@ val attach_telemetry : t -> Runtime.Telemetry.t -> unit
 (** Wire this instance into the registry: transaction counters and the
     commit-latency span ("tx.commits", "tx.ro_commits", "tx.ro_epoch_pins",
     "tx.aborts", "tx.helps", "tx.help_exits", "log.recycles",
-    "wf.published", "wf.aggregated", "wf.fallbacks", "wf.claims"
-    (aggregator claims taken), "wf.claim_waits" (loop iterations spent
-    waiting on another thread's claim), "wf.claim_timeouts" (operations
-    that spent their whole wait budget), "recovery.runs",
+    "wf.published", "wf.aggregated", "wf.fallbacks", "tx.claims" (commit
+    claims taken, LF and WF), "tx.claim_waits" (iterations spent waiting
+    on another thread's claim), "tx.claim_timeouts" (waits that spent
+    their whole budget: per WF operation, per LF attempt),
+    "recovery.runs",
     "recovery.helped", "ro.captures" (versions handed to the version
     store), spans "tx.latency" and "ro.snapshot_lag"),
     the region's Pstats as a pull source ("pmem.*"),
@@ -171,6 +173,10 @@ type faults = {
       (** a registering snapshot reader ignores the highest commit applied
           without version capture, so it can pin below that commit and
           miss the version of a word it overwrote *)
+  mutable skip_help_curtx_pwb : bool;
+      (** a helper treats its curTx stamp as set and DCASes a foreign
+          commit's entries without writing back curTx first, so a data
+          word can become durable ahead of the durable curTx *)
 }
 
 val faults : t -> faults
@@ -196,7 +202,9 @@ val is_open : t -> Pmem.Word.t -> bool
 
 val put_one : t -> seq:int -> int -> int -> unit
 (** Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15), as
-    a one-entry apply pass: it makes its own version-capture decision. *)
+    a one-entry apply pass: it makes its own version-capture decision.
+    Unlike a helper's put, it never writes back curTx, so tests can stage
+    a data word ahead of the durable curTx. *)
 
 val close_request : t -> tid:int -> seq:int -> unit
 val publish_log : t -> me:int -> Writeset.t -> seq:int -> unit

@@ -24,6 +24,7 @@ type fault =
   | Stale_ro_snapshot
   | Skip_nocap
   | Torn_migration
+  | Help_curtx
 
 let fault_name = function
   | No_fault -> "none"
@@ -35,6 +36,7 @@ let fault_name = function
   | Stale_ro_snapshot -> "stale-ro-snapshot"
   | Skip_nocap -> "skip-nocap"
   | Torn_migration -> "torn-migration"
+  | Help_curtx -> "help-curtx"
 
 let fault_of_name s =
   List.find_opt
@@ -42,6 +44,7 @@ let fault_of_name s =
     [
       No_fault; Durability_hole; Lost_update; Stale_dedup; Torn_commit_record;
       Torn_batch_record; Stale_ro_snapshot; Skip_nocap; Torn_migration;
+      Help_curtx;
     ]
 
 type config = {
@@ -177,6 +180,7 @@ let plant_engine fault tm =
   | Stale_dedup -> f.stale_dedup_flush <- true
   | Stale_ro_snapshot -> f.stale_ro_snapshot <- true
   | Skip_nocap -> f.skip_nocap <- true
+  | Help_curtx -> f.skip_help_curtx_pwb <- true
 
 (* One rig per OneFile front-end.  [Lf] and [Wf] share [Lf.t] and every
    function but [update_tx] and [read_tx_validating], so only [F] tells

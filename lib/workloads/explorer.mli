@@ -80,6 +80,13 @@ type fault =
           shards at 6 roots so the torn half covers a root slot the
           program addresses.  Only the crash strategy can expose it — a
           no-op on an unsharded instance *)
+  | Help_curtx
+      (** a helper DCASes a foreign commit's entries without writing back
+          curTx first (see [Onefile.Core0.faults]), so a data word can be
+          durable ahead of the durable curTx: the sanitizer's
+          durable-ahead-of-curtx rule fires once the helper's flush pass
+          writes that word back.  Needs a persistent region and a schedule
+          in which a helper applies an entry before the owner does *)
 
 val fault_name : fault -> string
 (** The fault's name in traces and on the [bin/explore.exe] command line

@@ -306,6 +306,42 @@ let test_stale_ro_snapshot_clean () =
       | None -> ())
     [ 1; 2; 3 ]
 
+(* --- planted helper that skips its curTx write-back ----------------- *)
+
+(* The lazy curTx flush fault: [skip_help_curtx_pwb] lets a helper DCAS
+   a foreign commit's entries without writing curTx back first.  A helper
+   that applies an entry between the owner's commit CAS and the owner's
+   curTx write-back, and then writes that entry's line back, makes a data
+   word durable ahead of the durable curTx: the sanitizer's
+   durable-ahead-of-curtx rule must fire.  The same search without the
+   fault stays silent. *)
+let help_curtx_find config prog =
+  (E.explore_exhaustive ~config ~max_executions:3000 prog).E.failure
+
+let help_curtx_prog = Proggen.gen_program ~max_txns:6 ~max_ops:3 1
+
+let test_planted_help_curtx () =
+  let config = { E.default with E.persistent = true; fault = E.Help_curtx } in
+  let find = help_curtx_find config in
+  match find help_curtx_prog with
+  | None -> Alcotest.fail "planted help-curtx not found within budget"
+  | Some f ->
+      let small = E.shrink ~find f in
+      check_bool "shrinks to at most 2 transactions" true
+        (List.length small.E.program <= 2);
+      check_bool
+        ("reported as durable-ahead-of-curtx: " ^ small.E.reason)
+        true
+        (String.starts_with ~prefix:"sanitizer: [durable-ahead-of-curtx]"
+           small.E.reason);
+      assert_deterministic_replay small
+
+let test_help_curtx_clean () =
+  let config = { E.default with E.persistent = true } in
+  match help_curtx_find config help_curtx_prog with
+  | Some f -> Alcotest.failf "clean lazy flush: %a" E.pp_failure f
+  | None -> ()
+
 (* --- planted skipped registration handshake ------------------------ *)
 
 (* The capture-handshake fault: an apply pass skips version capture while
@@ -699,6 +735,9 @@ let () =
           Alcotest.test_case "skip-nocap-via-oracle" `Quick
             test_planted_skip_nocap;
           Alcotest.test_case "skip-nocap-clean" `Quick test_skip_nocap_clean;
+          Alcotest.test_case "help-curtx-via-sanitizer" `Quick
+            test_planted_help_curtx;
+          Alcotest.test_case "help-curtx-clean" `Quick test_help_curtx_clean;
         ] );
       ( "sharded",
         [

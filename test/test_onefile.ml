@@ -631,37 +631,38 @@ let test_wf_one_aggregator () =
     (Printf.sprintf "aborts %d <= commits %d / 10" (g "tx.aborts") (g "tx.commits"))
     true
     (10 * g "tx.aborts" <= g "tx.commits");
-  check bool "claims taken" true (g "wf.claims" > 0);
+  check bool "claims taken" true (g "tx.claims" > 0);
   for i = 0 to n - 1 do
     check int "exact count" iters (Wf.read_tx t (fun tx -> Wf.load tx (Wf.root t i)))
   done
 
-(* A claimer killed mid-aggregate delays the others by at most the wait
-   budget: every other operation completes with its exact result, and
-   recovery drops the stale claim. *)
-let test_wf_killed_claimer () =
-  let n = 6 and iters = 10 in
-  let t = Wf.create ~mode:Region.Volatile ~max_threads:n () in
+(* Increment root [i] through [update]; the result is the new count. *)
+let increment update t i =
+  update t (fun tx ->
+      let r = Lf.root t i in
+      let v = Lf.load tx r + 1 in
+      Lf.store tx r v;
+      v)
+
+(* A claimer killed mid-aggregate (WF) or between its claim and its
+   commit CAS (LF) delays the others by at most the wait budget: every
+   other operation completes with its exact result, and recovery drops
+   the stale claim. *)
+let test_killed_claimer api ~n ~iters () =
+  let t = api.mk ~mode:Region.Volatile ~max_threads:n () in
   let te = Telemetry.create () in
-  Wf.attach_telemetry t te;
+  Lf.attach_telemetry t te;
   let results = Array.make n [] in
   let victim = ref (-1) in
   let body i () =
     for _ = 1 to iters do
-      let v =
-        Wf.update_tx t (fun tx ->
-            let r = Wf.root t i in
-            let v = Wf.load tx r + 1 in
-            Wf.store tx r v;
-            v)
-      in
-      results.(i) <- v :: results.(i)
+      results.(i) <- increment api.update t i :: results.(i)
     done
   in
   let on_round sched =
     if !victim < 0 && Sched.round sched > 100 then begin
       let cseq, ctid = Onefile.Core0.claim_info t in
-      let seq, _, open_ = Wf.curtx_info t in
+      let seq, _, open_ = Lf.curtx_info t in
       if cseq = seq + 1 && not open_ then begin
         ignore (Sched.kill sched ctid);
         victim := ctid
@@ -670,17 +671,17 @@ let test_wf_killed_claimer () =
   in
   ignore (Sched.run ~seed:6 ~on_round ~max_rounds:200_000 (Array.init n body));
   check bool "a claimer was killed" true (!victim >= 0);
-  check bool "a waiter spent its budget" true (Telemetry.get te "wf.claim_timeouts" > 0);
+  check bool "a waiter spent its budget" true (Telemetry.get te "tx.claim_timeouts" > 0);
   for i = 0 to n - 1 do
     if i <> !victim then begin
       check (Alcotest.list int)
         (Printf.sprintf "fiber %d completed every operation" i)
         (List.init iters (fun k -> iters - k))
         results.(i);
-      check int "exact count" iters (Wf.read_tx t (fun tx -> Wf.load tx (Wf.root t i)))
+      check int "exact count" iters (api.read t (fun tx -> Lf.load tx (Lf.root t i)))
     end
   done;
-  Wf.recover t;
+  api.recover t;
   check (Alcotest.pair int int) "recovery drops the claim" (0, 0)
     (Onefile.Core0.claim_info t)
 
@@ -738,6 +739,70 @@ let test_wf_scans_used_slots () =
   check int "one attempt" 1
     (Telemetry.get te "tx.aborts" - aborts + Telemetry.get te "tx.commits" - commits);
   check int "one operation cell loaded" 1 !op_loads
+
+(* ------------------------------------------------------------------ *)
+(* The LF commit claim *)
+
+(* Only the thread that will commit writes a redo log, and only a thread
+   that writes data flushes curTx: four fibers incrementing their own
+   roots in lockstep contend for every commit, yet each commit costs what
+   it costs alone — four pwbs (request preflush, one log line, curTx, the
+   roots' data line) and two CASes (the commit and the close). *)
+let test_lf_lost_commit_flushes_nothing () =
+  let n = 4 and iters = 20 in
+  let t = Lf.create ~max_threads:n () in
+  let st = Region.stats (Lf.region t) in
+  run_fibers ~seed:9 n (fun i ->
+      for k = 1 to iters do
+        check int "result routed to its caller" k (increment Lf.update_tx t i)
+      done);
+  let commits = st.Pstats.commits in
+  check int "one commit per increment" (n * iters) commits;
+  check int "pwb: four per commit" (4 * commits) st.Pstats.pwb;
+  check int "cas: two per commit" (2 * commits) st.Pstats.cas;
+  for i = 0 to n - 1 do
+    check int "exact count" iters (Lf.read_tx t (fun tx -> Lf.load tx (Lf.root t i)))
+  done
+
+(* A helper writes curTx back before its first DCAS of a commit, not on
+   entry: one that arrives after the owner applied every entry finds no
+   put to make and writes back no curTx (its flush pass may still write
+   back data lines the owner flushed). *)
+let test_idle_helper_flushes_no_curtx () =
+  let module C = Onefile.Core0 in
+  let t = C.create ~max_threads:2 ~ws_cap:32 ~num_roots:4 () in
+  let region = C.region t in
+  let applied () =
+    List.for_all
+      (fun i -> (Region.peek region (C.root t i)).Word.v = 10 + i)
+      [ 0; 1; 2; 3 ]
+  in
+  let curtx_pwbs = ref 0 in
+  Region.set_observer region
+    (Some
+       (function
+       | Region.Ev_pwb { line }
+         when line = Region.line_of C.curtx_cell && Sched.self () = 1 ->
+           incr curtx_pwbs
+       | _ -> ()));
+  let fibers =
+    [|
+      (fun () ->
+        ignore
+          (C.lf_update_tx t (fun tx ->
+               for i = 0 to 3 do
+                 C.store tx (C.root t i) (10 + i)
+               done;
+               0)));
+      (fun () -> C.help t ~me:1 (C.read_curtx t));
+    |]
+  in
+  let staged = run_stages fibers [ (0, applied); (1, fun () -> false) ] in
+  Region.set_observer region None;
+  check bool "every stage ran" true staged;
+  check int "no curTx write-back by the idle helper" 0 !curtx_pwbs;
+  let _, _, open_ = C.curtx_info t in
+  check bool "request closed" false open_
 
 (* ------------------------------------------------------------------ *)
 (* Real domains: same code under genuine parallelism *)
@@ -1050,9 +1115,19 @@ let () =
           Alcotest.test_case "result after a striped ack" `Quick
             test_wf_result_after_striped_ack;
           Alcotest.test_case "one aggregator per commit" `Quick test_wf_one_aggregator;
-          Alcotest.test_case "killed claimer" `Quick test_wf_killed_claimer;
+          Alcotest.test_case "killed claimer" `Quick
+            (test_killed_claimer wf_api ~n:6 ~iters:10);
           Alcotest.test_case "striped help" `Quick test_striped_help;
           Alcotest.test_case "aggregate scans used slots" `Quick test_wf_scans_used_slots;
+        ] );
+      ( "lf-claim",
+        [
+          Alcotest.test_case "lost commit flushes nothing" `Quick
+            test_lf_lost_commit_flushes_nothing;
+          Alcotest.test_case "killed claimer" `Quick
+            (test_killed_claimer lf_api ~n:4 ~iters:20);
+          Alcotest.test_case "idle helper flushes no curTx" `Quick
+            test_idle_helper_flushes_no_curtx;
         ] );
       ("crash", crash_cases);
       ( "costs",
