@@ -156,14 +156,18 @@ let rule_mutable ~path ~toks ~comments acc =
         }
         :: acc
 
-(* The TM hot path (lib/onefile) is kept allocation-free by construction:
-   Option-returning lookups box their result on every access and
-   string-keyed telemetry ([incr]/[sample] on a registry) hashes the name
-   on every call, so both are banned there in favour of
-   Writeset.find_idx / pre-resolved Telemetry handles.  Cold paths that genuinely want the convenience
-   carry an (* alloc-ok: ... *) marker. *)
+(* The TM hot path (lib/onefile, and the router's transaction paths in
+   lib/tm) is kept allocation-free by construction: Option-returning
+   lookups box their result on every access and string-keyed telemetry
+   ([incr]/[sample] on a registry) hashes the name on every call, so both
+   are banned there in favour of sentinel or exception lookups
+   (Writeset.find_idx, [Hashtbl.find] under [exception Not_found]) and
+   pre-resolved Telemetry handles.  Cold paths that genuinely want the
+   convenience carry an (* alloc-ok: ... *) marker. *)
 let rule_hotpath ~path ~toks ~comments acc =
-  if (not (under "lib/onefile" path)) || Srclex.has_marker comments "alloc-ok"
+  if
+    (not (under "lib/onefile" path || under "lib/tm" path))
+    || Srclex.has_marker comments "alloc-ok"
   then acc
   else begin
     let acc = ref acc in
@@ -175,10 +179,11 @@ let rule_hotpath ~path ~toks ~comments acc =
           rule = "hotpath-alloc";
           message =
             tok
-            ^ " in lib/onefile: allocates or string-hashes on the TM hot \
-               path — use a sentinel-returning lookup (Writeset.find_idx) \
-               or a pre-resolved Telemetry handle, or mark the file \
-               (* alloc-ok: ... *) if this is a cold path";
+            ^ " in lib/onefile or lib/tm: allocates or string-hashes on \
+               the TM hot path — use a sentinel-returning lookup \
+               (Writeset.find_idx), Hashtbl.find under exception \
+               Not_found, or a pre-resolved Telemetry handle, or mark the \
+               file (* alloc-ok: ... *) if this is a cold path";
         }
         :: !acc
     in

@@ -19,9 +19,10 @@
       such as {!Pmem.Pstats} are only sound under the cooperative [Sched].
     - [missing-mli] — every [lib/**/*.ml] must have an [.mli].
     - [hotpath-alloc] — [find_opt], [Telemetry.incr] and
-      [Telemetry.sample] are forbidden in [lib/onefile]: per-access
-      [option] boxes and string-hashed counter bumps are exactly the
-      overhead the hot-path overhaul removed (use [Writeset.find_idx] and
+      [Telemetry.sample] are forbidden in [lib/onefile] and [lib/tm]:
+      per-access [option] boxes and string-hashed counter bumps are
+      exactly the overhead the hot-path overhaul removed (use
+      [Writeset.find_idx], [Hashtbl.find] under [exception Not_found] and
       pre-resolved {!Runtime.Telemetry} handles).  Cold paths may carry an
       [(* alloc-ok: ... *)] marker.
     - [layering] — [Core0.] references are forbidden outside [lib/tm] and

@@ -151,6 +151,10 @@ type faults = {
       (* a helper treats its curTx stamp as set: it DCASes a foreign
          commit's entries without writing back curTx first, so a data word
          can become durable ahead of the durable curTx *)
+  mutable early_retry : bool;
+      (* an LF claim loser treats the winner's request as closed without
+         reading it: its retry runs at a curTx that is still open, reads
+         a half-applied snapshot and commits over the open request *)
 }
 
 type t = {
@@ -440,6 +444,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
           stale_ro_snapshot = false;
           skip_nocap = false;
           skip_help_curtx_pwb = false;
+          early_retry = false;
         };
     }
   in
@@ -633,6 +638,12 @@ let decide_capture inst ~seq =
    >= [seq] before any word carries it (Tmcheck rule (b)), and a helper
    whose puts all fail the guard writes nothing back.  The owner's commit
    writes curTx back right after its CAS and sets its stamp there.
+   Against the paper's write-back on entry to [help] (benchmark/run.exe
+   --seconds 10, seeds 1-3): pwb/op wf-kv-write 8.30 -> 8.46-8.48
+   (+1.9-2.2%), lf-list-read90 0.853 -> 0.874-0.876 (+2.4-2.8%),
+   shard-cross 6.21 -> 6.28 (+1.1-1.2%), shard-local unchanged (LF claim
+   losers no longer help); no other simulator metric worse by over 1.4%.
+   The benchmark's pwb/op bound is 2%, so the stamp stays.
 
    Under a capturing decision the word about to be overwritten is
    installed in the version store before the winning CAS: it covered the
@@ -1106,8 +1117,11 @@ let validating_read inst ~fallback f =
 (* The commit claim, shared by LF commits and the WF election          *)
 
 (* A thread that finds another thread's claim on the next commit waits at
-   most this many iterations before it commits anyway: per WF operation,
-   loop iterations of six steps each; per LF attempt, reads of curTx.
+   most this many polls before it commits or helps anyway: per WF
+   operation, loop iterations of six steps each; per LF attempt, reads of
+   curTx and then of the winning commit's request ([wait_claim],
+   [wait_close]; tx.claim_waits counts the polls of both phases that
+   found the wait going on).
    WF budget sweeps at 8/16/32/64/128/256, with the share of operations
    that spent the budget:
    - wf-kv-write (benchmark/run.exe, seed 1, --seconds 2): 88%/88%/77%/
@@ -1122,10 +1136,18 @@ let validating_read inst ~fallback f =
    budget.  A list closure walks tens of nodes, so an aggregate of
    several outlasts these budgets and its waiters aggregate too; there a
    longer budget cuts the share that spends it but not the throughput,
-   and lengthens the wait bound (DESIGN.md §5).  LF at 64: on the
-   benchmark's shard-local and shard-cross workloads no waiter spent the
-   budget, since an LF claimer's closure has already run and it is a
-   redo-log publish away from its CAS. *)
+   and lengthens the wait bound (DESIGN.md §5).  LF at 64, counting
+   tx.claim_timeouts (benchmark/run.exe, seed 1, --seconds 10):
+   - shard-local: 0 of 1.80 M lost claims;
+   - shard-cross: 453 of 198554, on commits of 3-19 entries (median 16,
+     against a home transfer's 3); in 429 of them the owner closed the
+     request before the help applied anything;
+   - lf-list-read90: 12 of 6108, on 6-entry list updates;
+   - wf-kv-write: 0 of 156857 WF operations;
+   - the shards figure: 0 on either front-end.
+   Every LF timeout fell in phase two: an LF claimer's closure has
+   already run, so it is a redo-log publish away from its CAS, while a
+   long write-set's apply can outlast the budget. *)
 let claim_budget = 64
 
 (* What a thread about to commit at a closed curTx finds in the claim. *)
@@ -1167,76 +1189,111 @@ let claim_commit inst ~me (ct : Word.t) =
 let lf_read_tx = snap_read_tx
 let lf_read_tx_validating inst f = validating_read inst ~fallback:None f
 
-(* The wait of an LF updater that did not get the claim on [ct + 1]: it
-   has published nothing.  It re-reads curTx at most [budget] times and
-   aborts once curTx moved (its commit CAS would have failed); a spent
-   budget publishes and races for the CAS as the paper does.  Returns
-   whether it committed. *)
-(* flowlint: bounded budget strictly decreases to 0, where the wait ends in one commit attempt *)
-let rec wait_claim inst ~me tx (ct : Word.t) budget =
-  if budget = 0 then begin
+(* Phase two of a claim loser's wait: curTx moved to the winner's commit
+   [ct], and the loser polls [ct]'s request until it closes, spending the
+   rest of [budget].  Returns [ct], closed: the loser retries at it with
+   no curTx load.  A spent budget means the winner stalled or died
+   mid-apply; the loser then helps, which closes [ct] too. *)
+(* flowlint: bounded budget strictly decreases to 0, where the wait ends in one help *)
+let rec wait_close inst ~me (ct : Word.t) budget =
+  if inst.faults.early_retry then ct
+  else if budget = 0 then begin
     Telemetry.tick inst.c_claim_timeouts;
-    commit inst ~me tx ct
+    help inst ~me ct;
+    ct
   end
-  else if (read_curtx inst).Word.v <> ct.Word.v then begin
-    abort inst;
-    false
-  end
+  else if not (is_open inst ct) then ct
   else begin
     Telemetry.tick inst.c_claim_waits;
-    wait_claim inst ~me tx ct (budget - 1)
+    wait_close inst ~me ct (budget - 1)
   end
+
+(* The wait of an LF updater that did not get the claim on [ct + 1]: it
+   has published nothing.  Phase one re-reads curTx while it still names
+   [ct]; once it moved, the attempt aborts (its commit CAS would have
+   failed) and phase two ([wait_close]) waits for the new commit to
+   close, on what is left of the same [budget].  Returns the closed curTx
+   to retry at, or [ct] itself when phase one spent the budget: the
+   caller then publishes and races for the CAS as the paper does. *)
+(* flowlint: bounded budget strictly decreases to 0, where the wait ends in one commit attempt *)
+let rec wait_claim inst ~me (ct : Word.t) budget =
+  if budget = 0 then begin
+    Telemetry.tick inst.c_claim_timeouts;
+    ct
+  end
+  else
+    let cur = read_curtx inst in
+    if cur.Word.v <> ct.Word.v then begin
+      abort inst;
+      wait_close inst ~me cur (budget - 1)
+    end
+    else begin
+      Telemetry.tick inst.c_claim_waits;
+      wait_claim inst ~me ct (budget - 1)
+    end
 
 (* Only the thread that will commit writes a redo log: an updater whose
    closure left a write-set claims the commit ([claim_commit]) before it
-   publishes, and a claim loser waits in [wait_claim].  A claimer killed
-   between its claim and its CAS delays each attempt of a waiter by at
-   most [claim_budget] steps, so LF stays lock-free. *)
+   publishes, and a claim loser waits in [wait_claim] until the winner's
+   commit closes and retries at it.  It helps only when the wait spends
+   [claim_budget], so a claimer killed between its claim and its CAS, or
+   mid-apply, delays each attempt of a waiter by at most that many steps:
+   LF stays lock-free.
+
+   [ro_stable] is raised by each return that reads without committing,
+   and by a raise of the closure; a committing attempt is covered by
+   [commit]'s bump after its close (DESIGN.md §13). *)
 let lf_update_tx inst f =
   let me = Sched.self () in
   let tx = inst.txs.(me) in
   let t0 = Sched.now () in
   release_orphan_pin inst ~me;
   deregister inst ~me;
-  (* flowlint: bounded lock-free path: a retry happens only when another transaction committed in the meantime (curtx advanced), which is global progress, or after a claim loser's wait, which ends after at most claim_budget reads of curtx *)
-  let rec attempt () =
-    let ct = read_curtx inst in
-    if is_open inst ct then begin
+  (* flowlint: bounded lock-free path: a retry happens only when another transaction committed in the meantime (curtx advanced), which is global progress, or after a claim loser's wait, which ends after at most claim_budget reads of curtx and of the winner's request *)
+  let rec attempt ~closed (ct : Word.t) =
+    if (not closed) && is_open inst ct then begin
       stable_bump inst.vst (ct.Word.v - 1);
       help inst ~me ct;
-      attempt ()
+      attempt ~closed:false (read_curtx inst)
     end
     else begin
-      stable_bump inst.vst ct.Word.v;
       begin_attempt inst tx ~read_only:false ct.Word.v;
       match f tx with
       | exception Abort ->
           abort inst;
-          attempt ()
+          attempt ~closed:false (read_curtx inst)
+      | exception e ->
+          (* a raise is the caller's result, read at [ct] *)
+          stable_bump inst.vst ct.Word.v;
+          raise e
       | result ->
           if Writeset.is_empty tx.ws then begin
+            stable_bump inst.vst ct.Word.v;
             ro_end inst;
             result
           end
           else
-            let committed =
+            (* where this attempt goes on: [ct] to commit now, or the
+               closed curTx a claim loser waited for, to retry at *)
+            let next =
               (* the planted lost update commits from the current curTx:
                  it ignores the claim, whose verdict would otherwise send
                  a stale attempt back to retry, as well as the snapshot *)
-              if inst.faults.stale_commit_snapshot then commit inst ~me tx ct
+              if inst.faults.stale_commit_snapshot then ct
               else
                 match claim_commit inst ~me ct with
-                | Claimed -> commit inst ~me tx ct
-                | Held | Lost -> wait_claim inst ~me tx ct claim_budget
+                | Claimed -> ct
+                | Held | Lost -> wait_claim inst ~me ct claim_budget
             in
-            if committed then begin
+            if next.Word.v <> ct.Word.v then attempt ~closed:true next
+            else if commit inst ~me tx ct then begin
               Telemetry.observe inst.s_latency (Sched.now () - t0 + 1);
               result
             end
-            else attempt ()
+            else attempt ~closed:false (read_curtx inst)
     end
   in
-  attempt ()
+  attempt ~closed:false (read_curtx inst)
 
 (* ------------------------------------------------------------------ *)
 (* Wait-free transactions (§III-E)                                     *)

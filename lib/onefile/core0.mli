@@ -134,8 +134,9 @@ val attach_telemetry : t -> Runtime.Telemetry.t -> unit
     "tx.aborts", "tx.helps", "tx.help_exits", "log.recycles",
     "wf.published", "wf.aggregated", "wf.fallbacks", "tx.claims" (commit
     claims taken, LF and WF), "tx.claim_waits" (iterations spent waiting
-    on another thread's claim), "tx.claim_timeouts" (waits that spent
-    their whole budget: per WF operation, per LF attempt),
+    on another thread's claim; for an LF loser, polls of curTx and then
+    of the winning commit's request), "tx.claim_timeouts" (waits that
+    spent their whole budget: per WF operation, per LF attempt),
     "recovery.runs",
     "recovery.helped", "ro.captures" (versions handed to the version
     store), spans "tx.latency" and "ro.snapshot_lag"),
@@ -177,6 +178,11 @@ type faults = {
       (** a helper treats its curTx stamp as set and DCASes a foreign
           commit's entries without writing back curTx first, so a data
           word can become durable ahead of the durable curTx *)
+  mutable early_retry : bool;
+      (** an LF claim loser treats the winning commit's request as closed
+          without reading it, so its retry runs at a [curTx] that is still
+          open: it reads a half-applied snapshot and commits over the open
+          request *)
 }
 
 val faults : t -> faults

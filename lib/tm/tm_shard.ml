@@ -550,9 +550,9 @@ module Make (T : Tm_intf.S) = struct
         0
     | Single { home; itx; ex; rs } -> (
         let l = home_local t rs.img home g in
-        match Hashtbl.find_opt ex.stores l with
-        | Some v -> v
-        | None -> T.load itx l)
+        match Hashtbl.find ex.stores l with
+        | v -> v
+        | exception Not_found -> T.load itx l)
     | Read_single { home; itx; img } -> T.load itx (home_local t img home g)
     | Snap { eps; img } ->
         if g = 0 then 0
@@ -566,17 +566,17 @@ module Make (T : Tm_intf.S) = struct
     | Cross { bc; ov } -> (
         if g = 0 then 0
         else
-          match Hashtbl.find_opt ov.owrites g with
-          | Some v -> v
-          | None -> (
+          match Hashtbl.find ov.owrites g with
+          | v -> v
+          | exception Not_found -> (
               (* earlier members of the same batch serialize before this
                  one: their union writes are visible *)
-              match Hashtbl.find_opt bc.uwrites g with
-              | Some v -> v
-              | None -> (
-                  match Hashtbl.find_opt bc.ucache g with
-                  | Some v -> v
-                  | None ->
+              match Hashtbl.find bc.uwrites g with
+              | v -> v
+              | exception Not_found -> (
+                  match Hashtbl.find bc.ucache g with
+                  | v -> v
+                  | exception Not_found ->
                       let s, l = route t g in
                       let v =
                         if not bc.locked.(s) then begin

@@ -25,6 +25,7 @@ type fault =
   | Skip_nocap
   | Torn_migration
   | Help_curtx
+  | Early_retry
 
 let fault_name = function
   | No_fault -> "none"
@@ -37,6 +38,7 @@ let fault_name = function
   | Skip_nocap -> "skip-nocap"
   | Torn_migration -> "torn-migration"
   | Help_curtx -> "help-curtx"
+  | Early_retry -> "early-retry"
 
 let fault_of_name s =
   List.find_opt
@@ -44,7 +46,7 @@ let fault_of_name s =
     [
       No_fault; Durability_hole; Lost_update; Stale_dedup; Torn_commit_record;
       Torn_batch_record; Stale_ro_snapshot; Skip_nocap; Torn_migration;
-      Help_curtx;
+      Help_curtx; Early_retry;
     ]
 
 type config = {
@@ -181,6 +183,7 @@ let plant_engine fault tm =
   | Stale_ro_snapshot -> f.stale_ro_snapshot <- true
   | Skip_nocap -> f.skip_nocap <- true
   | Help_curtx -> f.skip_help_curtx_pwb <- true
+  | Early_retry -> f.early_retry <- true
 
 (* One rig per OneFile front-end.  [Lf] and [Wf] share [Lf.t] and every
    function but [update_tx] and [read_tx_validating], so only [F] tells

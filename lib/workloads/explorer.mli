@@ -87,6 +87,14 @@ type fault =
           durable-ahead-of-curtx rule fires once the helper's flush pass
           writes that word back.  Needs a persistent region and a schedule
           in which a helper applies an entry before the owner does *)
+  | Early_retry
+      (** an LF claim loser retries at the winner's commit without waiting
+          for its request to close (see [Onefile.Core0.faults]): the retry
+          reads a half-applied snapshot, and its commit CAS lands while
+          that request is still open, which the sanitizer's
+          curtx-discipline rule reports.  Needs a schedule in which a
+          claim loser sees [curTx] move and resumes before the winner's
+          apply ends *)
 
 val fault_name : fault -> string
 (** The fault's name in traces and on the [bin/explore.exe] command line

@@ -342,6 +342,11 @@ let test_lint_markers () =
 let test_lint_hotpath () =
   check Alcotest.string "find_opt in lib/onefile flagged" "hotpath-alloc"
     (rule_at ~path:"lib/onefile/foo.ml" "let x = Hashtbl.find_opt h k\n");
+  check Alcotest.string "find_opt in lib/tm flagged" "hotpath-alloc"
+    (rule_at ~path:"lib/tm/foo.ml" "let x = Hashtbl.find_opt h k\n");
+  check int "exception lookup in lib/tm is fine" 0
+    (nfindings ~path:"lib/tm/foo.ml"
+       "let x = match Hashtbl.find h k with v -> v | exception Not_found -> 0\n");
   check Alcotest.string "string-keyed incr flagged" "hotpath-alloc"
     (rule_at ~path:"lib/onefile/foo.ml" "let () = Telemetry.incr t \"x\"\n");
   check Alcotest.string "string-keyed sample flagged" "hotpath-alloc"
@@ -349,7 +354,7 @@ let test_lint_hotpath () =
   check int "alloc-ok marker allows it" 0
     (nfindings ~path:"lib/onefile/foo.ml"
        "(* alloc-ok: cold path *)\nlet x = Hashtbl.find_opt h k\n");
-  check int "outside lib/onefile is fine" 0
+  check int "outside lib/onefile and lib/tm is fine" 0
     (nfindings ~path:"lib/workloads/foo.ml" "let x = Hashtbl.find_opt h k\n");
   check int "handle tick is fine" 0
     (nfindings ~path:"lib/onefile/foo.ml" "let () = Telemetry.tick h\n")

@@ -342,6 +342,39 @@ let test_help_curtx_clean () =
   | Some f -> Alcotest.failf "clean lazy flush: %a" E.pp_failure f
   | None -> ()
 
+(* --- planted claim loser that retries before the close -------------- *)
+
+(* An LF claim loser that sees curTx move waits for the winner's request
+   to close, then retries at that curTx.  [early_retry] skips the wait:
+   the retry runs at a commit that is still open, and its own commit CAS
+   lands over the open request, which the sanitizer's curtx-discipline
+   rule reports.  The same search without the fault stays silent. *)
+let early_retry_find config prog =
+  (E.explore_exhaustive ~config ~max_executions:3000 prog).E.failure
+
+let early_retry_prog = Proggen.gen_program ~max_txns:6 ~max_ops:3 1
+
+let test_planted_early_retry () =
+  let config = { E.default with E.fault = E.Early_retry } in
+  let find = early_retry_find config in
+  match find early_retry_prog with
+  | None -> Alcotest.fail "planted early-retry not found within budget"
+  | Some f ->
+      let small = E.shrink ~find f in
+      check_bool "shrinks to at most 2 transactions" true
+        (List.length small.E.program <= 2);
+      check_bool
+        ("reported as curtx-discipline: " ^ small.E.reason)
+        true
+        (String.starts_with ~prefix:"sanitizer: [curtx-discipline]"
+           small.E.reason);
+      assert_deterministic_replay small
+
+let test_early_retry_clean () =
+  match early_retry_find E.default early_retry_prog with
+  | Some f -> Alcotest.failf "clean claim wait: %a" E.pp_failure f
+  | None -> ()
+
 (* --- planted skipped registration handshake ------------------------ *)
 
 (* The capture-handshake fault: an apply pass skips version capture while
@@ -574,37 +607,33 @@ let test_migration_clean_sweep () =
 
 (* --- helper early-exit under controlled interleaving --------------- *)
 
-(* Overlapping multi-word write sets under the seeded round-robin
-   scheduler force helping; a helper that is mid-apply when the owner
-   closes the request must abandon the remaining entries at its next
-   K-entry re-check instead of burning DCAS attempts on a dead sequence
-   number.  The cooperative scheduler makes the counts exact, so this
-   asserts the early exit actually fires (and never exceeds the number
-   of helping episodes). *)
+(* Overlapping multi-word write sets under a round-robin schedule that
+   parks every committer after its commit CAS for longer than a claim
+   loser waits for the close (claim_budget = 64 polls) force helping; a
+   helper that is mid-apply when another thread closes the request must
+   abandon the remaining entries at its next K-entry re-check instead of
+   burning DCAS attempts on a dead sequence number.  The controlled
+   schedule makes the counts exact, so this asserts the early exit
+   actually fires (and never exceeds the number of helping episodes). *)
 let test_helper_early_exit () =
-  let module Br = Workloads.Bench_runner in
   let module Lf = Onefile.Onefile_lf in
   let module Pstats = Pmem.Pstats in
   let t = Lf.create ~mode:Pmem.Region.Volatile ~ws_cap:64 ~num_roots:16 () in
-  let sp =
-    {
-      Br.threads = 8;
-      cores = 4;
-      rounds = 4_000;
-      seed = 7;
-      policy = Sched.Round_robin;
-    }
-  in
-  let ops =
-    Br.run_ops sp (fun ~tid ~rng ->
-        let base = Rng.int rng 4 in
-        ignore
-          (Lf.update_tx t (fun tx ->
-               for i = 0 to 11 do
-                 Lf.store tx (Lf.root t ((base + i) mod 16)) (tid + i)
-               done;
-               0)))
-  in
+  let ops = ref 0 in
+  ignore
+    (Sched.run_controlled ~pick:(Parking.pick ~park:1000 t)
+       (Array.init 8 (fun tid () ->
+            for k = 1 to 5 do
+              let base = (tid + k) mod 4 in
+              ignore
+                (Lf.update_tx t (fun tx ->
+                     for i = 0 to 11 do
+                       Lf.store tx (Lf.root t ((base + i) mod 16)) (tid + i)
+                     done;
+                     0));
+              incr ops
+            done)));
+  let ops = !ops in
   let st = Pmem.Region.stats (Lf.region t) in
   check_bool "made progress" true (ops > 0);
   check_bool "helping happened" true (st.Pstats.helps > 0);
@@ -738,6 +767,9 @@ let () =
           Alcotest.test_case "help-curtx-via-sanitizer" `Quick
             test_planted_help_curtx;
           Alcotest.test_case "help-curtx-clean" `Quick test_help_curtx_clean;
+          Alcotest.test_case "early-retry-via-sanitizer" `Quick
+            test_planted_early_retry;
+          Alcotest.test_case "early-retry-clean" `Quick test_early_retry_clean;
         ] );
       ( "sharded",
         [

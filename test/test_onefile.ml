@@ -210,21 +210,27 @@ let test_snapshot_consistency api () =
   check int "no torn snapshots" 0 !tearing
 
 let test_helping_occurs api () =
-  (* Over-subscribed random schedule with large write-sets: the committer
-     gets descheduled mid-apply, so helpers must finish some write-sets. *)
+  (* Large write-sets, so helpers must finish some of them.  WF: an
+     over-subscribed random schedule deschedules committers mid-apply.
+     LF: a claim loser waits for the close (claim_budget = 64 polls)
+     before it helps, so the schedule parks every committer right after
+     its commit CAS for longer than that. *)
   let t = api.mk ~mode:Region.Volatile () in
   let st = Region.stats (Lf.region t) in
+  let fibers =
+    Array.init 8 (fun _ () ->
+        for _ = 1 to 10 do
+          ignore
+            (api.update t (fun tx ->
+                 for i = 0 to 7 do
+                   Lf.store tx (Lf.root t i) (Lf.load tx (Lf.root t i) + 1)
+                 done;
+                 0))
+        done)
+  in
   ignore
-    (Sched.run ~seed:5 ~cores:2 ~policy:Sched.Random_order
-       (Array.init 8 (fun _ () ->
-            for _ = 1 to 10 do
-              ignore
-                (api.update t (fun tx ->
-                     for i = 0 to 7 do
-                       Lf.store tx (Lf.root t i) (Lf.load tx (Lf.root t i) + 1)
-                     done;
-                     0))
-            done)));
+    (if api.label = "lf" then Sched.run_controlled ~pick:(Parking.pick ~park:1000 t) fibers
+     else Sched.run ~seed:5 ~cores:2 ~policy:Sched.Random_order fibers);
   check bool (api.label ^ ": helping happened") true (st.Pstats.helps > 0)
 
 let test_dead_committer_completed api () =
@@ -764,6 +770,188 @@ let test_lf_lost_commit_flushes_nothing () =
     check int "exact count" iters (Lf.read_tx t (fun tx -> Lf.load tx (Lf.root t i)))
   done
 
+(* A claim loser waits for the winner's commit to close and retries at
+   it instead of helping: with four fibers incrementing their own roots
+   in lockstep, no commit is helped and no fiber loads another fiber's
+   redo log (its numStores or entries). *)
+let test_lf_losers_wait_not_help () =
+  let module C = Onefile.Core0 in
+  let n = 4 and iters = 20 in
+  let t = Lf.create ~max_threads:n () in
+  let region = Lf.region t in
+  let st = Region.stats region in
+  let foreign_log_loads = ref 0 in
+  Region.set_observer region
+    (Some
+       (function
+       | Region.Ev_load { addr; _ } ->
+           for u = 0 to n - 1 do
+             if u <> Sched.self () && addr > C.req_cell t u && addr < C.req_cell t (u + 1)
+             then incr foreign_log_loads
+           done
+       | _ -> ()));
+  run_fibers ~seed:9 n (fun i ->
+      for k = 1 to iters do
+        check int "result routed to its caller" k (increment Lf.update_tx t i)
+      done);
+  Region.set_observer region None;
+  check int "one commit per increment" (n * iters) st.Pstats.commits;
+  check int "no commit helped" 0 st.Pstats.helps;
+  check int "no load of a foreign redo log" 0 !foreign_log_loads;
+  for i = 0 to n - 1 do
+    check int "exact count" iters (Lf.read_tx t (fun tx -> Lf.load tx (Lf.root t i)))
+  done
+
+(* A claim loser that sees the winner's request close begins its retry
+   at that curTx, with no curTx load.  Script: the winner (slot 0) claims
+   the commit; the loser (slot 1) runs its closure, finds the claim held
+   and polls curTx once; the winner publishes and CASes curTx; the loser
+   sees curTx move and polls the open request once; the winner applies
+   and closes; the loser resumes.  Both increment root 0. *)
+let test_lf_retry_at_close () =
+  let module C = Onefile.Core0 in
+  let t = C.create ~mode:Region.Volatile ~max_threads:2 ~ws_cap:32 ~num_roots:4 () in
+  let region = C.region t in
+  let te = Telemetry.create () in
+  C.attach_telemetry t te;
+  let waits () = Telemetry.get te "tx.claim_waits" in
+  let seq0, _, _ = C.curtx_info t in
+  let closed = ref false and after = ref [] in
+  Region.set_observer region
+    (Some
+       (function
+       | Region.Ev_cas { addr; ok = true; _ } when addr = C.req_cell t 0 -> closed := true
+       | Region.Ev_load { addr; _ } when !closed && Sched.self () = 1 ->
+           after := addr :: !after
+       | _ -> ()));
+  let results = Array.make 2 0 in
+  let fibers = Array.init 2 (fun i () -> results.(i) <- increment C.lf_update_tx t 0) in
+  let staged =
+    run_stages fibers
+      [
+        (0, fun () -> C.claim_info t = (seq0 + 1, 0));
+        (1, fun () -> waits () >= 1);
+        ( 0,
+          fun () ->
+            let seq, _, _ = C.curtx_info t in
+            seq = seq0 + 1 );
+        (1, fun () -> waits () >= 2);
+        (0, fun () -> !closed);
+      ]
+  in
+  Region.set_observer region None;
+  check bool "every stage ran" true staged;
+  let after = List.rev !after in
+  check bool "the loser saw the close, then loaded its closure's word" true
+    (match after with r :: w :: _ -> r = C.req_cell t 0 && w = C.root t 0 | _ -> false);
+  check bool "no curTx load after the close" false (List.mem C.curtx_cell after);
+  check (Alcotest.pair int int) "both increments, in commit order" (1, 2)
+    (results.(0), results.(1));
+  check int "one lost attempt" 1 (Telemetry.get te "tx.aborts");
+  check int "no help" 0 (Telemetry.get te "tx.helps")
+
+(* A closure that raises hands its caller a result read at the closed
+   curTx it ran at, so the update raises [ro_stable] there before it
+   re-raises: a snapshot read that starts after the raise must see that
+   commit.  Script: a registered reader reads the unit; the owner (slot
+   0) pops it, claims the commit, CASes curTx and closes its request, and
+   is held before its own [ro_stable] bump; the loser (slot 1), which
+   waited for that close, retries at it and finds the counter empty; the
+   reader reads again. *)
+let test_lf_raise_at_close () =
+  let module C = Onefile.Core0 in
+  let o = 0 and l = 1 and r = 2 in
+  let t = C.create ~mode:Region.Volatile ~max_threads:3 ~ws_cap:32 ~num_roots:4 () in
+  let region = C.region t in
+  let x = C.root t 0 in
+  ignore
+    (C.lf_update_tx t (fun tx ->
+         C.store tx x 1;
+         0));
+  let te = Telemetry.create () in
+  C.attach_telemetry t te;
+  let waits () = Telemetry.get te "tx.claim_waits" in
+  let seq0, _, _ = C.curtx_info t in
+  let closed = ref false in
+  Region.set_observer region
+    (Some
+       (function
+       | Region.Ev_cas { addr; ok = true; _ } when addr = C.req_cell t o -> closed := true
+       | _ -> ()));
+  let pop tx =
+    let v = C.load tx x in
+    if v = 0 then failwith "empty";
+    C.store tx x (v - 1);
+    v
+  in
+  let results = Array.make 2 "" and reads = ref [] in
+  let fibers =
+    [|
+      (fun () -> results.(o) <- string_of_int (C.lf_update_tx t pop));
+      (fun () ->
+        match C.lf_update_tx t pop with
+        | exception Failure e -> results.(l) <- e
+        | v -> results.(l) <- string_of_int v);
+      (fun () ->
+        for _ = 1 to 2 do
+          reads := C.lf_read_tx t (fun tx -> C.load tx x) :: !reads
+        done);
+    |]
+  in
+  let staged =
+    run_stages fibers
+      [
+        (r, fun () -> !reads <> []);
+        (o, fun () -> C.claim_info t = (seq0 + 1, o));
+        (l, fun () -> waits () >= 1);
+        ( o,
+          fun () ->
+            let seq, _, _ = C.curtx_info t in
+            seq = seq0 + 1 );
+        (l, fun () -> waits () >= 2);
+        (o, fun () -> !closed);
+        (l, fun () -> false (* to the end *));
+        (r, fun () -> false);
+      ]
+  in
+  Region.set_observer region None;
+  check bool "every stage ran" true staged;
+  check (Alcotest.pair Alcotest.string Alcotest.string) "the owner popped, the loser found it empty"
+    ("1", "empty") (results.(o), results.(l));
+  check (Alcotest.list int) "the read after the raise sees the pop" [ 0; 1 ] !reads;
+  check int "no help" 0 (Telemetry.get te "tx.helps")
+
+(* A winner parked after its commit CAS for longer than a claim loser's
+   budget is helped to completion: the losers spend the budget in the
+   wait for the close and then finish the commit themselves, and every
+   operation returns its exact result.  Each fiber increments a shared
+   root and its own. *)
+let test_lf_parked_winner_helped () =
+  let n = 4 and iters = 10 in
+  let t = Lf.create ~mode:Region.Volatile ~max_threads:n () in
+  let te = Telemetry.create () in
+  Lf.attach_telemetry t te;
+  let shared = Array.make n [] and own = Array.make n [] in
+  ignore
+    (Sched.run_controlled ~pick:(Parking.pick ~park:1000 t)
+       (Array.init n (fun i () ->
+            for _ = 1 to iters do
+              shared.(i) <- increment Lf.update_tx t n :: shared.(i);
+              own.(i) <- increment Lf.update_tx t i :: own.(i)
+            done)));
+  check bool "a waiter spent its budget" true (Telemetry.get te "tx.claim_timeouts" > 0);
+  check bool "a parked commit was helped" true (Telemetry.get te "tx.helps" > 0);
+  for i = 0 to n - 1 do
+    check (Alcotest.list int)
+      (Printf.sprintf "fiber %d: own increments" i)
+      (List.init iters (fun k -> iters - k))
+      own.(i)
+  done;
+  check (Alcotest.list int) "shared increments: each count returned once"
+    (List.init (n * iters) (fun k -> k + 1))
+    (List.sort compare (List.concat (Array.to_list shared)));
+  check int "shared count" (n * iters) (Lf.read_tx t (fun tx -> Lf.load tx (Lf.root t n)))
+
 (* A helper writes curTx back before its first DCAS of a commit, not on
    entry: one that arrives after the owner applied every entry finds no
    put to make and writes back no curTx (its flush pass may still write
@@ -1128,6 +1316,10 @@ let () =
             (test_killed_claimer lf_api ~n:4 ~iters:20);
           Alcotest.test_case "idle helper flushes no curTx" `Quick
             test_idle_helper_flushes_no_curtx;
+          Alcotest.test_case "losers wait, not help" `Quick test_lf_losers_wait_not_help;
+          Alcotest.test_case "retry at the close" `Quick test_lf_retry_at_close;
+          Alcotest.test_case "raise at the close" `Quick test_lf_raise_at_close;
+          Alcotest.test_case "parked winner helped" `Quick test_lf_parked_winner_helped;
         ] );
       ("crash", crash_cases);
       ( "costs",
