@@ -35,12 +35,14 @@ let usage () =
   --depth N        pct: bug depth (default 3)
   --sites S        crash: persist | every        (default persist)
   --max-sites N    crash: subsample to N sites   (default all)
+  --interleave     crash: after the baseline prefix, step the fibers
+                   round-robin instead of running each to its end
   --persistent     persistent region for interleaving strategies
   --no-sanitize    do not attach the Tmcheck sanitizer
   --plant F        plant a fault: durability | lost-update | stale-dedup
                    | torn-commit-record | torn-batch-record
                    | stale-ro-snapshot | skip-nocap | torn-migration
-                   | help-curtx | early-retry
+                   | help-curtx | early-retry | early-chunk-done
                    (the torn-record and torn-migration faults need
                    --shards >= 2)
   --max-steps N    per-execution step budget (default 50000)
@@ -71,6 +73,7 @@ let () =
   let sites = ref `Persist in
   let max_sites = ref None in
   let persistent = ref false in
+  let interleave = ref false in
   let sanitize = ref true in
   let fault = ref E.No_fault in
   let max_steps = ref 50_000 in
@@ -129,6 +132,9 @@ let () =
         parse rest
     | "--persistent" :: rest ->
         persistent := true;
+        parse rest
+    | "--interleave" :: rest ->
+        interleave := true;
         parse rest
     | "--no-sanitize" :: rest ->
         sanitize := false;
@@ -218,7 +224,8 @@ let () =
           E.explore_pct ~config ~depth:!depth
             ?executions:!executions ~seed:!seed prog
       | _ ->
-          E.explore_crashes ~config ~sites:!sites ?max_sites:!max_sites prog
+          E.explore_crashes ~config ~sites:!sites ?max_sites:!max_sites
+            ~interleave:!interleave prog
     in
     r
   in

@@ -33,7 +33,7 @@
    telemetry uses pre-resolved handles, and the interposition ops record
    is built once per thread slot.  tm_lint's hotpath rule keeps it that
    way. *)
-(* relaxed-ok: curtx_info/capture_info/claim_info/allocated_cells are
+(* relaxed-ok: curtx_info/capture_info/claim_info/chunk_info/allocated_cells are
    step-free debug views, usable from a scheduler on_round hook without
    perturbing the schedule; the ro.snapshot_lag sample in snap_read_tx is
    telemetry, read step-free so attaching a registry never changes a
@@ -55,6 +55,18 @@ exception Abort = Tm.Tm_intf.Abort
 
 let curtx_cell = 4
 let round4 n = (n + 3) land lnot 3
+
+(* redo-log entries per chunk of a cooperative apply (see [apply]) *)
+let chunk_len = 8
+let nchunks n = (n + chunk_len - 1) / chunk_len
+
+(* bits of a write-set position in a redo-log sort key ([sort_log]),
+   and of an address digit per pass of its radix sort ([radix_passes]) *)
+let idx_bits = 20
+let radix_bits = 4
+
+(* flowlint: bounded n halves at every call until it reaches 0 *)
+let rec bits_of n = if n <= 0 then 0 else 1 + bits_of (n lsr 1)
 
 module Tmcheck = Check.Tmcheck
 
@@ -155,6 +167,10 @@ type faults = {
       (* an LF claim loser treats the winner's request as closed without
          reading it: its retry runs at a curTx that is still open, reads
          a half-applied snapshot and commits over the open request *)
+  mutable early_chunk_done : bool;
+      (* an applier of a split log marks its chunk done before it writes
+         the chunk's lines back: the owner can close, and a later commit
+         persist, while those lines are still only in the cache *)
 }
 
 type t = {
@@ -187,9 +203,17 @@ type t = {
      [seq] — an LF updater with its write-set ready, or the elected WF
      aggregator (see [claim_commit]) *)
   claim : int Satomic.t;
-  (* per-thread scratch used when helping to apply a foreign write-set *)
+  (* per-thread scratch: an owner's sorted redo log, or the entries a
+     helper copied from a foreign one *)
   scratch_addrs : int array array;
   scratch_vals : int array array;
+  (* [chunk_st.(k)]: [2 seq] once chunk [k] of a split commit [seq] is
+     claimed, [2 seq + 1] once it is done (see [apply]) *)
+  chunk_st : int Satomic.t array;
+  (* the redo-log sort's per-thread digit counters and the bits of a
+     cell address in this region (see [radix_passes]) *)
+  sort_count : int array array;
+  addr_bits : int;
   (* per-thread cache-line flush dedup: a small direct-mapped seen-set of
      line numbers, generation-stamped so starting a new flush pass is one
      integer bump instead of a clear *)
@@ -217,6 +241,8 @@ type t = {
   c_claims : Telemetry.handle;
   c_claim_waits : Telemetry.handle;
   c_claim_timeouts : Telemetry.handle;
+  c_chunk_waits : Telemetry.handle;
+  c_chunk_timeouts : Telemetry.handle;
   c_rec_runs : Telemetry.handle;
   c_rec_helped : Telemetry.handle;
   c_ro_pins : Telemetry.handle;
@@ -315,6 +341,8 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
     ?(ws_cap = 2048) ?(num_roots = 8) ?(read_tries = 4) ?linear_threshold () =
   if max_threads > 255 then
     invalid_arg "Core0.create: max_threads > 255 (packed reader count and claim tid)";
+  if ws_cap > 1 lsl idx_bits then
+    invalid_arg "Core0.create: ws_cap > 2^20 (packed sort keys of the redo log)";
   let region =
     match backing with
     | Some r ->
@@ -411,6 +439,9 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       claim = Satomic.make 0;
       scratch_addrs = Array.init max_threads (fun _ -> Array.make ws_cap 0);
       scratch_vals = Array.init max_threads (fun _ -> Array.make ws_cap 0);
+      chunk_st = Array.init (nchunks ws_cap) (fun _ -> Satomic.make 0);
+      sort_count = Array.init max_threads (fun _ -> Array.make (1 lsl radix_bits) 0);
+      addr_bits = bits_of (size - 1);
       seen_lines = Array.init max_threads (fun _ -> Array.make 64 (-1));
       seen_gens = Array.init max_threads (fun _ -> Array.make 64 0);
       line_gen = Array.make max_threads 0;
@@ -430,6 +461,8 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       c_claims = Telemetry.counter tele (key "tx.claims");
       c_claim_waits = Telemetry.counter tele (key "tx.claim_waits");
       c_claim_timeouts = Telemetry.counter tele (key "tx.claim_timeouts");
+      c_chunk_waits = Telemetry.counter tele (key "tx.chunk_waits");
+      c_chunk_timeouts = Telemetry.counter tele (key "tx.chunk_timeouts");
       c_rec_runs = Telemetry.counter tele (key "recovery.runs");
       c_rec_helped = Telemetry.counter tele (key "recovery.helped");
       c_ro_pins = Telemetry.counter tele (key "tx.ro_epoch_pins");
@@ -445,6 +478,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
           skip_nocap = false;
           skip_help_curtx_pwb = false;
           early_retry = false;
+          early_chunk_done = false;
         };
     }
   in
@@ -519,20 +553,19 @@ let faults inst = inst.faults
 
 let read_curtx inst = Region.load inst.region curtx_cell
 
-let is_open inst (ct : Word.t) =
-  (Region.load inst.region (req_cell inst ct.Word.s)).Word.v = ct.Word.v
+let req_closed inst ~tid ~seq =
+  (Region.load inst.region (req_cell inst tid)).Word.v <> seq
+
+let is_open inst (ct : Word.t) = not (req_closed inst ~tid:ct.Word.s ~seq:ct.Word.v)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot version store, writer side (DESIGN.md §13)                  *)
 
 (* Monotone CAS-max: raise [cell] to at least [v]. *)
-let cas_max cell v =
-  (* flowlint: bounded a CAS miss means another thread raised the cell concurrently, which is progress toward the target *)
-  let rec go () =
-    let cur = Satomic.get cell in
-    if cur < v && not (Satomic.compare_and_set cell cur v) then go ()
-  in
-  go ()
+(* flowlint: bounded a CAS miss means another thread raised the cell concurrently, which is progress toward the target *)
+let rec cas_max cell v =
+  let cur = Satomic.get cell in
+  if cur < v && not (Satomic.compare_and_set cell cur v) then cas_max cell v
 
 let stable_bump vst s = cas_max vst.ro_stable s
 
@@ -617,17 +650,14 @@ let vinstall inst b (v : version) =
    never needs a version this pass overwrote.  Decided once per pass,
    before its puts: one step with a reader registered or [nocap] already
    past [seq], two otherwise. *)
-let decide_capture inst ~seq =
+(* flowlint: bounded a CAS miss means another thread changed the word since the read: a reader (de)registered or another pass raised nocap *)
+let rec decide_capture inst ~seq =
   let cell = inst.vst.capst in
-  (* flowlint: bounded a CAS miss means another thread changed the word since the read: a reader (de)registered or another pass raised nocap *)
-  let rec go () =
-    let c = Satomic.get cell in
-    if cap_readers c > 0 then true
-    else if cap_nocap c >= seq then false
-    else if Satomic.compare_and_set cell c (seq lsl 8) then false
-    else go ()
-  in
-  go ()
+  let c = Satomic.get cell in
+  if cap_readers c > 0 then true
+  else if cap_nocap c >= seq then false
+  else if Satomic.compare_and_set cell c (seq lsl 8) then false
+  else decide_capture inst ~seq
 
 (* Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15).
    [cap] is the pass's capture decision ([decide_capture]).
@@ -651,22 +681,20 @@ let decide_capture inst ~seq =
    that interval still needs.  Capture precedes the CAS so no reader can
    observe the new word while the old version is absent from the store;
    racing helpers capture the identical record and dedup on (addr, del). *)
-let put inst ~me ~flush_curtx ~seq ~cap addr v =
-  (* flowlint: bounded a CAS miss means a helper already installed this entry with sequence >= seq, so the seq guard fails on the next round *)
-  let rec go () =
-    let w = Region.load inst.region addr in
-    if w.Word.s < seq then begin
-      if flush_curtx && inst.curtx_stamp.(me) < seq then begin
-        Region.pwb inst.region curtx_cell;
-        inst.curtx_stamp.(me) <- seq
-      end;
-      if cap && addr >= inst.roots_base then
-        vinstall inst (vbucket addr)
-          { vaddr = addr; vval = w.Word.v; vbirth = w.Word.s; vdel = seq - 1 };
-      if not (Region.cas inst.region addr w (Word.make v seq)) then go ()
-    end
-  in
-  go ()
+(* flowlint: bounded a CAS miss means a helper already installed this entry with sequence >= seq, so the seq guard fails on the next round *)
+let rec put inst ~me ~flush_curtx ~seq ~cap addr v =
+  let w = Region.load inst.region addr in
+  if w.Word.s < seq then begin
+    if flush_curtx && inst.curtx_stamp.(me) < seq then begin
+      Region.pwb inst.region curtx_cell;
+      inst.curtx_stamp.(me) <- seq
+    end;
+    if cap && addr >= inst.roots_base then
+      vinstall inst (vbucket addr)
+        { vaddr = addr; vval = w.Word.v; vbirth = w.Word.s; vdel = seq - 1 };
+    if not (Region.cas inst.region addr w (Word.make v seq)) then
+      put inst ~me ~flush_curtx ~seq ~cap addr v
+  end
 
 let put_one inst ~seq addr v =
   put inst ~me:0 ~flush_curtx:false ~seq ~cap:(decide_capture inst ~seq) addr v
@@ -686,8 +714,11 @@ let close_request inst ~tid ~seq =
    (Romulus-style flush batching, PMT §4).  A flush pass stamps each
    flushed line into a small direct-mapped per-thread seen-set keyed by
    [Region.line_of]; a second word in a seen line is skipped.  A slot
-   collision merely re-flushes (correctness never depends on the dedup),
-   and [last] short-circuits the common consecutive-same-line case. *)
+   collision merely re-flushes (correctness never depends on the dedup).
+   Since redo logs are sorted, a pass compares each entry's line with
+   the previous one ([write_back]), which already skips every repeat,
+   so the seen-set skips nothing in a correct run; its generation is
+   what the planted [stale_dedup_flush] fault freezes. *)
 
 let dedup_mask = 63 (* seen-set has 64 direct-mapped slots *)
 
@@ -707,107 +738,351 @@ let pwb_dedup inst ~me ~gen addr =
     Region.pwb inst.region addr
   end
 
-(* Apply our own committed write-set: puts, then one pwb per covered
-   cache line. *)
-let apply_own inst ~me ~seq (ws : Writeset.t) =
+(* ------------------------------------------------------------------ *)
+(* Sorted redo logs, chunks and the one apply routine
+
+   Every redo log is published sorted by address ([publish_log]), so the
+   entries of one cache line sit next to each other and a write-back
+   pass flushes each line exactly once by comparing it with the previous
+   entry's line.  A log is cut into chunks of [chunk_len] entries, the
+   end of each moved forward to the next cache-line boundary
+   ([chunk_start]), so no line spans two chunks.
+
+   A WF aggregator's log of more than one chunk is applied
+   cooperatively (DESIGN.md §2 item 10): per chunk, one volatile word
+   [chunk_st.(k)] holds [2 seq] once some thread claimed chunk [k] of
+   commit [seq] and [2 seq + 1] once it is done.  The words only grow,
+   so a word left by an earlier commit reads as unclaimed; recovery
+   resets them, because a sequence lost in a crash is reused.  The
+   aggregator and every helper claim chunks, apply their puts, write
+   back their lines and then mark them done; each then waits for the
+   chunks others claimed ([apply]).  Every other log — an LF commit's,
+   or one of at most [chunk_len] entries — is one chunk that every
+   applier runs whole, without claims: the single pass the paper
+   describes. *)
+
+(* Logs the WF aggregator splits: those of more than one chunk.  Keeping
+   logs of two chunks whole keeps hotpath OF-WF update-8w, whose
+   16-entry aggregates split in two, at 43.7 instead of 41.8 ops/kround,
+   but raises pwb/tx in 9 of the shards figure's 16 WF cells (4.31 ->
+   5.26 at 4 shards, 0% cross) and changes nothing on wf-kv-write
+   (EXPERIMENTS.md, "WF helpers split the apply"). *)
+let splits n = n > chunk_len
+
+(* The redo-log sort: an LSD radix sort of packed keys on their address
+   part, [radix_bits] bits per pass, so the region's address width
+   ([addr_bits]) takes 4-5 passes; [buf] is the values array, [count] a
+   per-thread array of 16 counters.  No allocation and O(n) per pass.
+   Small digits keep the sort of a 3-entry transfer's log cheap; an
+   in-place heapsort, the first version, took a set-up of 80 commits of
+   260-514 entries from 13.5 to 19.4 ms, and 8-bit digits cost
+   shard-local 10-15% of its cpu_ops_per_s (EXPERIMENTS.md, "WF helpers
+   split the apply"). *)
+(* flowlint: bounded shift grows by radix_bits at every call and the recursion stops once it reaches stop *)
+let rec radix_passes ~keys src dst count ~n ~shift ~stop =
+  if shift >= stop then begin
+    if src != keys then Array.blit src 0 keys 0 n
+  end
+  else begin
+    let digits = Array.length count in
+    Array.fill count 0 digits 0;
+    for i = 0 to n - 1 do
+      let d = (src.(i) lsr shift) land (digits - 1) in
+      count.(d) <- count.(d) + 1
+    done;
+    let sum = ref 0 in
+    for d = 0 to digits - 1 do
+      let c = count.(d) in
+      count.(d) <- !sum;
+      sum := !sum + c
+    done;
+    for i = 0 to n - 1 do
+      let k = src.(i) in
+      let d = (k lsr shift) land (digits - 1) in
+      dst.(count.(d)) <- k;
+      count.(d) <- count.(d) + 1
+    done;
+    radix_passes ~keys dst src count ~n ~shift:(shift + radix_bits) ~stop
+  end
+
+(* Copy [ws] into [addrs]/[vals] sorted by address.  The sort moves one
+   packed key per entry, its address above its write-set position
+   ([idx_bits]), and the values are fetched by position afterwards. *)
+let sort_log inst ~me (ws : Writeset.t) addrs vals =
   let n = Writeset.size ws in
-  let cap = decide_capture inst ~seq in
   for i = 0 to n - 1 do
-    put inst ~me ~flush_curtx:true ~seq ~cap (Writeset.addr_at ws i)
-      (Writeset.val_at ws i)
+    addrs.(i) <- (Writeset.addr_at ws i lsl idx_bits) lor i
   done;
-  let gen = flush_gen inst ~me in
-  let last = ref (-1) in
-  for i = 0 to n - 1 do
-    let addr = Writeset.addr_at ws i in
-    let line = Region.line_of addr in
-    if line <> !last then begin
-      last := line;
-      pwb_dedup inst ~me ~gen addr
-    end
+  radix_passes ~keys:addrs addrs vals inst.sort_count.(me) ~n ~shift:idx_bits
+    ~stop:(idx_bits + inst.addr_bits);
+  let mask = (1 lsl idx_bits) - 1 in
+  for j = 0 to n - 1 do
+    let k = addrs.(j) in
+    addrs.(j) <- k lsr idx_bits;
+    vals.(j) <- Writeset.val_at ws (k land mask)
   done
 
-(* Apply a foreign committed write-set from the snapshot arrays a helper
-   copied.  Helpers re-check the owner's request cell every
-   [help_check_interval] entries (paper §III-B: "helpers check that the
-   transaction is still open"), and once more between the put pass and
-   the flush pass, and stop replaying once someone — usually the owner —
-   has finished the apply and closed the request; whoever closed it
-   necessarily completed a full put+flush pass first, so an early exit
-   never loses a put or a pwb.  The extra check matters for write-sets
-   shorter than the interval, where the in-loop check never fires and a
-   late helper would re-flush every line the owner already flushed.
-   Returns [true] when this helper ran the apply to completion (and may
-   thus close the request).
+(* flowlint: bounded i strictly increases to n *)
+let rec past_line addrs ~n i =
+  if i < n && Region.line_of addrs.(i) = Region.line_of addrs.(i - 1) then
+    past_line addrs ~n (i + 1)
+  else i
 
-   The put pass is striped: a helper starts at an entry spread by its tid
-   distance from the owner and wraps around, so the owner (from entry 0)
-   and the helpers split the write-set instead of trailing one another.
-   Every put is idempotent under the sequence guard and a capture dedups
-   on (addr, del), so the order is free; a helper that loses an entry's
-   DCAS to the owner pays one failed DCAS.  The in-loop re-check counts
-   iterations, not entries.  A helper writes curTx back before its first
-   DCAS ([put]), not on entry: one that finds every entry applied writes
-   none. *)
-let help_check_interval = 8
+(* The first entry of chunk [k] of a sorted [n]-entry log: entry
+   [k * chunk_len], moved past the entries on the line of the entry
+   before it; [chunk_start addrs ~n (nchunks n)] is [n].  It reads
+   [addrs] from entry [k * chunk_len - 1] up to the result only. *)
+let chunk_start addrs ~n k =
+  if k = 0 then 0 else past_line addrs ~n (min n (k * chunk_len))
 
-let apply_foreign inst ~me ~tid ~seq ~n addrs vals =
-  let region = inst.region in
-  let req = req_cell inst tid in
-  let is_closed () = (Region.load region req).Word.v <> seq in
-  let closed i = i > 0 && i land (help_check_interval - 1) = 0 && is_closed () in
-  let cap = decide_capture inst ~seq in
-  let flush_curtx = not inst.faults.skip_help_curtx_pwb in
-  let mt = inst.max_threads in
-  let start = (me - tid + mt) mod mt * n / mt in
-  let rec put_from i =
-    if i >= n then true
-    else if closed i then false
-    else begin
-      let j = if start + i >= n then start + i - n else start + i in
-      put inst ~me ~flush_curtx ~seq ~cap addrs.(j) vals.(j);
-      put_from (i + 1)
-    end
-  in
-  put_from 0
-  && (not (is_closed ()))
+(* A claim is one read, plus one CAS when the chunk is unclaimed for
+   [seq]; a missed CAS means another thread claimed it. *)
+let claim_chunk inst ~seq k =
+  let cell = inst.chunk_st.(k) in
+  let w = Satomic.get cell in
+  w < 2 * seq && Satomic.compare_and_set cell w (2 * seq)
+
+(* done for [seq], or a later commit's word, which [seq]'s close precedes *)
+let chunk_done inst ~seq k = Satomic.get inst.chunk_st.(k) > 2 * seq
+
+(* The done mark is a CAS: it follows the chunk's write-backs the way the
+   owner's close CAS follows its own (DESIGN.md §6).  The blind CAS from
+   the claimed word is the claimer's case; a thread that applied a chunk
+   another thread claimed raises the word from whatever it holds. *)
+let mark_done inst ~seq k =
+  let cell = inst.chunk_st.(k) in
+  if not (Satomic.compare_and_set cell (2 * seq) ((2 * seq) + 1)) then
+    cas_max cell ((2 * seq) + 1)
+
+(* Puts of entries [lo, hi) of commit [seq], in the order [lo + off] ..
+   [hi - 1], [lo] .. [lo + off - 1].  A helper running a whole log passes
+   the owner's tid in [check] (-1 for none): it re-reads the request
+   every [chunk_len] puts (paper §III-B: "helpers check that the
+   transaction is still open") and stops with [false] once it closed. *)
+(* flowlint: bounded i strictly increases to hi - lo *)
+let rec put_range inst ~me ~flush_curtx ~seq ~cap ~check addrs vals ~lo ~hi
+    ~off i =
+  let len = hi - lo in
+  if i >= len then true
+  else if
+    check >= 0
+    && i > 0
+    && i land (chunk_len - 1) = 0
+    && req_closed inst ~tid:check ~seq
+  then false
+  else begin
+    let j = lo + if off + i >= len then off + i - len else off + i in
+    put inst ~me ~flush_curtx ~seq ~cap addrs.(j) vals.(j);
+    put_range inst ~me ~flush_curtx ~seq ~cap ~check addrs vals ~lo ~hi ~off
+      (i + 1)
+  end
+
+(* One pwb per cache line of the sorted entries [i, hi): a line's entries
+   are adjacent, so comparing with the previous entry's line flushes each
+   line once.  With [check], the request is re-read before the first
+   write-back and every [chunk_len] entries after it, so a helper that
+   resumes after the close writes back nothing. *)
+(* flowlint: bounded i strictly increases to hi *)
+let rec write_back inst ~me ~gen ~seq ~check addrs ~lo ~hi i last =
+  if i >= hi then true
+  else if
+    check >= 0
+    && (i - lo) land (chunk_len - 1) = 0
+    && req_closed inst ~tid:check ~seq
+  then false
+  else begin
+    let line = Region.line_of addrs.(i) in
+    if line <> last then pwb_dedup inst ~me ~gen addrs.(i);
+    write_back inst ~me ~gen ~seq ~check addrs ~lo ~hi (i + 1) line
+  end
+
+(* Copy into [addrs]/[vals], at their log positions, the entries of
+   [tid]'s log from [i] on: up to entry [past], and then while an entry
+   shares the line of the one before it — so [chunk_start] of the chunk
+   that ends at [past] is known.  [~past:n] from 0 copies the whole log. *)
+(* flowlint: bounded i strictly increases to n *)
+let rec copy_entries inst ~tid ~n ~past addrs vals i =
+  if i < n then begin
+    let e = Region.load inst.region (entry_cell inst tid i) in
+    addrs.(i) <- e.Word.v;
+    vals.(i) <- e.Word.s;
+    if i < past || Region.line_of addrs.(i) = Region.line_of addrs.(i - 1) then
+      copy_entries inst ~tid ~n ~past addrs vals (i + 1)
+  end
+
+(* Apply chunk [k] of commit [seq] of [tid]'s [n]-entry log.  The owner's
+   [addrs]/[vals] hold its whole sorted log; a helper first copies the
+   entries that fix the chunk's bounds and re-reads the request, and
+   returns [false] if it closed.  Then the puts, the write-back of the
+   chunk's lines, and the done mark. *)
+let run_chunk inst ~me ~tid ~seq ~n ~cap ~flush_curtx ~owner addrs vals k =
+  (owner
+  ||
+  (copy_entries inst ~tid ~n ~past:((k + 1) * chunk_len) addrs vals
+     (max 0 ((k * chunk_len) - 1));
+   not (req_closed inst ~tid ~seq)))
   &&
-  let gen = flush_gen inst ~me in
-  let rec flush_from i last =
-    if i >= n then true
-    else if closed i then false
-    else begin
-      let addr = addrs.(i) in
-      let line = Region.line_of addr in
-      if line <> last then pwb_dedup inst ~me ~gen addr;
-      flush_from (i + 1) line
-    end
-  in
-  flush_from 0 (-1)
+  let lo = chunk_start addrs ~n k and hi = chunk_start addrs ~n (k + 1) in
+  ignore
+    (put_range inst ~me ~flush_curtx ~seq ~cap ~check:(-1) addrs vals ~lo ~hi
+       ~off:0 0);
+  let early = inst.faults.early_chunk_done in
+  if early then mark_done inst ~seq k;
+  ignore
+    (write_back inst ~me ~gen:(flush_gen inst ~me) ~seq ~check:(-1) addrs ~lo
+       ~hi lo (-1));
+  if not early then mark_done inst ~seq k;
+  true
 
-(* Help the committed-but-possibly-unapplied transaction [ct]:
-   copy the owner's log, re-validate the request, apply, close. *)
+(* [start]'s [i]-th successor among [nc] chunks *)
+let nth_chunk ~nc start i = if start + i >= nc then start + i - nc else start + i
+
+(* Claim and run every chunk still unclaimed, from chunk [start] round. *)
+(* flowlint: bounded i strictly increases to nc *)
+let rec claim_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs
+    vals start i =
+  if i >= nc then true
+  else
+    let k = nth_chunk ~nc start i in
+    if
+      claim_chunk inst ~seq k
+      && not
+           (run_chunk inst ~me ~tid ~seq ~n ~cap ~flush_curtx ~owner addrs vals
+              k)
+    then false
+    else
+      claim_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
+        start (i + 1)
+
+(* A thread that finds another thread's claim waits at most this many
+   polls before it goes on without it.
+   - The commit claim (below), per WF operation: loop iterations of six
+     steps each; per LF attempt: reads of curTx and then of the winning
+     commit's request ([wait_claim], [wait_close]).  tx.claim_waits
+     counts the polls of both phases that found the wait going on.
+   - The chunk wait of a split apply ([wait_pass]), per applier and
+     commit: reads of a chunk word that another thread claimed.
+     tx.chunk_waits counts them, tx.chunk_timeouts the waits that spent
+     the budget.
+   WF budget sweeps at 8/16/32/64/128/256, with the share of operations
+   that spent the budget:
+   - wf-kv-write (benchmark/run.exe, seed 1, --seconds 2): 88%/88%/77%/
+     0.08%/0%/0% spent, 22.06/22.14/16.91/8.59/8.59/8.59 pwb/op;
+   - the shards figure's WF cells (transfers): 63%/31%/9.3%/0%/0%/0%
+     spent, 1-shard pwb/tx 18.0/15.8/4.4/4.0/4.0/4.0;
+   - fig5's OF-WF list cells: 55%/53%/52%/44%/30%/14% spent over all
+     cells, 87% at 64 and 28% at 256 at 100% updates on 8 threads, with
+     no throughput trend across the sweep.
+   64 is the smallest budget at the knee of the workloads whose closures
+   touch a few words: there the elected aggregator commits within the
+   budget.  A list closure walks tens of nodes, so an aggregate of
+   several outlasts these budgets and its waiters aggregate too; there a
+   longer budget cuts the share that spends it but not the throughput,
+   and lengthens the wait bound (DESIGN.md §5).  LF at 64, counting
+   tx.claim_timeouts (benchmark/run.exe, seed 1, --seconds 10):
+   - shard-local: 0 of 1.80 M lost claims;
+   - shard-cross: 453 of 198554, on commits of 3-19 entries (median 16,
+     against a home transfer's 3); in 429 of them the owner closed the
+     request before the help applied anything;
+   - lf-list-read90: 12 of 6108, on 6-entry list updates;
+   - wf-kv-write: 0 of 156857 WF operations;
+   - the shards figure: 0 on either front-end.
+   Every LF timeout fell in phase two: an LF claimer's closure has
+   already run, so it is a redo-log publish away from its CAS, while a
+   long write-set's apply can outlast the budget.
+   The chunk wait at 64 (an instrumented copy counting its polls; seed 1):
+   - wf-kv-write (benchmark/run.exe, the difference of a 2 s and a 1 s
+     run): 39.5 polls per commit over all appliers, 13.3 of them the
+     owner's, and 0 timeouts in 102481 polls;
+   - the shards figure (quick): 63586 polls, 0 timeouts. *)
+let claim_budget = 64
+
+(* Wait for the chunks that other threads claimed, from chunk [start]
+   round, on one [budget] of polls; once it is spent, run every chunk
+   still not done.  [false] when a helper found the request closed. *)
+(* flowlint: bounded each call advances i towards nc or spends one unit of budget, and at 0 budget it advances i *)
+let rec wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
+    start i budget =
+  if i >= nc then true
+  else
+    let k = nth_chunk ~nc start i in
+    if chunk_done inst ~seq k then
+      wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
+        start (i + 1) budget
+    else if budget > 0 then begin
+      Telemetry.tick inst.c_chunk_waits;
+      if budget = 1 then Telemetry.tick inst.c_chunk_timeouts;
+      wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
+        start i (budget - 1)
+    end
+    else
+      run_chunk inst ~me ~tid ~seq ~n ~cap ~flush_curtx ~owner addrs vals k
+      && wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs
+           vals start (i + 1) 0
+
+(* Where an applier of [tid]'s commit starts among [m] chunks or
+   entries: the owner at 0, a helper spread by its tid distance. *)
+let spread inst ~me ~tid ~owner m =
+  if owner then 0
+  else
+    let mt = inst.max_threads in
+    (me - tid + mt) mod mt * m / mt
+
+(* The one apply routine, for the [owner] of commit [seq] ([tid = me],
+   [addrs]/[vals] holding its sorted log) and for its helpers.  A split
+   log is claimed chunk by chunk, then waited for; the owner starts at
+   chunk 0 and a helper at a chunk spread by its tid distance from the
+   owner, so they take different chunks.  Any other log is one chunk that
+   everyone applies whole: the owner from entry 0, a helper from an entry
+   spread the same way, so the two split the puts instead of trailing
+   one another (each put is idempotent under the sequence guard and a
+   capture dedups on (addr, del), so the order is free).  Returns [true]
+   when every entry is applied and written back, by this thread or by
+   the threads whose chunks it waited for; a helper returns [false] when
+   it found the request closed, which its closer did only after that. *)
+let apply inst ~me ~tid ~seq ~n ~split ~owner addrs vals =
+  let cap = decide_capture inst ~seq in
+  let flush_curtx = owner || not inst.faults.skip_help_curtx_pwb in
+  if split then begin
+    let nc = nchunks n in
+    let start = spread inst ~me ~tid ~owner nc in
+    claim_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
+      start 0
+    && wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
+         start 0 claim_budget
+  end
+  else
+    let check = if owner then -1 else tid in
+    put_range inst ~me ~flush_curtx ~seq ~cap ~check addrs vals ~lo:0 ~hi:n
+      ~off:(spread inst ~me ~tid ~owner n) 0
+    && write_back inst ~me ~gen:(flush_gen inst ~me) ~seq ~check addrs ~lo:0
+         ~hi:n 0 (-1)
+
+(* Help the committed-but-possibly-unapplied transaction [ct].  A split
+   log is copied chunk by chunk as the helper claims them ([run_chunk]);
+   any other is copied whole and the request re-read first — the log
+   cannot have been recycled while the request is still open.  The
+   helper closes the request once the whole log is applied. *)
 let help inst ~me (ct : Word.t) =
   let region = inst.region in
   let tid = ct.Word.s and seq = ct.Word.v in
   let req = Region.load region (req_cell inst tid) in
   (if req.Word.v = seq then begin
-     let n = (Region.load region (nstores_cell inst tid)).Word.v in
+     let hdr = Region.load region (nstores_cell inst tid) in
+     let n = hdr.Word.v and split = hdr.Word.s = 1 in
      if n >= 0 && n <= inst.ws_cap then begin
        let addrs = inst.scratch_addrs.(me) and vals = inst.scratch_vals.(me) in
-       for i = 0 to n - 1 do
-         let e = Region.load region (entry_cell inst tid i) in
-         addrs.(i) <- e.Word.v;
-         vals.(i) <- e.Word.s
-       done;
-       (* the log cannot have been recycled while the request is still open *)
-       let req' = Region.load region (req_cell inst tid) in
-       if req'.Word.v = seq then begin
+       if
+         split
+         ||
+         (copy_entries inst ~tid ~n ~past:n addrs vals 0;
+          not (req_closed inst ~tid ~seq))
+       then begin
          if tid <> me then begin
            (stats inst).Pstats.helps <- (stats inst).Pstats.helps + 1;
            Telemetry.tick inst.c_helps
          end;
-         if apply_foreign inst ~me ~tid ~seq ~n addrs vals then
+         if apply inst ~me ~tid ~seq ~n ~split ~owner:false addrs vals then
            close_request inst ~tid ~seq
          else begin
            (stats inst).Pstats.help_exits <- (stats inst).Pstats.help_exits + 1;
@@ -836,9 +1111,12 @@ let ensure_stable inst ~me seq =
     else stable_bump inst.vst ct.Word.v
   end
 
-(* Write the redo log into this thread's persistent log area and open the
-   request; one pwb per covered cache line, no fence (the commit CAS acts
-   as the persistence fence, §III-D).
+(* Write the redo log, sorted by address, into this thread's persistent
+   log area and open the request; one pwb per covered cache line, no
+   fence (the commit CAS acts as the persistence fence, §III-D).  The
+   sorted copy stays in this thread's scratch arrays for its own apply.
+   The count cell's sequence half carries [split] (1: the log is applied
+   chunk by chunk), so helpers know how to apply it.
 
    The request cell is flushed BEFORE the log is overwritten: closing a
    request (close_request) is volatile, so without this pwb the durable
@@ -848,16 +1126,17 @@ let ensure_stable inst ~me seq =
    re-apply a torn, mixed log at seq S.  Found by the Tmcheck sanitizer
    (close-before-applied fired during post-crash recovery). *)
 (* flowlint: preflush the durable request cell must be written back before the log overwrite; see the comment above (PR 1 torn-log hole) *)
-let publish_log inst ~me (ws : Writeset.t) ~seq =
+let publish_log inst ~me (ws : Writeset.t) ~seq ~split =
   let region = inst.region in
   let base = req_cell inst me in
   if not inst.faults.drop_publish_pwb then Region.pwb region base;
   let n = Writeset.size ws in
+  let addrs = inst.scratch_addrs.(me) and vals = inst.scratch_vals.(me) in
+  sort_log inst ~me ws addrs vals;
   for i = 0 to n - 1 do
-    Region.store region (base + 2 + i)
-      (Word.make (Writeset.addr_at ws i) (Writeset.val_at ws i))
+    Region.store region (base + 2 + i) (Word.make addrs.(i) vals.(i))
   done;
-  Region.store region (base + 1) (Word.make n 0);
+  Region.store region (base + 1) (Word.make n (if split then 1 else 0));
   let req = Word.make seq 0 in
   inst.req_word.(me) <- req;
   Region.store region base req;
@@ -889,19 +1168,25 @@ let ro_end inst =
 (* Commit the write-set of an update attempt begun at the closed curTx
    [ct] — WF commits its aggregated write-set the same way (§III-E):
    publish the redo log, CAS curTx to the next sequence, then persist
-   curTx, apply and close the request.  The close is one CAS from the
-   request word [publish_log] stored: it fails, changing nothing, when a
-   helper closed the request first.  Returns whether the commit CAS won;
-   a lost CAS aborts the attempt. *)
-let commit inst ~me tx ct =
+   curTx, apply and close the request.  With [may_split] (the WF
+   aggregator) a log of more than one chunk is applied chunk by chunk
+   with the helpers, and the apply returns only once every chunk is done.
+   The close is one CAS from the request word [publish_log] stored: it
+   fails, changing nothing, when a helper closed the request first.
+   Returns whether the commit CAS won; a lost CAS aborts the attempt. *)
+let commit inst ~me ~may_split tx ct =
   let ct = if inst.faults.stale_commit_snapshot then read_curtx inst else ct in
   let seq = ct.Word.v + 1 in
-  publish_log inst ~me tx.ws ~seq;
+  let n = Writeset.size tx.ws in
+  let split = may_split && splits n in
+  publish_log inst ~me tx.ws ~seq ~split;
   if Region.cas1 inst.region curtx_cell ct (Word.make seq me) then begin
     with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:(Some seq));
     Region.pwb inst.region curtx_cell;
     inst.curtx_stamp.(me) <- seq;
-    apply_own inst ~me ~seq tx.ws;
+    ignore
+      (apply inst ~me ~tid:me ~seq ~n ~split ~owner:true inst.scratch_addrs.(me)
+         inst.scratch_vals.(me));
     if
       Region.cas1 inst.region (req_cell inst me) inst.req_word.(me)
         (Word.make (seq + 1) 0)
@@ -1116,40 +1401,6 @@ let validating_read inst ~fallback f =
 (* ------------------------------------------------------------------ *)
 (* The commit claim, shared by LF commits and the WF election          *)
 
-(* A thread that finds another thread's claim on the next commit waits at
-   most this many polls before it commits or helps anyway: per WF
-   operation, loop iterations of six steps each; per LF attempt, reads of
-   curTx and then of the winning commit's request ([wait_claim],
-   [wait_close]; tx.claim_waits counts the polls of both phases that
-   found the wait going on).
-   WF budget sweeps at 8/16/32/64/128/256, with the share of operations
-   that spent the budget:
-   - wf-kv-write (benchmark/run.exe, seed 1, --seconds 2): 88%/88%/77%/
-     0.08%/0%/0% spent, 22.06/22.14/16.91/8.59/8.59/8.59 pwb/op;
-   - the shards figure's WF cells (transfers): 63%/31%/9.3%/0%/0%/0%
-     spent, 1-shard pwb/tx 18.0/15.8/4.4/4.0/4.0/4.0;
-   - fig5's OF-WF list cells: 55%/53%/52%/44%/30%/14% spent over all
-     cells, 87% at 64 and 28% at 256 at 100% updates on 8 threads, with
-     no throughput trend across the sweep.
-   64 is the smallest budget at the knee of the workloads whose closures
-   touch a few words: there the elected aggregator commits within the
-   budget.  A list closure walks tens of nodes, so an aggregate of
-   several outlasts these budgets and its waiters aggregate too; there a
-   longer budget cuts the share that spends it but not the throughput,
-   and lengthens the wait bound (DESIGN.md §5).  LF at 64, counting
-   tx.claim_timeouts (benchmark/run.exe, seed 1, --seconds 10):
-   - shard-local: 0 of 1.80 M lost claims;
-   - shard-cross: 453 of 198554, on commits of 3-19 entries (median 16,
-     against a home transfer's 3); in 429 of them the owner closed the
-     request before the help applied anything;
-   - lf-list-read90: 12 of 6108, on 6-entry list updates;
-   - wf-kv-write: 0 of 156857 WF operations;
-   - the shards figure: 0 on either front-end.
-   Every LF timeout fell in phase two: an LF claimer's closure has
-   already run, so it is a redo-log publish away from its CAS, while a
-   long write-set's apply can outlast the budget. *)
-let claim_budget = 64
-
 (* What a thread about to commit at a closed curTx finds in the claim. *)
 type claim = Claimed | Held | Lost
 
@@ -1286,7 +1537,7 @@ let lf_update_tx inst f =
                 | Held | Lost -> wait_claim inst ~me ct claim_budget
             in
             if next.Word.v <> ct.Word.v then attempt ~closed:true next
-            else if commit inst ~me tx ct then begin
+            else if commit inst ~me ~may_split:false tx ct then begin
               Telemetry.observe inst.s_latency (Sched.now () - t0 + 1);
               result
             end
@@ -1468,7 +1719,7 @@ let wf_update_tx inst f =
                 (* an empty aggregate commits nothing, not even read-only *)
                 if Writeset.is_empty tx.ws then
                   with_chk inst.checker (fun c -> Tmcheck.tx_end c ~committed:None)
-                else ignore (commit inst ~me tx ct);
+                else ignore (commit inst ~me ~may_split:true tx ct);
                 loop budget)
     end
   in
@@ -1506,6 +1757,13 @@ let claim_info inst =
   let c = Satomic.get_relaxed inst.claim in
   (claim_seq c, claim_tid c)
 
+(* Debug view of chunk [k]'s word: (the commit sequence it was last
+   claimed for, whether it is done for that sequence); (0, false) when
+   never claimed, as after [recover].  Step-free like [curtx_info]. *)
+let chunk_info inst k =
+  let w = Satomic.get_relaxed inst.chunk_st.(k) in
+  (w / 2, w land 1 = 1)
+
 (* Allocator accounting over the quiescent volatile state (no transaction,
    no scheduling steps) — testing/diagnostics only. *)
 let allocated_cells inst =
@@ -1527,12 +1785,14 @@ let recover inst =
      operations will never run, but committed ones already have their
      results applied by the help below.  The publication watermark and the
      commit claim are volatile too: a claim left by a killed fiber would
-     otherwise delay the next waiter by up to [claim_budget].  The curTx
+     otherwise delay the next waiter by up to [claim_budget].  So are the
+     chunk words, which a reused sequence would find already done.  The curTx
      stamps are cleared too: a sequence lost in the crash is reused after
      it, and a stale stamp would skip that sequence's curTx write-back. *)
   Array.fill inst.pub_once 0 inst.max_threads false;
   Satomic.set inst.pub_watermark 0;
   Satomic.set inst.claim 0;
+  Array.iter (fun c -> Satomic.set c 0) inst.chunk_st;
   Array.fill inst.curtx_stamp 0 inst.max_threads 0;
   Telemetry.tick inst.c_rec_runs;
   let ct = read_curtx inst in

@@ -103,6 +103,13 @@ val claim_info : t -> int * int
     (the commit sequence claimed, the claiming thread's tid); [(0, 0)]
     when none, as after {!recover}. *)
 
+val chunk_info : t -> int -> int * bool
+(** Step-free debug view of chunk [k]'s claim word: (the commit sequence
+    it was last claimed for, whether that commit's chunk [k] is done);
+    [(0, false)] when never claimed, as after {!recover}.  Only WF
+    aggregates of more than one chunk of 8 redo-log entries are applied
+    chunk by chunk. *)
+
 (** {1 Sanitizer attachment}
 
     Simulation-only (see {!Check.Tmcheck}).  Attach to a quiescent
@@ -137,6 +144,9 @@ val attach_telemetry : t -> Runtime.Telemetry.t -> unit
     on another thread's claim; for an LF loser, polls of curTx and then
     of the winning commit's request), "tx.claim_timeouts" (waits that
     spent their whole budget: per WF operation, per LF attempt),
+    "tx.chunk_waits" (polls of a chunk another thread claimed, while a
+    chunked WF redo log is applied), "tx.chunk_timeouts" (chunk waits
+    that spent their whole budget),
     "recovery.runs",
     "recovery.helped", "ro.captures" (versions handed to the version
     store), spans "tx.latency" and "ro.snapshot_lag"),
@@ -183,6 +193,11 @@ type faults = {
           without reading it, so its retry runs at a [curTx] that is still
           open: it reads a half-applied snapshot and commits over the open
           request *)
+  mutable early_chunk_done : bool;
+      (** an applier of a chunked WF redo log marks its chunk done before
+          it writes the chunk's cache lines back, so the owner can close
+          the commit, and a later commit can persist, while those lines
+          are still volatile: a crash then loses committed words *)
 }
 
 val faults : t -> faults
@@ -213,5 +228,9 @@ val put_one : t -> seq:int -> int -> int -> unit
     a data word ahead of the durable curTx. *)
 
 val close_request : t -> tid:int -> seq:int -> unit
-val publish_log : t -> me:int -> Writeset.t -> seq:int -> unit
+val publish_log : t -> me:int -> Writeset.t -> seq:int -> split:bool -> unit
+(** Publish [me]'s redo log for [seq], sorted by address; [split] marks
+    it as applied chunk by chunk (a WF aggregate of more than one
+    chunk). *)
+
 val help : t -> me:int -> Pmem.Word.t -> unit

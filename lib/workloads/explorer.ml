@@ -26,6 +26,7 @@ type fault =
   | Torn_migration
   | Help_curtx
   | Early_retry
+  | Early_chunk_done
 
 let fault_name = function
   | No_fault -> "none"
@@ -39,6 +40,7 @@ let fault_name = function
   | Torn_migration -> "torn-migration"
   | Help_curtx -> "help-curtx"
   | Early_retry -> "early-retry"
+  | Early_chunk_done -> "early-chunk-done"
 
 let fault_of_name s =
   List.find_opt
@@ -46,7 +48,7 @@ let fault_of_name s =
     [
       No_fault; Durability_hole; Lost_update; Stale_dedup; Torn_commit_record;
       Torn_batch_record; Stale_ro_snapshot; Skip_nocap; Torn_migration;
-      Help_curtx; Early_retry;
+      Help_curtx; Early_retry; Early_chunk_done;
     ]
 
 type config = {
@@ -184,6 +186,7 @@ let plant_engine fault tm =
   | Skip_nocap -> f.skip_nocap <- true
   | Help_curtx -> f.skip_help_curtx_pwb <- true
   | Early_retry -> f.early_retry <- true
+  | Early_chunk_done -> f.early_chunk_done <- true
 
 (* One rig per OneFile front-end.  [Lf] and [Wf] share [Lf.t] and every
    function but [update_tx] and [read_tx_validating], so only [F] tells
@@ -484,13 +487,24 @@ let explore_pct ?(config = default) ?(depth = 3) ?(executions = 200)
     failure = !failure;
   }
 
+(* After [prefix], the next runnable fiber after [last], cyclically. *)
+let pick_round_robin ~prefix ~step ~enabled ~last =
+  if step < Array.length prefix then Explore.pick_prefix ~prefix ~step ~enabled ~last
+  else
+    match List.find_opt (fun t -> t > last) (Array.to_list enabled) with
+    | Some t -> t
+    | None -> enabled.(0)
+
 let explore_crashes ?(config = default) ?(sites = `Persist) ?max_sites
-    ?(schedule = [||]) prog =
+    ?(schedule = [||]) ?(interleave = false) prog =
   let config = { config with persistent = true } in
   let memo = mk_memo () in
   let inconclusive = ref 0 in
   let ran = ref 0 in
-  let pick = Explore.pick_prefix ~prefix:schedule in
+  let pick =
+    if interleave then pick_round_robin ~prefix:schedule
+    else Explore.pick_prefix ~prefix:schedule
+  in
   let run_one crash =
     incr ran;
     let e = execute_one config ~memo prog ~pick ~crash in

@@ -95,6 +95,16 @@ type fault =
           curtx-discipline rule reports.  Needs a schedule in which a
           claim loser sees [curTx] move and resumes before the winner's
           apply ends *)
+  | Early_chunk_done
+      (** an applier of a chunked WF redo log marks its chunk done before
+          it writes the chunk's lines back (see [Onefile.Core0.faults]):
+          the owner can close the commit while those lines are volatile,
+          and a crash that finds the close durable loses committed words,
+          which the oracle reports.  Needs WF commits of more than one
+          chunk of 8 entries, a helper that applies a chunk, and a crash
+          between the close and the helper's write-back: a crash sweep
+          over an interleaved baseline ([explore_crashes ~interleave])
+          with several threads *)
 
 val fault_name : fault -> string
 (** The fault's name in traces and on the [bin/explore.exe] command line
@@ -214,10 +224,14 @@ val explore_crashes :
   ?sites:[ `Persist | `Every ] ->
   ?max_sites:int ->
   ?schedule:int array ->
+  ?interleave:bool ->
   Proggen.program ->
   report
 (** Run the baseline [schedule] (default [[||]], the free schedule) on a
-    persistent region, then re-run it once per crash site — each [pwb] /
+    persistent region — with [interleave] (default [false]) followed by
+    a round-robin of the runnable fibers, one step each in turn, instead
+    of running each fiber to its end, so that WF operations of several
+    threads meet in one commit and waiters help it — then re-run it once per crash site — each [pwb] /
     [pfence] event for [`Persist] (default), additionally every store and
     successful CAS for [`Every] — times each eviction variant:
     [Evict_none], [Evict_all], and [Evict_line k] for each line dirty at

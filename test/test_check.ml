@@ -122,7 +122,7 @@ let test_seeded_durability () =
   Writeset.put ws r0 42;
   let ct = Core0.read_curtx inst in
   let seq = ct.Word.v + 1 in
-  Core0.publish_log inst ~me:0 ws ~seq;
+  Core0.publish_log inst ~me:0 ws ~seq ~split:false;
   check bool "commit cas" true
     (Region.cas1 (Core0.region inst) Core0.curtx_cell ct (Word.make seq 0));
   (* skip the pwb of curTx, apply, and flush the data: the data word
@@ -146,7 +146,7 @@ let test_seeded_durability_at_crash () =
       Writeset.put ws r0 43;
       let ct = Core0.read_curtx inst in
       let seq = ct.Word.v + 1 in
-      Core0.publish_log inst ~me:0 ws ~seq;
+      Core0.publish_log inst ~me:0 ws ~seq ~split:false;
       ignore
         (Region.cas1 (Core0.region inst) Core0.curtx_cell ct (Word.make seq 0));
       Core0.put_one inst ~seq r0 43;
@@ -167,7 +167,7 @@ let test_seeded_close_before_applied () =
   Writeset.put ws r0 42;
   let ct = Core0.read_curtx inst in
   let seq = ct.Word.v + 1 in
-  Core0.publish_log inst ~me:0 ws ~seq;
+  Core0.publish_log inst ~me:0 ws ~seq ~split:false;
   ignore (Region.cas1 (Core0.region inst) Core0.curtx_cell ct (Word.make seq 0));
   Region.pwb (Core0.region inst) Core0.curtx_cell;
   expect_violation "close-before-applied" (fun () ->
@@ -255,7 +255,7 @@ let test_recovery_mid_apply () =
     let seq = ct.Word.v + 1 in
     (* commit protocol, stopped between publish/commit and completion:
        only the first entry is applied and flushed *)
-    Core0.publish_log inst ~me:0 ws ~seq;
+    Core0.publish_log inst ~me:0 ws ~seq ~split:false;
     check bool "commit cas" true
       (Region.cas1 region Core0.curtx_cell ct (Word.make seq 0));
     Region.pwb region Core0.curtx_cell;

@@ -375,6 +375,50 @@ let test_early_retry_clean () =
   | Some f -> Alcotest.failf "clean claim wait: %a" E.pp_failure f
   | None -> ()
 
+(* --- planted chunk done before its write-back ---------------------- *)
+
+(* A WF aggregate of more than one chunk of 8 entries is applied chunk
+   by chunk, and the owner closes the commit only once every chunk is
+   marked done.  [early_chunk_done] marks a chunk done before its lines
+   are written back: the owner can close while a helper's lines are
+   still volatile, and a crash whose eviction makes the close durable
+   loses committed words.  The configuration: 4 WF threads, operations
+   of up to 6 steps, and a crash sweep whose baseline steps the fibers
+   round-robin, so operations of several threads meet in one commit of
+   three or more chunks and waiters help it.  Oracle only: the fault
+   breaks no sanitizer rule, and the sanitizer's set-based allocator
+   check misreads an aggregate that allocates and frees one block (see
+   [Proggen.gen_program]).  The same sweep without the fault stays
+   silent. *)
+let chunk_config = { E.default with E.wf = true; threads = 4; sanitize = false }
+
+let early_chunk_find config prog =
+  (E.explore_crashes ~config ~interleave:true prog).E.failure
+
+let early_chunk_progs =
+  List.init 20 (fun i -> Proggen.gen_program ~max_txns:6 ~max_ops:6 (i + 1))
+
+let test_planted_early_chunk_done () =
+  let config = { chunk_config with E.fault = E.Early_chunk_done } in
+  let find = early_chunk_find config in
+  match List.find_map find early_chunk_progs with
+  | None -> Alcotest.fail "planted early-chunk-done not found within budget"
+  | Some f ->
+      check_bool "found at a crash point" true (f.E.crash <> None);
+      check_bool
+        ("reported by the oracle: " ^ f.E.reason)
+        true
+        (String.starts_with ~prefix:"recovered state matches no" f.E.reason);
+      assert_deterministic_replay f
+
+let test_early_chunk_done_clean () =
+  List.iteri
+    (fun i prog ->
+      match early_chunk_find chunk_config prog with
+      | Some f -> Alcotest.failf "seed %d, clean chunk apply: %a" (i + 1) E.pp_failure f
+      | None -> ())
+    early_chunk_progs
+
 (* --- planted skipped registration handshake ------------------------ *)
 
 (* The capture-handshake fault: an apply pass skips version capture while
@@ -770,6 +814,10 @@ let () =
           Alcotest.test_case "early-retry-via-sanitizer" `Quick
             test_planted_early_retry;
           Alcotest.test_case "early-retry-clean" `Quick test_early_retry_clean;
+          Alcotest.test_case "early-chunk-done-via-oracle" `Quick
+            test_planted_early_chunk_done;
+          Alcotest.test_case "early-chunk-done-clean" `Quick
+            test_early_chunk_done_clean;
         ] );
       ( "sharded",
         [

@@ -106,6 +106,44 @@ let test_fresh_store_bounded () =
     true
     (per <= 64.0)
 
+(* A commit allocates the two words of each entry it writes — its
+   redo-log entry and its data word — and nothing per entry besides:
+   the sort of the redo log, the chunk claims, the chunk waits and the
+   write-back loops allocate nothing.  A WF commit of 26 entries spans
+   four chunks and is applied chunk by chunk; an LF commit of any size
+   is one pass.  Measured per extra entry, as the difference between a
+   24-store and a 1-store update, so the per-commit constant (the
+   operation's descriptor, the update's closures) cancels. *)
+let test_split_commit_alloc_free () =
+  let per_entry (type a) (module T : Tm.Tm_intf.S with type t = a) (t : a) =
+    let update m () =
+      ignore
+        (T.update_tx t (fun tx ->
+             for i = 0 to m - 1 do
+               T.store tx (T.root t i) i
+             done;
+             0))
+    in
+    let big = update 24 and small = update 1 in
+    big ();
+    small ();
+    (words_per big 200 -. words_per small 200) /. 23.0
+  in
+  let words = 2.0 *. 3.0 (* two Word.t records of two fields *) in
+  let lf = Lf.create ~mode:Region.Persistent ~ws_cap:64 ~num_roots:32 () in
+  let per = per_entry (module Lf) lf in
+  check bool
+    (Printf.sprintf "lf commit: %.2f words per entry" per)
+    true (per = words);
+  let wf = Wf.create ~mode:Region.Persistent ~max_threads:4 ~ws_cap:64 ~num_roots:32 () in
+  let per = per_entry (module Wf) wf in
+  check bool
+    (Printf.sprintf "wf split commit: %.2f words per entry" per)
+    true (per = words);
+  let seq, _, _ = Onefile.Core0.curtx_info wf in
+  check bool "the wf commit was applied chunk by chunk" true
+    (Onefile.Core0.chunk_info wf 3 = (seq, true))
+
 (* A wait loop threads its backoff cap as an int and the jitter is a
    keyed draw, so a wait of several iterations allocates nothing (here
    outside a fiber, where each spin is a cpu_relax).  The first wait
@@ -133,5 +171,7 @@ let () =
             test_fresh_store_bounded;
           Alcotest.test_case "backoff wait allocates nothing" `Quick
             test_backoff_wait_alloc_free;
+          Alcotest.test_case "split commit allocates nothing per entry" `Quick
+            test_split_commit_alloc_free;
         ] );
     ]

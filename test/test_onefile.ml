@@ -704,7 +704,7 @@ let test_striped_help () =
   done;
   let ct = C.read_curtx t in
   let seq = ct.Word.v + 1 in
-  C.publish_log t ~me:0 ws ~seq;
+  C.publish_log t ~me:0 ws ~seq ~split:false;
   check bool "commit cas"
     true
     (Region.cas1 (C.region t) C.curtx_cell ct (Word.make seq 0));
@@ -991,6 +991,258 @@ let test_idle_helper_flushes_no_curtx () =
   check int "no curTx write-back by the idle helper" 0 !curtx_pwbs;
   let _, _, open_ = C.curtx_info t in
   check bool "request closed" false open_
+
+(* ------------------------------------------------------------------ *)
+(* WF helpers split the apply *)
+
+(* A WF aggregate of more than one chunk of 8 entries is applied chunk
+   by chunk: the aggregator and each helper claim a chunk, apply it,
+   write its lines back and mark it done.  These tests stage the owner
+   (slot 4) committing one operation that writes 34 roots: 36 sorted
+   entries (its result and acknowledgment, then the roots), five chunks.
+   Helpers 0..3 publish an increment of their own root each after the
+   owner's commit CAS, so they find the commit open and help it; helper
+   [d] starts at chunk [d + 1]. *)
+let coop_owner = 4
+let coop_roots = 34
+
+let coop_instance () =
+  Onefile.Core0.create ~max_threads:5 ~ws_cap:64 ~num_roots:40 ()
+
+(* the owner's operation: root i := 1000 + i; returns 7 *)
+let coop_owner_op t tx =
+  let module C = Onefile.Core0 in
+  for i = 0 to coop_roots - 1 do
+    C.store tx (C.root t i) (1000 + i)
+  done;
+  7
+
+let coop_fibers t results =
+  let module C = Onefile.Core0 in
+  Array.init 5 (fun f () ->
+      if f = coop_owner then results.(f) <- [ C.wf_update_tx t (coop_owner_op t) ]
+      else
+        for _ = 1 to 2 do
+          let r = C.root t (coop_roots + f) in
+          let v =
+            C.wf_update_tx t (fun tx ->
+                let v = C.load tx r + 1 in
+                C.store tx r v;
+                v)
+          in
+          results.(f) <- results.(f) @ [ v ]
+        done)
+
+let check_coop_results t results =
+  let module C = Onefile.Core0 in
+  check (Alcotest.list int) "owner's result" [ 7 ] results.(coop_owner);
+  for f = 0 to 3 do
+    check (Alcotest.list int) (Printf.sprintf "helper %d's increments" f) [ 1; 2 ]
+      results.(f)
+  done;
+  for i = 0 to coop_roots - 1 do
+    check int "owner's word" (1000 + i) (C.lf_read_tx t (fun tx -> C.load tx (C.root t i)))
+  done
+
+(* The owner is held right after it claims chunk 0 while helper [d]
+   applies chunk [d + 1]; then it applies its own chunk, finds the others
+   done and closes.  Every entry is put exactly once, so no DCAS fails,
+   and each of the commit's cache lines is written back once. *)
+let test_coop_owner_parked () =
+  let module C = Onefile.Core0 in
+  let t = coop_instance () in
+  let region = C.region t in
+  let seq0, _, _ = C.curtx_info t in
+  let seq = seq0 + 1 in
+  let claimed k () = C.chunk_info t k = (seq, false) in
+  let finished k () = C.chunk_info t k = (seq, true) in
+  let log_lines =
+    List.sort_uniq compare
+      (Region.line_of (C.res_cell t coop_owner)
+      :: Region.line_of (C.ack_cell t coop_owner)
+      :: List.init coop_roots (fun i -> Region.line_of (C.root t i)))
+  in
+  let pwbs = Hashtbl.create 16 and fails = ref 0 in
+  let during_commit () =
+    let s, _, open_ = C.curtx_info t in
+    s = seq && open_
+  in
+  Region.set_observer region
+    (Some
+       (function
+       | Region.Ev_pwb { line } when List.mem line log_lines && during_commit () ->
+           Hashtbl.replace pwbs line
+             (1 + Option.value ~default:0 (Hashtbl.find_opt pwbs line))
+       | Region.Ev_cas { ok = false; dcas = true; _ } when during_commit () -> incr fails
+       | _ -> ()));
+  let results = Array.make 5 [] in
+  let closed () =
+    let s, _, open_ = C.curtx_info t in
+    s = seq && not open_
+  in
+  let staged =
+    run_stages (coop_fibers t results)
+      [
+        (coop_owner, claimed 0);
+        (0, finished 1);
+        (1, finished 2);
+        (2, finished 3);
+        (3, finished 4);
+        (coop_owner, closed);
+      ]
+  in
+  Region.set_observer region None;
+  check bool "every stage ran" true staged;
+  check int "no failed DCAS" 0 !fails;
+  List.iter
+    (fun line ->
+      check int
+        (Printf.sprintf "line %d written back once" line)
+        1
+        (Option.value ~default:0 (Hashtbl.find_opt pwbs line)))
+    log_lines;
+  check_coop_results t results
+
+(* A helper held forever right after its claim: the owner's wait spends
+   [claim_budget] polls on that chunk, applies it itself and closes, all
+   before the helper runs again. *)
+let test_coop_helper_parked () =
+  let module C = Onefile.Core0 in
+  let t = coop_instance () in
+  let te = Telemetry.create () in
+  C.attach_telemetry t te;
+  let seq0, _, _ = C.curtx_info t in
+  let seq = seq0 + 1 in
+  let results = Array.make 5 [] in
+  let at_owner_return = ref (0, 0, (0, 0, true)) in
+  let fibers = coop_fibers t results in
+  let owner = fibers.(coop_owner) in
+  fibers.(coop_owner) <-
+    (fun () ->
+      owner ();
+      at_owner_return :=
+        ( Telemetry.get te "tx.chunk_waits",
+          Telemetry.get te "tx.chunk_timeouts",
+          C.curtx_info t ));
+  let staged =
+    run_stages fibers
+      [
+        (coop_owner, fun () -> C.curtx_info t = (seq, coop_owner, true));
+        (0, fun () -> C.chunk_info t 1 = (seq, false));
+        (coop_owner, fun () -> false);
+        (1, fun () -> false);
+        (2, fun () -> false);
+        (3, fun () -> false);
+      ]
+  in
+  check bool "every stage ran" true staged;
+  let waits, timeouts, curtx = !at_owner_return in
+  check bool "the owner's wait spent the budget" true (waits >= 64);
+  check int "one wait timed out" 1 timeouts;
+  check (Alcotest.triple int int bool) "the owner closed the commit" (seq, coop_owner, false)
+    curtx;
+  check_coop_results t results
+
+(* Sorted, the owner's result and acknowledgment come first and then the
+   roots; roots 20 and 21 share a cache line and land at entries 7 and
+   8, across the nominal 8-entry chunk boundary.  The chunk's end moves
+   past that line, so the line is written back once. *)
+let test_coop_line_across_boundary () =
+  let module C = Onefile.Core0 in
+  let t = C.create ~max_threads:1 ~ws_cap:64 ~num_roots:56 () in
+  let roots = [ 0; 4; 8; 12; 16; 20; 21; 24; 28; 32; 36; 40; 44; 48; 52 ] in
+  let r20 = C.root t 20 and r21 = C.root t 21 in
+  check int "roots 20 and 21 share a line" (Region.line_of r20) (Region.line_of r21);
+  check bool "the owner's cells sort first" true (C.ack_cell t 0 < C.root t 0);
+  let seq0, _, _ = C.curtx_info t in
+  let line_pwbs = ref 0 in
+  Region.set_observer (C.region t)
+    (Some
+       (function
+       | Region.Ev_pwb { line } when line = Region.line_of r20 -> incr line_pwbs
+       | _ -> ()));
+  let r =
+    C.wf_update_tx t (fun tx ->
+        List.iter (fun i -> C.store tx (C.root t i) (500 + i)) roots;
+        3)
+  in
+  Region.set_observer (C.region t) None;
+  check int "result" 3 r;
+  check (Alcotest.pair int bool) "applied in three chunks" (seq0 + 1, true)
+    (C.chunk_info t 2);
+  check int "the shared line written back once" 1 !line_pwbs;
+  List.iter
+    (fun i ->
+      check int "word applied" (500 + i) (C.lf_read_tx t (fun tx -> C.load tx (C.root t i))))
+    roots
+
+(* Every redo log is published sorted by address, whatever the order of
+   the write-set: 500 entries at random heap addresses of a 2^18-cell
+   region, whose addresses take five radix passes. *)
+let test_log_sorted () =
+  let module C = Onefile.Core0 in
+  let t = C.create ~size:(1 lsl 18) ~max_threads:1 ~ws_cap:512 ~num_roots:4 () in
+  let rng = Rng.create 5 in
+  let ws = Writeset.create 512 in
+  let lo = C.root t 3 + 1 in
+  while Writeset.size ws < 500 do
+    let a = lo + Rng.int rng ((1 lsl 18) - lo) in
+    Writeset.put ws a (a * 3)
+  done;
+  let seq0, _, _ = C.curtx_info t in
+  C.publish_log t ~me:0 ws ~seq:(seq0 + 1) ~split:false;
+  let region = C.region t in
+  let entry i = Region.peek region (C.entry_cell t 0 i) in
+  check int "entry count" 500 (Region.peek region (C.nstores_cell t 0)).Word.v;
+  for i = 0 to 499 do
+    let e = entry i in
+    check int "value follows its address" (e.Word.v * 3) e.Word.s;
+    if i > 0 then check bool "sorted" true ((entry (i - 1)).Word.v < e.Word.v)
+  done
+
+(* A snapshot reader's registration finds a split commit that was
+   applied without capture ([nocap]) and helps it to completion before
+   it pins, so its snapshot includes that commit.  The owner is held
+   right after its capture decision, before it claims any chunk. *)
+let test_coop_reader_helps () =
+  let module C = Onefile.Core0 in
+  let t = C.create ~max_threads:2 ~ws_cap:64 ~num_roots:24 () in
+  let n = 20 in
+  let seq0, _, _ = C.curtx_info t in
+  let seq = seq0 + 1 in
+  let sum = ref (-1) and res = ref (-1) in
+  let st = Region.stats (C.region t) in
+  let fibers =
+    [|
+      (fun () ->
+        res :=
+          C.wf_update_tx t (fun tx ->
+              for i = 0 to n - 1 do
+                C.store tx (C.root t i) (i + 1)
+              done;
+              0));
+      (fun () ->
+        sum :=
+          C.wf_read_tx t (fun tx ->
+              let s = ref 0 in
+              for i = 0 to n - 1 do
+                s := !s + C.load tx (C.root t i)
+              done;
+              !s));
+    |]
+  in
+  let staged =
+    run_stages fibers
+      [
+        (0, fun () -> snd (C.capture_info t) >= seq);
+        (1, fun () -> false);
+      ]
+  in
+  check bool "every stage ran" true staged;
+  check int "the reader helped" 1 st.Pstats.helps;
+  check (Alcotest.pair int bool) "the commit was split" (seq, true) (C.chunk_info t 2);
+  check int "the snapshot includes the split commit" (n * (n + 1) / 2) !sum;
+  check int "owner's result" 0 !res
 
 (* ------------------------------------------------------------------ *)
 (* Real domains: same code under genuine parallelism *)
@@ -1307,6 +1559,15 @@ let () =
             (test_killed_claimer wf_api ~n:6 ~iters:10);
           Alcotest.test_case "striped help" `Quick test_striped_help;
           Alcotest.test_case "aggregate scans used slots" `Quick test_wf_scans_used_slots;
+        ] );
+      ( "wf-coop",
+        [
+          Alcotest.test_case "owner parked, helpers apply" `Quick test_coop_owner_parked;
+          Alcotest.test_case "helper parked after its claim" `Quick test_coop_helper_parked;
+          Alcotest.test_case "line across the chunk boundary" `Quick
+            test_coop_line_across_boundary;
+          Alcotest.test_case "reader registration helps" `Quick test_coop_reader_helps;
+          Alcotest.test_case "redo log published sorted" `Quick test_log_sorted;
         ] );
       ( "lf-claim",
         [
