@@ -43,6 +43,7 @@ let usage () =
                    | torn-commit-record | torn-batch-record
                    | stale-ro-snapshot | skip-nocap | torn-migration
                    | help-curtx | early-retry | early-chunk-done
+                   | early-curtx-signal
                    (the torn-record and torn-migration faults need
                    --shards >= 2)
   --max-steps N    per-execution step budget (default 50000)

@@ -38,16 +38,19 @@ let violation_to_string v = Format.asprintf "%a" pp_violation v
 
 type mode = Raise | Collect
 
-type heap_op = Palloc of int * int | Pfree of int
+(* A transaction's heap accesses and allocator calls, in program order *)
+type heap_ev =
+  | Hload of int * int * int (* addr, v, s *)
+  | Hstore of int
+  | Palloc of int * int (* payload, cells *)
+  | Pfree of int
 
 type txstate = {
   mutable active : bool;
   mutable ro : bool;
   mutable start_seq : int;
   mutable in_alloc : int; (* allocator-call nesting depth; accesses suppressed *)
-  mutable loads : (int * int * int) list; (* heap (addr, v, s), newest first *)
-  mutable stores : int list; (* heap addrs, newest first *)
-  mutable heap_ops : heap_op list; (* newest first *)
+  mutable heap : heap_ev list; (* newest first *)
 }
 
 (* One allocation lifetime of a block: live in commits [aseq, fseq). *)
@@ -108,9 +111,7 @@ let reset_tx ts =
   ts.ro <- true;
   ts.start_seq <- 0;
   ts.in_alloc <- 0;
-  ts.loads <- [];
-  ts.stores <- [];
-  ts.heap_ops <- []
+  ts.heap <- []
 
 let create ?(mode = Raise) lay region =
   let n = Region.size region in
@@ -130,9 +131,7 @@ let create ?(mode = Raise) lay region =
               ro = true;
               start_seq = 0;
               in_alloc = 0;
-              loads = [];
-              stores = [];
-              heap_ops = [];
+              heap = [];
             });
       owner = Hashtbl.create 256;
       recs = Hashtbl.create 64;
@@ -304,21 +303,21 @@ let tx_load c ~addr ~v ~s =
               version at its snapshot is (%d,#%d): torn snapshot"
              ts.start_seq addr v s v0 s0)
     | _ -> ());
-    if is_heap c addr then ts.loads <- (addr, v, s) :: ts.loads
+    if is_heap c addr then ts.heap <- Hload (addr, v, s) :: ts.heap
   end
 
 let tx_store c ~addr =
   let ts = me c in
   if ts.active && ts.in_alloc = 0 && is_heap c addr then
-    ts.stores <- addr :: ts.stores
+    ts.heap <- Hstore addr :: ts.heap
 
 let note_alloc c ~payload ~cells =
   let ts = me c in
-  if ts.active then ts.heap_ops <- Palloc (payload, cells) :: ts.heap_ops
+  if ts.active then ts.heap <- Palloc (payload, cells) :: ts.heap
 
 let note_free c ~payload =
   let ts = me c in
-  if ts.active then ts.heap_ops <- Pfree payload :: ts.heap_ops
+  if ts.active then ts.heap <- Pfree payload :: ts.heap
 
 (* Is heap cell [a] inside a block live at snapshot [s]? *)
 let live_at c a s =
@@ -331,16 +330,26 @@ let live_at c a s =
 
 (* (f) allocator discipline, validated at commit (aborted or helped-out
    attempts may legitimately touch freed blocks before noticing the
-   conflict; only a committed transaction's accesses must be clean). *)
+   conflict; only a committed transaction's accesses must be clean), in
+   program order: each access is checked against the blocks live at that
+   point of the transaction — those live in its snapshot that it has not
+   freed yet, and those it allocated and has not freed.  So one WF
+   aggregate may run an operation that allocates and writes a block and a
+   later one that frees it, while an access after the free still fires. *)
 let validate_heap c ts committed =
   let s = ts.start_seq in
-  let ops = List.rev ts.heap_ops in
+  let evs = List.rev ts.heap in
   (* blocks allocated (and not yet freed) by this very transaction *)
   let own = Hashtbl.create 8 in
   let own_covers a =
     Hashtbl.fold (fun p n acc -> acc || (a >= p && a < p + n)) own false
   in
+  (* blocks live in the snapshot that this transaction freed *)
   let freed_in_tx = Hashtbl.create 8 in
+  let live a =
+    own_covers a
+    || (live_at c a s && not (Hashtbl.mem freed_in_tx (Hashtbl.find c.owner a)))
+  in
   List.iter
     (function
       | Palloc (p, n) -> Hashtbl.replace own p n
@@ -356,26 +365,22 @@ let validate_heap c ts committed =
                  "committed transaction (snapshot %d) freed block %d which is not \
                   live in its snapshot (double free or foreign pointer)"
                  s p)
-          else Hashtbl.replace freed_in_tx p ())
-    ops;
-  List.iter
-    (fun (a, v, sq) ->
-      if not (live_at c a s || own_covers a) then
-        fire c "unallocated-access"
-          (Format.sprintf
-             "committed transaction (snapshot %d) read heap cell %d (saw (%d,#%d)) \
-              outside any live block"
-             s a v sq))
-    ts.loads;
-  List.iter
-    (fun a ->
-      if not (live_at c a s || own_covers a) then
-        fire c "unallocated-access"
-          (Format.sprintf
-             "committed transaction (snapshot %d) wrote heap cell %d outside any \
-              live block"
-             s a))
-    ts.stores;
+          else Hashtbl.replace freed_in_tx p ()
+      | Hload (a, v, sq) ->
+          if not (live a) then
+            fire c "unallocated-access"
+              (Format.sprintf
+                 "committed transaction (snapshot %d) read heap cell %d (saw \
+                  (%d,#%d)) outside any live block"
+                 s a v sq)
+      | Hstore a ->
+          if not (live a) then
+            fire c "unallocated-access"
+              (Format.sprintf
+                 "committed transaction (snapshot %d) wrote heap cell %d outside \
+                  any live block"
+                 s a))
+    evs;
   (* commit the allocator effects into the checker's world *)
   match committed with
   | None -> ()
@@ -399,8 +404,9 @@ let validate_heap c ts committed =
               match Hashtbl.find_opt c.recs p with
               | Some ({ contents = r :: _ } : arec list ref) when r.fseq = max_int ->
                   r.fseq <- cseq
-              | _ -> ()))
-        (List.rev ts.heap_ops)
+              | _ -> ())
+          | Hload _ | Hstore _ -> ())
+        evs
 
 let tx_end c ~committed =
   let ts = me c in

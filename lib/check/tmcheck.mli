@@ -26,9 +26,13 @@
       executed after hazard-era reclamation freed it.
     - {b (f) allocator discipline} — a committed transaction never frees a
       block that is not live in its snapshot (double free), and never
-      touches heap cells outside a live block.  Accesses of aborted
-      attempts are exempt: optimistic reads of freed blocks followed by an
-      abort are exactly what the paper's reclamation scheme allows.
+      touches heap cells outside a live block.  Its accesses are checked
+      in program order, each against the blocks live at that point of
+      the transaction: a block it allocates may be written and then
+      freed, and no block may be touched after its free.  Accesses of
+      aborted attempts are exempt: optimistic reads of freed blocks
+      followed by an abort are exactly what the paper's reclamation
+      scheme allows.
 
     The sanitizer is {b simulation-only}: it relies on observer callbacks
     and transaction hooks running between scheduling points of the

@@ -5,7 +5,8 @@
      0..3                       null pointer + padding (cell 0 is NULL)
      4                          curTx            (v = seq, s = tid)
      ws_base + t*ws_stride      per-thread log:  request | numStores | entries
-     wf_base + 3t/3t+1/3t+2     operations[t] / results[t] / acks[t]  (wait-free)
+     wf_base + 2t/2t+1          results[t] / acks[t]  (wait-free; two
+                                threads' pairs per cache line)
      roots_base ..              user roots
      meta_base ..               allocator metadata
      heap_base .. size          transactional heap
@@ -13,13 +14,20 @@
    Everything below roots_base is algorithm metadata; everything from
    roots_base up survives crashes via the ordinary transactional protocol.
 
+   A WF operation is announced in its volatile [pending] slot only: after
+   a crash nothing reads an announcement, since [recover] empties
+   [pending], so the region keeps just each thread's result and
+   acknowledgment, written by the commit that runs the operation.
+
    Persistence ordering note: the paper flushes curTx right after the
    commit CAS (step 7) and any thread entering the apply phase (steps 8-10)
    has done so too.  We make this explicit: a helper pwbs curTx before its
    first DCAS of a commit ([put]), so no data word can become durable with
    a sequence newer than the durable curTx — otherwise a crash could
    resurrect a half-persisted transaction that recovery no longer knows
-   about.
+   about.  A helper of a split WF log skips that write-back once chunk 0's
+   claim word shows a claim: only a thread that already wrote curTx back
+   claims chunk 0 — the owner, or recovery ([put], [apply]).
 
    That note, and the rest of the correctness argument, are checkable: the
    [Check.Tmcheck] sanitizer (attached with [sanitize]) observes every
@@ -33,15 +41,15 @@
    telemetry uses pre-resolved handles, and the interposition ops record
    is built once per thread slot.  tm_lint's hotpath rule keeps it that
    way. *)
-(* relaxed-ok: curtx_info/capture_info/claim_info/chunk_info/allocated_cells are
-   step-free debug views, usable from a scheduler on_round hook without
-   perturbing the schedule; the ro.snapshot_lag sample in snap_read_tx is
-   telemetry, read step-free so attaching a registry never changes a
-   schedule. *)
+(* relaxed-ok: curtx_info/capture_info/claim_info/chunk_info/published/
+   allocated_cells are step-free debug views, usable from a scheduler
+   on_round hook without perturbing the schedule; the ro.snapshot_lag
+   sample in snap_read_tx is telemetry, read step-free so attaching a
+   registry never changes a schedule. *)
 (* mutable-ok: tx records and the desc freed flag are confined to their
    owning fiber / the reclamation epoch; the checker slot is written from
-   sequential set-up code only; the per-thread flush-dedup scratch, curTx
-   stamps and request words are confined to their thread slot;
+   sequential set-up code only; the curTx stamps and request words are
+   confined to their thread slot;
    [pub_once.(i)] is written only by thread [i] and sequential
    recovery. *)
 
@@ -148,9 +156,9 @@ type faults = {
       (* refresh curTx right before the commit CAS, ignoring everything
          committed since the snapshot: a classic lost update *)
   mutable stale_dedup_flush : bool;
-      (* never advance the flush-dedup generation: lines flushed for an
-         earlier transaction count as "already flushed" for later ones,
-         so a committed write can silently skip its data pwb *)
+      (* a write-back pass starts with its own first line marked as
+         already written back, so a committed write can silently skip its
+         data pwb *)
   mutable stale_ro_snapshot : bool;
       (* pin snapshot readers at the raw curTx sequence instead of the
          fully-applied ro_stable epoch: a reader then observes a
@@ -171,6 +179,11 @@ type faults = {
       (* an applier of a split log marks its chunk done before it writes
          the chunk's lines back: the owner can close, and a later commit
          persist, while those lines are still only in the cache *)
+  mutable early_curtx_signal : bool;
+      (* a helper of a split log takes the claim of the chunk it applies,
+         instead of chunk 0's, as the owner's curTx write-back: it can
+         DCAS and write back data words while the durable curTx is
+         still older than their sequence *)
 }
 
 type t = {
@@ -214,12 +227,6 @@ type t = {
      cell address in this region (see [radix_passes]) *)
   sort_count : int array array;
   addr_bits : int;
-  (* per-thread cache-line flush dedup: a small direct-mapped seen-set of
-     line numbers, generation-stamped so starting a new flush pass is one
-     integer bump instead of a clear *)
-  seen_lines : int array array;
-  seen_gens : int array array;
-  line_gen : int array;
   (* [curtx_stamp.(i)]: the newest commit sequence for which thread [i]
      wrote back curTx (see [put]) *)
   curtx_stamp : int array;
@@ -255,9 +262,8 @@ type t = {
 let req_cell inst tid = inst.ws_base + (tid * inst.ws_stride)
 let nstores_cell inst tid = req_cell inst tid + 1
 let entry_cell inst tid i = req_cell inst tid + 2 + i
-let op_cell inst tid = inst.wf_base + (3 * tid)
-let res_cell inst tid = inst.wf_base + (3 * tid) + 1
-let ack_cell inst tid = inst.wf_base + (3 * tid) + 2
+let res_cell inst tid = inst.wf_base + (2 * tid)
+let ack_cell inst tid = inst.wf_base + (2 * tid) + 1
 
 (* [claim] fields; a tid fits 8 bits since [max_threads] <= 255 *)
 let claim_seq c = c lsr 8
@@ -368,7 +374,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
   let ws_stride = round4 (2 + ws_cap) in
   let ws_base = 8 in
   let wf_base = ws_base + (max_threads * ws_stride) in
-  let roots_base = round4 (wf_base + (3 * max_threads)) in
+  let roots_base = round4 (wf_base + (2 * max_threads)) in
   let meta_base = roots_base + num_roots in
   let heap_base = meta_base + Tm.Tm_alloc.meta_cells in
   if heap_base + 64 > size then invalid_arg "Core0.create: region too small";
@@ -442,9 +448,6 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       chunk_st = Array.init (nchunks ws_cap) (fun _ -> Satomic.make 0);
       sort_count = Array.init max_threads (fun _ -> Array.make (1 lsl radix_bits) 0);
       addr_bits = bits_of (size - 1);
-      seen_lines = Array.init max_threads (fun _ -> Array.make 64 (-1));
-      seen_gens = Array.init max_threads (fun _ -> Array.make 64 0);
-      line_gen = Array.make max_threads 0;
       curtx_stamp = Array.make max_threads 0;
       req_word = Array.make max_threads Word.zero;
       checker;
@@ -479,6 +482,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
           skip_help_curtx_pwb = false;
           early_retry = false;
           early_chunk_done = false;
+          early_curtx_signal = false;
         };
     }
   in
@@ -662,18 +666,28 @@ let rec decide_capture inst ~seq =
 (* Sequence-guarded DCAS of one redo-log entry (Alg. 1 lines 10-15).
    [cap] is the pass's capture decision ([decide_capture]).
 
-   With [flush_curtx], a thread writes curTx back before its first DCAS
-   for [seq]; [curtx_stamp] records that it did.  A data word gets
-   sequence [seq] only through a DCAS for [seq], so the durable curTx is
-   >= [seq] before any word carries it (Tmcheck rule (b)), and a helper
-   whose puts all fail the guard writes nothing back.  The owner's commit
-   writes curTx back right after its CAS and sets its stamp there.
-   Against the paper's write-back on entry to [help] (benchmark/run.exe
-   --seconds 10, seeds 1-3): pwb/op wf-kv-write 8.30 -> 8.46-8.48
-   (+1.9-2.2%), lf-list-read90 0.853 -> 0.874-0.876 (+2.4-2.8%),
-   shard-cross 6.21 -> 6.28 (+1.1-1.2%), shard-local unchanged (LF claim
-   losers no longer help); no other simulator metric worse by over 1.4%.
-   The benchmark's pwb/op bound is 2%, so the stamp stays.
+   A thread writes curTx back before its first DCAS for [seq];
+   [curtx_stamp] records that it did.  A data word gets sequence [seq]
+   only through a DCAS for [seq], so the durable curTx is >= [seq] before
+   any word carries it (Tmcheck rule (b)), and a helper whose puts all
+   fail the guard writes nothing back.  The owner's commit writes curTx
+   back right after its CAS and sets its stamp there.  Against the
+   paper's write-back on entry to [help] (benchmark/run.exe --seconds 10,
+   seeds 1-3): pwb/op wf-kv-write 8.30 -> 8.46-8.48 (+1.9-2.2%),
+   lf-list-read90 0.853 -> 0.874-0.876 (+2.4-2.8%), shard-cross 6.21 ->
+   6.28 (+1.1-1.2%), shard-local unchanged (LF claim losers no longer
+   help); no other simulator metric worse by over 1.4%.  The benchmark's
+   pwb/op bound is 2%, so the stamp stays.
+
+   A helper of a split log passes [signal = 0]: before that first DCAS
+   it reads chunk 0's claim word, and writes curTx back only when the
+   word is below [2 seq].  Chunk 0 is claimed, with a CAS, only by a
+   thread that already wrote curTx back for [seq] (the owner, or
+   recovery; see [apply]), and every other raise of the word (a done
+   mark) follows DCASes for [seq] that obeyed this rule, so a word at
+   [2 seq] or above means the durable curTx is >= [seq] already
+   (DESIGN.md §6).
+   Every other applier passes [-1] and always writes back.
 
    Under a capturing decision the word about to be overwritten is
    installed in the version store before the winning CAS: it covered the
@@ -682,22 +696,25 @@ let rec decide_capture inst ~seq =
    observe the new word while the old version is absent from the store;
    racing helpers capture the identical record and dedup on (addr, del). *)
 (* flowlint: bounded a CAS miss means a helper already installed this entry with sequence >= seq, so the seq guard fails on the next round *)
-let rec put inst ~me ~flush_curtx ~seq ~cap addr v =
+let rec put inst ~me ~signal ~seq ~cap addr v =
   let w = Region.load inst.region addr in
   if w.Word.s < seq then begin
-    if flush_curtx && inst.curtx_stamp.(me) < seq then begin
-      Region.pwb inst.region curtx_cell;
+    if inst.curtx_stamp.(me) < seq then begin
+      if signal < 0 || Satomic.get inst.chunk_st.(signal) < 2 * seq then
+        Region.pwb inst.region curtx_cell;
       inst.curtx_stamp.(me) <- seq
     end;
     if cap && addr >= inst.roots_base then
       vinstall inst (vbucket addr)
         { vaddr = addr; vval = w.Word.v; vbirth = w.Word.s; vdel = seq - 1 };
     if not (Region.cas inst.region addr w (Word.make v seq)) then
-      put inst ~me ~flush_curtx ~seq ~cap addr v
+      put inst ~me ~signal ~seq ~cap addr v
   end
 
+(* thread 0's put, counted as its curTx write-back for [seq] *)
 let put_one inst ~seq addr v =
-  put inst ~me:0 ~flush_curtx:false ~seq ~cap:(decide_capture inst ~seq) addr v
+  inst.curtx_stamp.(0) <- max seq inst.curtx_stamp.(0);
+  put inst ~me:0 ~signal:(-1) ~seq ~cap:(decide_capture inst ~seq) addr v
 
 let close_request inst ~tid ~seq =
   let cell = req_cell inst tid in
@@ -705,38 +722,6 @@ let close_request inst ~tid ~seq =
   if w.Word.v = seq then
     if Region.cas1 inst.region cell w (Word.make (seq + 1) 0) then
       Telemetry.tick inst.c_recycles
-
-(* ------------------------------------------------------------------ *)
-(* Cache-line flush dedup
-
-   The write-back loops below used to issue one pwb per modified word; k
-   words in one cache line cost k flushes where real hardware needs one
-   (Romulus-style flush batching, PMT §4).  A flush pass stamps each
-   flushed line into a small direct-mapped per-thread seen-set keyed by
-   [Region.line_of]; a second word in a seen line is skipped.  A slot
-   collision merely re-flushes (correctness never depends on the dedup).
-   Since redo logs are sorted, a pass compares each entry's line with
-   the previous one ([write_back]), which already skips every repeat,
-   so the seen-set skips nothing in a correct run; its generation is
-   what the planted [stale_dedup_flush] fault freezes. *)
-
-let dedup_mask = 63 (* seen-set has 64 direct-mapped slots *)
-
-let flush_gen inst ~me =
-  if not inst.faults.stale_dedup_flush then
-    inst.line_gen.(me) <- inst.line_gen.(me) + 1;
-  inst.line_gen.(me)
-
-let pwb_dedup inst ~me ~gen addr =
-  let line = Region.line_of addr in
-  let slot = line land dedup_mask in
-  let lines = inst.seen_lines.(me) in
-  let gens = inst.seen_gens.(me) in
-  if not (lines.(slot) = line && gens.(slot) = gen) then begin
-    lines.(slot) <- line;
-    gens.(slot) <- gen;
-    Region.pwb inst.region addr
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Sorted redo logs, chunks and the one apply routine
@@ -756,17 +741,19 @@ let pwb_dedup inst ~me ~gen addr =
    resets them, because a sequence lost in a crash is reused.  The
    aggregator and every helper claim chunks, apply their puts, write
    back their lines and then mark them done; each then waits for the
-   chunks others claimed ([apply]).  Every other log — an LF commit's,
+   chunks others claimed ([apply]).  Chunk 0 is claimed only after a
+   curTx write-back — the aggregator's, or recovery's — which spares
+   the helpers theirs ([put]).  Every other log — an LF commit's,
    or one of at most [chunk_len] entries — is one chunk that every
    applier runs whole, without claims: the single pass the paper
    describes. *)
 
 (* Logs the WF aggregator splits: those of more than one chunk.  Keeping
-   logs of two chunks whole keeps hotpath OF-WF update-8w, whose
-   16-entry aggregates split in two, at 43.7 instead of 41.8 ops/kround,
-   but raises pwb/tx in 9 of the shards figure's 16 WF cells (4.31 ->
-   5.26 at 4 shards, 0% cross) and changes nothing on wf-kv-write
-   (EXPERIMENTS.md, "WF helpers split the apply"). *)
+   logs of two chunks whole takes hotpath OF-WF update-8w, whose
+   16-entry aggregates split in two, from 43.35 to 45.95 ops/kround,
+   but raises pwb/tx in 10 of the shards figure's 16 WF cells (2.79 ->
+   3.17 at 4 shards, 0% cross) and changes nothing on wf-kv-write
+   (EXPERIMENTS.md, "A WF commit persists only what changed"). *)
 let splits n = n > chunk_len
 
 (* The redo-log sort: an LSD radix sort of packed keys on their address
@@ -860,8 +847,8 @@ let mark_done inst ~seq k =
    every [chunk_len] puts (paper §III-B: "helpers check that the
    transaction is still open") and stops with [false] once it closed. *)
 (* flowlint: bounded i strictly increases to hi - lo *)
-let rec put_range inst ~me ~flush_curtx ~seq ~cap ~check addrs vals ~lo ~hi
-    ~off i =
+let rec put_range inst ~me ~signal ~seq ~cap ~check addrs vals ~lo ~hi ~off
+    i =
   let len = hi - lo in
   if i >= len then true
   else if
@@ -872,9 +859,8 @@ let rec put_range inst ~me ~flush_curtx ~seq ~cap ~check addrs vals ~lo ~hi
   then false
   else begin
     let j = lo + if off + i >= len then off + i - len else off + i in
-    put inst ~me ~flush_curtx ~seq ~cap addrs.(j) vals.(j);
-    put_range inst ~me ~flush_curtx ~seq ~cap ~check addrs vals ~lo ~hi ~off
-      (i + 1)
+    put inst ~me ~signal ~seq ~cap addrs.(j) vals.(j);
+    put_range inst ~me ~signal ~seq ~cap ~check addrs vals ~lo ~hi ~off (i + 1)
   end
 
 (* One pwb per cache line of the sorted entries [i, hi): a line's entries
@@ -883,7 +869,7 @@ let rec put_range inst ~me ~flush_curtx ~seq ~cap ~check addrs vals ~lo ~hi
    write-back and every [chunk_len] entries after it, so a helper that
    resumes after the close writes back nothing. *)
 (* flowlint: bounded i strictly increases to hi *)
-let rec write_back inst ~me ~gen ~seq ~check addrs ~lo ~hi i last =
+let rec write_lines inst ~seq ~check addrs ~lo ~hi i last =
   if i >= hi then true
   else if
     check >= 0
@@ -892,9 +878,19 @@ let rec write_back inst ~me ~gen ~seq ~check addrs ~lo ~hi i last =
   then false
   else begin
     let line = Region.line_of addrs.(i) in
-    if line <> last then pwb_dedup inst ~me ~gen addrs.(i);
-    write_back inst ~me ~gen ~seq ~check addrs ~lo ~hi (i + 1) line
+    if line <> last then Region.pwb inst.region addrs.(i);
+    write_lines inst ~seq ~check addrs ~lo ~hi (i + 1) line
   end
+
+(* The write-back pass over entries [lo, hi).  The planted
+   [stale_dedup_flush] starts it with its own first line marked as
+   already written back. *)
+let write_back inst ~seq ~check addrs ~lo ~hi =
+  let last =
+    if inst.faults.stale_dedup_flush && lo < hi then Region.line_of addrs.(lo)
+    else -1
+  in
+  write_lines inst ~seq ~check addrs ~lo ~hi lo last
 
 (* Copy into [addrs]/[vals], at their log positions, the entries of
    [tid]'s log from [i] on: up to entry [past], and then while an entry
@@ -913,9 +909,10 @@ let rec copy_entries inst ~tid ~n ~past addrs vals i =
 (* Apply chunk [k] of commit [seq] of [tid]'s [n]-entry log.  The owner's
    [addrs]/[vals] hold its whole sorted log; a helper first copies the
    entries that fix the chunk's bounds and re-reads the request, and
-   returns [false] if it closed.  Then the puts, the write-back of the
-   chunk's lines, and the done mark. *)
-let run_chunk inst ~me ~tid ~seq ~n ~cap ~flush_curtx ~owner addrs vals k =
+   returns [false] if it closed.  Then the puts, with chunk 0's claim as
+   the curTx signal ([put]), the write-back of the chunk's lines, and the
+   done mark. *)
+let run_chunk inst ~me ~tid ~seq ~n ~cap ~owner addrs vals k =
   (owner
   ||
   (copy_entries inst ~tid ~n ~past:((k + 1) * chunk_len) addrs vals
@@ -923,36 +920,34 @@ let run_chunk inst ~me ~tid ~seq ~n ~cap ~flush_curtx ~owner addrs vals k =
    not (req_closed inst ~tid ~seq)))
   &&
   let lo = chunk_start addrs ~n k and hi = chunk_start addrs ~n (k + 1) in
+  let signal = if inst.faults.early_curtx_signal then k else 0 in
   ignore
-    (put_range inst ~me ~flush_curtx ~seq ~cap ~check:(-1) addrs vals ~lo ~hi
-       ~off:0 0);
+    (put_range inst ~me ~signal ~seq ~cap ~check:(-1) addrs vals ~lo ~hi ~off:0 0);
   let early = inst.faults.early_chunk_done in
   if early then mark_done inst ~seq k;
-  ignore
-    (write_back inst ~me ~gen:(flush_gen inst ~me) ~seq ~check:(-1) addrs ~lo
-       ~hi lo (-1));
+  ignore (write_back inst ~seq ~check:(-1) addrs ~lo ~hi);
   if not early then mark_done inst ~seq k;
   true
 
-(* [start]'s [i]-th successor among [nc] chunks *)
-let nth_chunk ~nc start i = if start + i >= nc then start + i - nc else start + i
+(* [start]'s [i]-th successor in the ring of chunks [first, nc) *)
+let nth_chunk ~first ~nc start i =
+  if start + i >= nc then start + i - nc + first else start + i
 
-(* Claim and run every chunk still unclaimed, from chunk [start] round. *)
-(* flowlint: bounded i strictly increases to nc *)
-let rec claim_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs
-    vals start i =
-  if i >= nc then true
+(* Claim and run every chunk of [first, nc) still unclaimed, from chunk
+   [start] round. *)
+(* flowlint: bounded i strictly increases to nc - first *)
+let rec claim_pass inst ~me ~tid ~seq ~n ~first ~nc ~cap ~owner addrs vals
+    start i =
+  if i >= nc - first then true
   else
-    let k = nth_chunk ~nc start i in
+    let k = nth_chunk ~first ~nc start i in
     if
       claim_chunk inst ~seq k
-      && not
-           (run_chunk inst ~me ~tid ~seq ~n ~cap ~flush_curtx ~owner addrs vals
-              k)
+      && not (run_chunk inst ~me ~tid ~seq ~n ~cap ~owner addrs vals k)
     then false
     else
-      claim_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
-        start (i + 1)
+      claim_pass inst ~me ~tid ~seq ~n ~first ~nc ~cap ~owner addrs vals start
+        (i + 1)
 
 (* A thread that finds another thread's claim waits at most this many
    polls before it goes on without it.
@@ -992,47 +987,51 @@ let rec claim_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs
    long write-set's apply can outlast the budget.
    The chunk wait at 64 (an instrumented copy counting its polls; seed 1):
    - wf-kv-write (benchmark/run.exe, the difference of a 2 s and a 1 s
-     run): 39.5 polls per commit over all appliers, 13.3 of them the
-     owner's, and 0 timeouts in 102481 polls;
-   - the shards figure (quick): 63586 polls, 0 timeouts. *)
+     run): 66.1 polls per commit over all appliers, 14.5 of them the
+     owner's (helpers also wait for chunk 0, the owner's), and 0
+     timeouts in 188417 polls;
+   - the shards figure (quick): 68678 polls, 0 timeouts. *)
 let claim_budget = 64
 
 (* Wait for the chunks that other threads claimed, from chunk [start]
    round, on one [budget] of polls; once it is spent, run every chunk
    still not done.  [false] when a helper found the request closed. *)
 (* flowlint: bounded each call advances i towards nc or spends one unit of budget, and at 0 budget it advances i *)
-let rec wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
-    start i budget =
+let rec wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start i
+    budget =
   if i >= nc then true
   else
-    let k = nth_chunk ~nc start i in
+    let k = nth_chunk ~first:0 ~nc start i in
     if chunk_done inst ~seq k then
-      wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
-        start (i + 1) budget
+      wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start (i + 1)
+        budget
     else if budget > 0 then begin
       Telemetry.tick inst.c_chunk_waits;
       if budget = 1 then Telemetry.tick inst.c_chunk_timeouts;
-      wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
-        start i (budget - 1)
+      wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start i
+        (budget - 1)
     end
     else
-      run_chunk inst ~me ~tid ~seq ~n ~cap ~flush_curtx ~owner addrs vals k
-      && wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs
-           vals start (i + 1) 0
+      run_chunk inst ~me ~tid ~seq ~n ~cap ~owner addrs vals k
+      && wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start
+           (i + 1) 0
 
-(* Where an applier of [tid]'s commit starts among [m] chunks or
-   entries: the owner at 0, a helper spread by its tid distance. *)
-let spread inst ~me ~tid ~owner m =
-  if owner then 0
-  else
-    let mt = inst.max_threads in
-    (me - tid + mt) mod mt * m / mt
+(* Where an applier of [tid]'s commit starts among chunks or entries
+   [first, m): the owner ([me = tid]) at [first], a helper spread by its
+   tid distance. *)
+let spread inst ~me ~tid ~first m =
+  let mt = inst.max_threads in
+  first + ((me - tid + mt) mod mt * (m - first) / mt)
 
 (* The one apply routine, for the [owner] of commit [seq] ([tid = me],
    [addrs]/[vals] holding its sorted log) and for its helpers.  A split
    log is claimed chunk by chunk, then waited for; the owner starts at
-   chunk 0 and a helper at a chunk spread by its tid distance from the
-   owner, so they take different chunks.  Any other log is one chunk that
+   chunk 0 and a helper at a chunk of [1, nc) spread by its tid distance
+   from the owner, so they take different chunks.  Chunk 0's claim is
+   the curTx signal ([put]), so only a thread whose stamp shows curTx
+   written back for [seq] claims it: the owner, or recovery ([recover]);
+   any other helper applies chunk 0 only once its wait for it spends the
+   budget.  Any other log is one chunk that
    everyone applies whole: the owner from entry 0, a helper from an entry
    spread the same way, so the two split the puts instead of trailing
    one another (each put is idempotent under the sequence guard and a
@@ -1042,21 +1041,22 @@ let spread inst ~me ~tid ~owner m =
    it found the request closed, which its closer did only after that. *)
 let apply inst ~me ~tid ~seq ~n ~split ~owner addrs vals =
   let cap = decide_capture inst ~seq in
-  let flush_curtx = owner || not inst.faults.skip_help_curtx_pwb in
+  (* the planted [skip_help_curtx_pwb]: a helper takes its stamp as set *)
+  if inst.faults.skip_help_curtx_pwb then
+    inst.curtx_stamp.(me) <- max seq inst.curtx_stamp.(me);
   if split then begin
-    let nc = nchunks n in
-    let start = spread inst ~me ~tid ~owner nc in
-    claim_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
-      start 0
-    && wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~flush_curtx ~owner addrs vals
-         start 0 claim_budget
+    let nc = nchunks n
+    and first = if inst.curtx_stamp.(me) >= seq then 0 else 1 in
+    let start = spread inst ~me ~tid ~first nc in
+    claim_pass inst ~me ~tid ~seq ~n ~first ~nc ~cap ~owner addrs vals start 0
+    && wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start 0
+         claim_budget
   end
   else
     let check = if owner then -1 else tid in
-    put_range inst ~me ~flush_curtx ~seq ~cap ~check addrs vals ~lo:0 ~hi:n
-      ~off:(spread inst ~me ~tid ~owner n) 0
-    && write_back inst ~me ~gen:(flush_gen inst ~me) ~seq ~check addrs ~lo:0
-         ~hi:n 0 (-1)
+    put_range inst ~me ~signal:(-1) ~seq ~cap ~check addrs vals ~lo:0 ~hi:n
+      ~off:(spread inst ~me ~tid ~first:0 n) 0
+    && write_back inst ~seq ~check addrs ~lo:0 ~hi:n
 
 (* Help the committed-but-possibly-unapplied transaction [ct].  A split
    log is copied chunk by chunk as the helper claims them ([run_chunk]);
@@ -1560,45 +1560,44 @@ let lf_update_tx inst f =
    operation in a way the seq comparison attributes to the new one.  An
    explicit opid acknowledgment cell (opids are globally unique) makes the
    routing exact; the cost is one extra modified word per operation,
-   reported as such by the cost-table benchmark. *)
+   reported as such by the cost-table benchmark.  The paper's operation
+   TMType has no durable counterpart here: the announcement lives in
+   [pending], which recovery empties anyway. *)
 let run_op inst tx u d =
   Telemetry.tick inst.c_wf_aggregated;
   let r = d.fn tx in
   store tx (res_cell inst u) r;
   store tx (ack_cell inst u) d.opid
 
-(* Execute every published-but-unacknowledged operation inside [tx].  Only
-   slots below the publication watermark are scanned: an operation
-   published after the watermark read counts as published after its slot
-   was scanned.  A closure that raises its own error, or overflows the
-   combined write-set, must not reach other threads: its slot is marked
-   [Solo], left to its owner, and this attempt aborts.  [Abort], a
-   sanitizer verdict and fatal runtime errors pass through unchanged. *)
+(* Execute every published-but-unacknowledged operation inside [tx]: per
+   slot, its [pending] announcement, then (for a [Published] one) its
+   acknowledgment at the snapshot.  Only slots below the publication
+   watermark are scanned: an operation published after the watermark
+   read counts as published after its slot was scanned.  A closure that
+   raises its own error, or overflows the combined write-set, must not
+   reach other threads: its slot is marked [Solo], left to its owner,
+   and this attempt aborts.  [Abort], a sanitizer verdict and fatal
+   runtime errors pass through unchanged. *)
 let aggregate inst tx =
   let wm = Satomic.get inst.pub_watermark in
   for u = 0 to wm - 1 do
-    let opw = Region.load inst.region (op_cell inst u) in
-    if opw.Word.v <> 0 then begin
-      let ack = load tx (ack_cell inst u) in
-      if ack <> opw.Word.v then
-        match Satomic.get inst.pending.(u) with
-        | Published d as p when d.opid = opw.Word.v -> (
-            (match !(inst.checker) with
-            | Some c -> Tmcheck.closure_exec c ~opid:d.opid ~freed:d.freed
-            | None ->
-                if d.freed then
-                  failwith "OneFile-WF: hazard-era violation (freed closure)");
-            match run_op inst tx u d with
-            | () -> ()
-            | exception
-                ((Abort | Tmcheck.Violation _ | Out_of_memory | Stack_overflow) as e)
-              ->
-                raise e
-            | exception _ ->
-                ignore (Satomic.compare_and_set inst.pending.(u) p (Solo d));
-                raise Abort)
-        | _ -> ()
-    end
+    match Satomic.get inst.pending.(u) with
+    | Published d as p when load tx (ack_cell inst u) <> d.opid -> (
+        (match !(inst.checker) with
+        | Some c -> Tmcheck.closure_exec c ~opid:d.opid ~freed:d.freed
+        | None ->
+            if d.freed then
+              failwith "OneFile-WF: hazard-era violation (freed closure)");
+        match run_op inst tx u d with
+        | () -> ()
+        | exception
+            ((Abort | Tmcheck.Violation _ | Out_of_memory | Stack_overflow) as e)
+          ->
+            raise e
+        | exception _ ->
+            ignore (Satomic.compare_and_set inst.pending.(u) p (Solo d));
+            raise Abort)
+    | Empty | Published _ | Solo _ -> ()
   done
 
 (* What a thread whose operation is unacknowledged does at a closed curTx. *)
@@ -1647,13 +1646,12 @@ let wf_update_tx inst f =
     cas_max inst.pub_watermark (me + 1);
     inst.pub_once.(me) <- true
   end;
-  (* publish the operation (its "birth era" is the seq it was tagged with) *)
+  (* publish the operation, volatile only (its "birth era" is the
+     sequence of the result word it will overwrite) *)
   let opid = Satomic.fetch_and_add inst.next_opid 1 + 1 in
   let rs = (Region.load region_ (res_cell inst me)).Word.s in
   let d = { opid; fn = f; freed = false } in
   Satomic.set inst.pending.(me) (Published d);
-  Region.store region_ (op_cell inst me) (Word.make opid rs);
-  Region.pwb region_ (op_cell inst me);
   Telemetry.tick inst.c_wf_published;
   (* reclaim the closure descriptor through hazard eras *)
   let unpublish ~del =
@@ -1764,6 +1762,14 @@ let chunk_info inst k =
   let w = Satomic.get_relaxed inst.chunk_st.(k) in
   (w / 2, w land 1 = 1)
 
+(* Debug view of slot [u]'s WF announcement: whether an operation is
+   published there ([Published] or [Solo]).  Step-free like
+   [curtx_info]. *)
+let published inst u =
+  match Satomic.get_relaxed inst.pending.(u) with
+  | Empty -> false
+  | Published _ | Solo _ -> true
+
 (* Allocator accounting over the quiescent volatile state (no transaction,
    no scheduling steps) — testing/diagnostics only. *)
 let allocated_cells inst =
@@ -1798,6 +1804,12 @@ let recover inst =
   let ct = read_curtx inst in
   if is_open inst ct then begin
     Telemetry.tick inst.c_rec_helped;
+    (* no owner is left to claim chunk 0 of a split log: recovery writes
+       curTx back first, so it may claim chunk 0 itself ([apply]) *)
+    if (Region.load inst.region (nstores_cell inst ct.Word.s)).Word.s = 1 then begin
+      Region.pwb inst.region curtx_cell;
+      inst.curtx_stamp.(0) <- ct.Word.v
+    end;
     help inst ~me:0 ct
   end;
   (* The snapshot version store is volatile: rebuild epoch bookkeeping from

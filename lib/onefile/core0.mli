@@ -174,9 +174,9 @@ type faults = {
       (** refresh curTx right before the commit CAS, ignoring every
           transaction committed since the snapshot: a classic lost update *)
   mutable stale_dedup_flush : bool;
-      (** never advance the cache-line flush-dedup generation, so lines
-          flushed for an earlier transaction count as "already flushed"
-          for later ones and a committed write can skip its data pwb *)
+      (** start every write-back pass with its own first cache line
+          marked as already written back, so a committed write can skip
+          its data pwb *)
   mutable stale_ro_snapshot : bool;
       (** pin the raw curTx sequence instead of the newest fully-applied
           one, so a snapshot reader can observe a half-published epoch *)
@@ -198,6 +198,11 @@ type faults = {
           it writes the chunk's cache lines back, so the owner can close
           the commit, and a later commit can persist, while those lines
           are still volatile: a crash then loses committed words *)
+  mutable early_curtx_signal : bool;
+      (** a helper of a chunked WF redo log takes the claim of the chunk
+          it applies, not the owner's claim of chunk 0, as the sign that
+          curTx is durable, so it skips its curTx write-back and can make
+          a data word durable ahead of the durable curTx *)
 }
 
 val faults : t -> faults
@@ -210,13 +215,15 @@ val curtx_cell : int
 val req_cell : t -> int -> int
 val nstores_cell : t -> int -> int
 val entry_cell : t -> int -> int -> int
-val op_cell : t -> int -> int
-(** The cell where thread [tid] publishes its WF operation's opid. *)
-
 val res_cell : t -> int -> int
 val ack_cell : t -> int -> int
-(** Thread [tid]'s WF result and acknowledgment cells, written in the
-    commit that runs its operation. *)
+(** Thread [tid]'s WF result and acknowledgment cells, adjacent and
+    written in the commit that runs its operation.  A WF operation is
+    announced in volatile memory only (see {!published}). *)
+
+val published : t -> int -> bool
+(** Step-free debug view: whether thread [tid] has a WF operation
+    announced and not yet taken back by its owner. *)
 
 val read_curtx : t -> Pmem.Word.t
 val is_open : t -> Pmem.Word.t -> bool

@@ -1,8 +1,11 @@
 open Tm_intf
 
 (* Size classes: blocks of 2^(k+1) cells, k in [0, nclasses).  A block's
-   header cell stores its class; a free block's first payload cell links to
-   the next free block of that class. *)
+   header cell stores its class, written once when the block is carved
+   from the bump pointer: [free] never changes it, so a block popped from
+   free list k still holds k, and a pop logs no header store.  A free
+   block's first payload cell links to the next free block of that
+   class. *)
 let nclasses = 14
 let class_cells k = 1 lsl (k + 1)
 let max_alloc = class_cells (nclasses - 1) - 1
@@ -33,22 +36,18 @@ let alloc t ops n =
   if n <= 0 || n > max_alloc then invalid_arg "Tm_alloc.alloc";
   let k = class_of_cells (n + 1) in
   let head = ops.aload (head_cell t k) in
-  let block =
-    if head <> 0 then begin
-      let next = ops.aload (head + 1) in
-      ops.astore (head_cell t k) next;
-      head
-    end
-    else begin
-      let bump = ops.aload (bump_cell t) in
-      if bump + class_cells k > t.heap_end then
-        failwith "Tm_alloc: out of memory";
-      ops.astore (bump_cell t) (bump + class_cells k);
-      bump
-    end
-  in
-  ops.astore block k;
-  block + 1
+  if head <> 0 then begin
+    let next = ops.aload (head + 1) in
+    ops.astore (head_cell t k) next;
+    head + 1
+  end
+  else begin
+    let bump = ops.aload (bump_cell t) in
+    if bump + class_cells k > t.heap_end then failwith "Tm_alloc: out of memory";
+    ops.astore (bump_cell t) (bump + class_cells k);
+    ops.astore bump k;
+    bump + 1
+  end
 
 let free t ops payload =
   let block = payload - 1 in

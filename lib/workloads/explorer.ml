@@ -27,6 +27,7 @@ type fault =
   | Help_curtx
   | Early_retry
   | Early_chunk_done
+  | Early_curtx_signal
 
 let fault_name = function
   | No_fault -> "none"
@@ -41,6 +42,7 @@ let fault_name = function
   | Help_curtx -> "help-curtx"
   | Early_retry -> "early-retry"
   | Early_chunk_done -> "early-chunk-done"
+  | Early_curtx_signal -> "early-curtx-signal"
 
 let fault_of_name s =
   List.find_opt
@@ -48,7 +50,7 @@ let fault_of_name s =
     [
       No_fault; Durability_hole; Lost_update; Stale_dedup; Torn_commit_record;
       Torn_batch_record; Stale_ro_snapshot; Skip_nocap; Torn_migration;
-      Help_curtx; Early_retry; Early_chunk_done;
+      Help_curtx; Early_retry; Early_chunk_done; Early_curtx_signal;
     ]
 
 type config = {
@@ -187,6 +189,7 @@ let plant_engine fault tm =
   | Help_curtx -> f.skip_help_curtx_pwb <- true
   | Early_retry -> f.early_retry <- true
   | Early_chunk_done -> f.early_chunk_done <- true
+  | Early_curtx_signal -> f.early_curtx_signal <- true
 
 (* One rig per OneFile front-end.  [Lf] and [Wf] share [Lf.t] and every
    function but [update_tx] and [read_tx_validating], so only [F] tells

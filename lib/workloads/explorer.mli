@@ -41,8 +41,8 @@ type fault =
   | Durability_hole  (** drop the request-cell pwb in [publish_log] *)
   | Lost_update  (** refresh the curTx snapshot right before the commit CAS *)
   | Stale_dedup
-      (** never advance the flush-dedup generation: a committed write can
-          skip its data pwb because an earlier transaction flushed the line *)
+      (** start every write-back pass with its own first line marked as
+          already written back: a committed write can skip its data pwb *)
   | Torn_commit_record
       (** persist cross-shard commit records torn across shards (see
           [Tm.Tm_shard.Make(_).faults]); needs [shards >= 2], a no-op on
@@ -105,6 +105,16 @@ type fault =
           between the close and the helper's write-back: a crash sweep
           over an interleaved baseline ([explore_crashes ~interleave])
           with several threads *)
+  | Early_curtx_signal
+      (** a helper of a chunked WF redo log takes the claim of the chunk
+          it applies, not the owner's claim of chunk 0, as the sign that
+          curTx is durable (see [Onefile.Core0.faults]): it skips its
+          curTx write-back, so once it writes its chunk's lines back a
+          data word is durable ahead of the durable curTx, which the
+          sanitizer's durable-ahead-of-curtx rule reports.  Needs WF
+          commits of more than one chunk of 8 entries and a schedule
+          that holds the owner between its commit CAS and its curTx
+          write-back while a helper applies a chunk *)
 
 val fault_name : fault -> string
 (** The fault's name in traces and on the [bin/explore.exe] command line

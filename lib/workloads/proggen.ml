@@ -40,10 +40,11 @@ let pp_program ppf prog =
 
 (* [fresh] tracks pointer slots already re-allocated earlier in the same
    transaction.  Freeing a block that the same transaction allocated is
-   legal but trips Tmcheck's set-based allocator validation (its load/store
-   accounting is not temporal), so the generator degrades such a free into
-   a dereference; alloc/free interplay across transactions stays fully
-   exercised. *)
+   legal, and Tmcheck now validates it in program order, but the
+   generator still degrades such a free into a dereference so that every
+   seed's program stays the one earlier runs and traces used; alloc/free
+   interplay across transactions (and, under WF, across the operations
+   of one aggregate) stays fully exercised. *)
 let gen_op rng ~read_only ~weight ~fresh =
   if read_only then
     if Rng.bool rng then Load (Rng.int rng value_slots)

@@ -48,8 +48,8 @@ val gen_program :
 (** [gen_program seed]: 1 to [max_txns] (default 20) transactions of 1 to
     [max_ops] (default 6) operations each, every 4th transaction read-only
     on average.  Freeing a block allocated earlier in the same transaction
-    is degraded to a dereference (legal, but it trips Tmcheck's set-based
-    allocator validation, whose load/store accounting is not temporal);
+    is degraded to a dereference (legal, and accepted by Tmcheck, but kept
+    so every seed's program stays what earlier traces recorded);
     alloc/free interplay across transactions stays fully exercised.
     [transfers] (default [false]) additionally generates two-slot
     {!Transfer} operations — the multi-root shape that crosses shard

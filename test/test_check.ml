@@ -239,6 +239,55 @@ let test_seeded_unallocated_access () =
   check bool "wild read flagged" true
     (List.mem "unallocated-access" (rules (Tmcheck.violations c)))
 
+(* (f) is checked in program order: a block the transaction allocates,
+   writes and then frees was live at the write.  One WF aggregate does
+   exactly this when one operation allocates a block and a later one
+   frees it. *)
+let test_alloc_write_free_clean () =
+  let inst = small_inst () in
+  let c = Core0.sanitize ~mode:Tmcheck.Collect inst in
+  ignore
+    (Core0.lf_update_tx inst (fun tx ->
+         let p = Core0.alloc tx 2 in
+         Core0.store tx p 1;
+         Core0.store tx (p + 1) 2;
+         ignore (Core0.load tx p);
+         Core0.free tx p;
+         Core0.store tx (Core0.root inst 0) 1;
+         0));
+  check (Alcotest.list Alcotest.string) "no violation" [] (rules (Tmcheck.violations c))
+
+(* ... and an access after the free fires, whether the block was
+   allocated by the same transaction or live in its snapshot *)
+let test_write_after_free_fires () =
+  let inst = small_inst () in
+  let c = Core0.sanitize ~mode:Tmcheck.Collect inst in
+  let r0 = Core0.root inst 0 in
+  ignore
+    (Core0.lf_update_tx inst (fun tx ->
+         let p = Core0.alloc tx 2 in
+         Core0.store tx p 1;
+         Core0.free tx p;
+         Core0.store tx p 2;
+         0));
+  check (Alcotest.list Alcotest.string) "own block written after its free"
+    [ "unallocated-access" ] (rules (Tmcheck.violations c));
+  let p =
+    Core0.lf_update_tx inst (fun tx ->
+        let p = Core0.alloc tx 2 in
+        Core0.store tx r0 p;
+        p)
+  in
+  check int "the allocation is clean" 1 (List.length (Tmcheck.violations c));
+  ignore
+    (Core0.lf_update_tx inst (fun tx ->
+         Core0.free tx p;
+         Core0.store tx r0 0;
+         Core0.store tx p 3;
+         0));
+  check (Alcotest.list Alcotest.string) "snapshot block written after its free"
+    [ "unallocated-access"; "unallocated-access" ] (rules (Tmcheck.violations c))
+
 (* ------------------------------------------------------------------ *)
 (* Recovery after a crash in the middle of the apply phase             *)
 
@@ -441,6 +490,9 @@ let () =
           Alcotest.test_case "double free" `Quick test_seeded_double_free;
           Alcotest.test_case "unallocated access" `Quick
             test_seeded_unallocated_access;
+          Alcotest.test_case "alloc, write, free: clean" `Quick
+            test_alloc_write_free_clean;
+          Alcotest.test_case "write after free" `Quick test_write_after_free_fires;
         ] );
       ( "recovery",
         [ Alcotest.test_case "crash mid-apply" `Quick test_recovery_mid_apply ] );

@@ -237,12 +237,11 @@ let test_no_false_positives () =
 
 (* --- planted stale-dedup flush (hot-path overhaul self-check) ------ *)
 
-(* The line-dedup fault: [stale_dedup_flush] freezes the per-thread
-   "already flushed this line" generation, so a line flushed for an
-   earlier transaction is considered still clean and a later committed
-   write silently skips its data pwb.  Crash-point enumeration with
-   adversarial eviction must surface a durable state that is missing a
-   committed write — a hole no serialization of the program explains. *)
+(* The line-dedup fault: [stale_dedup_flush] starts every write-back
+   pass with its own first line marked as already written back, so a
+   committed write silently skips its data pwb.  Crash-point enumeration
+   with adversarial eviction must surface a durable state that is missing
+   a committed write — a hole no serialization of the program explains. *)
 let test_planted_stale_dedup () =
   let config = { E.default with E.sanitize = false; fault = E.Stale_dedup } in
   let find prog = (E.explore_crashes ~config ~sites:`Every prog).E.failure in
@@ -385,12 +384,10 @@ let test_early_retry_clean () =
    loses committed words.  The configuration: 4 WF threads, operations
    of up to 6 steps, and a crash sweep whose baseline steps the fibers
    round-robin, so operations of several threads meet in one commit of
-   three or more chunks and waiters help it.  Oracle only: the fault
-   breaks no sanitizer rule, and the sanitizer's set-based allocator
-   check misreads an aggregate that allocates and frees one block (see
-   [Proggen.gen_program]).  The same sweep without the fault stays
-   silent. *)
-let chunk_config = { E.default with E.wf = true; threads = 4; sanitize = false }
+   three or more chunks and waiters help it.  The fault breaks no
+   sanitizer rule, so the oracle reports it; the sanitizer stays on.
+   The same sweep without the fault stays silent. *)
+let chunk_config = { E.default with E.wf = true; threads = 4 }
 
 let early_chunk_find config prog =
   (E.explore_crashes ~config ~interleave:true prog).E.failure
@@ -418,6 +415,46 @@ let test_early_chunk_done_clean () =
       | Some f -> Alcotest.failf "seed %d, clean chunk apply: %a" (i + 1) E.pp_failure f
       | None -> ())
     early_chunk_progs
+
+(* --- planted helper that takes its own chunk claim as curTx's ------- *)
+
+(* A helper of a split WF commit skips its curTx write-back once chunk
+   0's claim word shows the owner's claim, which follows the owner's own
+   write-back.  [early_curtx_signal] reads the word of the chunk the
+   helper claimed itself instead: a PCT schedule that holds the owner
+   between its commit CAS and its curTx write-back while a helper
+   applies and writes back a chunk makes a data word durable ahead of
+   the durable curTx, which the sanitizer's durable-ahead-of-curtx rule
+   reports.  The configuration is the crash sweep's (4 WF threads,
+   operations of up to 6 steps) on a persistent region.  The same
+   search without the fault stays silent. *)
+let curtx_signal_config = { chunk_config with E.persistent = true }
+
+let curtx_signal_find config prog =
+  (E.explore_pct ~config ~executions:200 ~seed:1 prog).E.failure
+
+let curtx_signal_progs =
+  List.init 3 (fun i -> Proggen.gen_program ~max_txns:6 ~max_ops:6 (i + 1))
+
+let test_planted_early_curtx_signal () =
+  let config = { curtx_signal_config with E.fault = E.Early_curtx_signal } in
+  match List.find_map (curtx_signal_find config) curtx_signal_progs with
+  | None -> Alcotest.fail "planted early-curtx-signal not found within budget"
+  | Some f ->
+      check_bool
+        ("reported as durable-ahead-of-curtx: " ^ f.E.reason)
+        true
+        (String.starts_with ~prefix:"sanitizer: [durable-ahead-of-curtx]"
+           f.E.reason);
+      assert_deterministic_replay f
+
+let test_early_curtx_signal_clean () =
+  List.iteri
+    (fun i prog ->
+      match curtx_signal_find curtx_signal_config prog with
+      | Some f -> Alcotest.failf "seed %d, clean curTx signal: %a" (i + 1) E.pp_failure f
+      | None -> ())
+    curtx_signal_progs
 
 (* --- planted skipped registration handshake ------------------------ *)
 
@@ -818,6 +855,10 @@ let () =
             test_planted_early_chunk_done;
           Alcotest.test_case "early-chunk-done-clean" `Quick
             test_early_chunk_done_clean;
+          Alcotest.test_case "early-curtx-signal-via-sanitizer" `Quick
+            test_planted_early_curtx_signal;
+          Alcotest.test_case "early-curtx-signal-clean" `Quick
+            test_early_curtx_signal_clean;
         ] );
       ( "sharded",
         [

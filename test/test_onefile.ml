@@ -508,7 +508,7 @@ let test_wf_raise_in_one_aggregate () =
     |]
   in
   let region = C.region t in
-  let published u () = (Region.peek region (C.op_cell t u)).Word.v <> 0 in
+  let published u () = C.published t u in
   let loads = count_loads region in
   let staged =
     run_stages fibers
@@ -564,7 +564,7 @@ let test_wf_result_after_striped_ack () =
   let staged =
     run_stages fibers
       [
-        (x, fun () -> peek (C.op_cell t x) <> 0);
+        (x, fun () -> C.published t x);
         (a, fun () -> peek C.curtx_cell > ct0);
         (h, acked);
         (x, fun () -> false);
@@ -596,8 +596,7 @@ let test_wf_violation_in_aggregate_reported () =
   in
   (* fiber 0 publishes, then fiber 1 runs first and aggregates its closure *)
   let pick ~step:_ ~enabled ~last:_ =
-    if (Region.peek (C.region t) (C.op_cell t 0)).Word.v = 0 || not (Array.mem 1 enabled)
-    then enabled.(0)
+    if (not (C.published t 0)) || not (Array.mem 1 enabled) then enabled.(0)
     else 1
   in
   match Sched.run_controlled ~pick fibers with
@@ -727,24 +726,25 @@ let test_striped_help () =
   let _, _, open_ = C.curtx_info t in
   check bool "request closed" false open_
 
-(* The aggregate scans only the slots in use: one thread on a 64-slot
-   instance loads one operation cell per aggregate. *)
+(* The aggregate scans only the slots in use: one thread's operation
+   takes as many scheduling steps on a 64-slot instance as on a 1-slot
+   one, where reading every slot's announcement would take 63 more. *)
 let test_wf_scans_used_slots () =
   let module C = Onefile.Core0 in
-  let t = C.create ~mode:Region.Volatile ~max_threads:64 () in
-  let te = Telemetry.create () in
-  C.attach_telemetry t te;
-  ignore (C.wf_update_tx t (fun tx -> C.store tx (C.root t 0) 1; 0));
-  let op_loads = ref 0 in
-  let is_op a = List.exists (fun u -> C.op_cell t u = a) (List.init 64 Fun.id) in
-  Region.set_observer (C.region t)
-    (Some (function Region.Ev_load { addr; _ } when is_op addr -> incr op_loads | _ -> ()));
-  let aborts = Telemetry.get te "tx.aborts" and commits = Telemetry.get te "tx.commits" in
-  ignore (C.wf_update_tx t (fun tx -> C.store tx (C.root t 0) 2; 0));
-  Region.set_observer (C.region t) None;
-  check int "one attempt" 1
-    (Telemetry.get te "tx.aborts" - aborts + Telemetry.get te "tx.commits" - commits);
-  check int "one operation cell loaded" 1 !op_loads
+  let steps max_threads =
+    let t = C.create ~mode:Region.Volatile ~max_threads () in
+    let te = Telemetry.create () in
+    C.attach_telemetry t te;
+    ignore (C.wf_update_tx t (fun tx -> C.store tx (C.root t 0) 1; 0));
+    let attempts () = Telemetry.get te "tx.aborts" + Telemetry.get te "tx.commits" in
+    let a0 = attempts () in
+    let s =
+      Sched.run [| (fun () -> ignore (C.wf_update_tx t (fun tx -> C.store tx (C.root t 0) 2; 0))) |]
+    in
+    check int "one attempt" 1 (attempts () - a0);
+    Sched.total_steps s
+  in
+  check int "steps on 64 slots" (steps 1) (steps 64)
 
 (* ------------------------------------------------------------------ *)
 (* The LF commit claim *)
@@ -1044,18 +1044,41 @@ let check_coop_results t results =
     check int "owner's word" (1000 + i) (C.lf_read_tx t (fun tx -> C.load tx (C.root t i)))
   done
 
-(* The owner is held right after it claims chunk 0 while helper [d]
-   applies chunk [d + 1]; then it applies its own chunk, finds the others
-   done and closes.  Every entry is put exactly once, so no DCAS fails,
-   and each of the commit's cache lines is written back once. *)
+(* [true] while commit [seq] is open *)
+let coop_during t seq () =
+  let s, _, open_ = Onefile.Core0.curtx_info t in
+  s = seq && open_
+
+(* Stage the owner held right after it claims chunk 0 of commit [seq]
+   while helper [d] applies chunk [d + 1]; then it applies its own chunk,
+   finds the others done and closes. *)
+let run_owner_parked t ~seq results =
+  let module C = Onefile.Core0 in
+  let claimed k () = C.chunk_info t k = (seq, false) in
+  let finished k () = C.chunk_info t k = (seq, true) in
+  let closed () =
+    let s, _, open_ = C.curtx_info t in
+    s = seq && not open_
+  in
+  run_stages (coop_fibers t results)
+    [
+      (coop_owner, claimed 0);
+      (0, finished 1);
+      (1, finished 2);
+      (2, finished 3);
+      (3, finished 4);
+      (coop_owner, closed);
+    ]
+
+(* With the owner held after its chunk-0 claim, every entry is put
+   exactly once, so no DCAS fails, and each of the commit's cache lines
+   is written back once. *)
 let test_coop_owner_parked () =
   let module C = Onefile.Core0 in
   let t = coop_instance () in
   let region = C.region t in
   let seq0, _, _ = C.curtx_info t in
   let seq = seq0 + 1 in
-  let claimed k () = C.chunk_info t k = (seq, false) in
-  let finished k () = C.chunk_info t k = (seq, true) in
   let log_lines =
     List.sort_uniq compare
       (Region.line_of (C.res_cell t coop_owner)
@@ -1063,10 +1086,7 @@ let test_coop_owner_parked () =
       :: List.init coop_roots (fun i -> Region.line_of (C.root t i)))
   in
   let pwbs = Hashtbl.create 16 and fails = ref 0 in
-  let during_commit () =
-    let s, _, open_ = C.curtx_info t in
-    s = seq && open_
-  in
+  let during_commit = coop_during t seq in
   Region.set_observer region
     (Some
        (function
@@ -1076,21 +1096,7 @@ let test_coop_owner_parked () =
        | Region.Ev_cas { ok = false; dcas = true; _ } when during_commit () -> incr fails
        | _ -> ()));
   let results = Array.make 5 [] in
-  let closed () =
-    let s, _, open_ = C.curtx_info t in
-    s = seq && not open_
-  in
-  let staged =
-    run_stages (coop_fibers t results)
-      [
-        (coop_owner, claimed 0);
-        (0, finished 1);
-        (1, finished 2);
-        (2, finished 3);
-        (3, finished 4);
-        (coop_owner, closed);
-      ]
-  in
+  let staged = run_owner_parked t ~seq results in
   Region.set_observer region None;
   check bool "every stage ran" true staged;
   check int "no failed DCAS" 0 !fails;
@@ -1102,6 +1108,116 @@ let test_coop_owner_parked () =
         (Option.value ~default:0 (Hashtbl.find_opt pwbs line)))
     log_lines;
   check_coop_results t results
+
+(* The owner's chunk-0 claim follows its curTx write-back, so the
+   helpers that see it skip theirs: with the owner held after that claim,
+   curTx is written back once for the whole commit, by the owner. *)
+let test_coop_curtx_once () =
+  let module C = Onefile.Core0 in
+  let t = coop_instance () in
+  let region = C.region t in
+  let seq0, _, _ = C.curtx_info t in
+  let seq = seq0 + 1 in
+  let during_commit = coop_during t seq in
+  let curtx_pwbs = ref [] in
+  Region.set_observer region
+    (Some
+       (function
+       | Region.Ev_pwb { line } when line = Region.line_of C.curtx_cell && during_commit () ->
+           curtx_pwbs := Sched.self () :: !curtx_pwbs
+       | _ -> ()));
+  let results = Array.make 5 [] in
+  let staged = run_owner_parked t ~seq results in
+  Region.set_observer region None;
+  check bool "every stage ran" true staged;
+  check (Alcotest.list int) "curTx written back once, by the owner" [ coop_owner ]
+    !curtx_pwbs;
+  check_coop_results t results
+
+(* Held right after its commit CAS, the owner has neither written curTx
+   back nor claimed chunk 0, so the helpers must write curTx back
+   themselves: every helper that DCASes an entry of the commit has
+   written curTx back first.  They apply chunks 1-4, spend their wait on
+   chunk 0, apply it too and close. *)
+let test_coop_owner_parked_at_cas () =
+  let module C = Onefile.Core0 in
+  let t = coop_instance () in
+  let region = C.region t in
+  let seq0, _, _ = C.curtx_info t in
+  let seq = seq0 + 1 in
+  let during_commit = coop_during t seq in
+  let flushed = Array.make 5 false and dcased = Array.make 5 false in
+  let unflushed_dcas = ref [] in
+  Region.set_observer region
+    (Some
+       (function
+       | Region.Ev_pwb { line } when line = Region.line_of C.curtx_cell && during_commit () ->
+           flushed.(Sched.self ()) <- true
+       | Region.Ev_cas { ok = true; dcas = true; _ } when during_commit () ->
+           let f = Sched.self () in
+           dcased.(f) <- true;
+           if not flushed.(f) then unflushed_dcas := f :: !unflushed_dcas
+       | _ -> ()));
+  let results = Array.make 5 [] in
+  let last = ref (-1) in
+  (* the owner alone until its CAS; then the helpers round-robin while
+     the commit is open; then everyone *)
+  let pick ~step:_ ~enabled ~last:_ =
+    let s, _, open_ = C.curtx_info t in
+    let cands =
+      if s < seq then [ coop_owner ]
+      else if s = seq && open_ then List.filter (( <> ) coop_owner) (Array.to_list enabled)
+      else Array.to_list enabled
+    in
+    let cands = List.filter (fun f -> Array.mem f enabled) cands in
+    let f =
+      match (List.find_opt (fun f -> f > !last) cands, cands) with
+      | Some f, _ -> f
+      | None, f :: _ -> f
+      | None, [] -> enabled.(0)
+    in
+    last := f;
+    f
+  in
+  ignore (Sched.run_controlled ~pick (coop_fibers t results));
+  Region.set_observer region None;
+  check bool "the owner made no DCAS during the commit" false dcased.(coop_owner);
+  check bool "several helpers applied entries" true
+    (List.length (List.filter Fun.id (Array.to_list dcased)) >= 2);
+  check (Alcotest.list int) "no helper DCASed before writing curTx back" [] !unflushed_dcas;
+  check_coop_results t results
+
+(* Recovery helps a split commit whose owner died after writing curTx
+   back and before claiming chunk 0.  Recovery writes curTx back itself,
+   so it may claim chunk 0 too: it applies every chunk without waiting
+   for an owner that is gone. *)
+let test_coop_recovery_claims_chunk0 () =
+  let module C = Onefile.Core0 in
+  let t = coop_instance () in
+  let region = C.region t in
+  let te = Telemetry.create () in
+  C.attach_telemetry t te;
+  let seq0, _, _ = C.curtx_info t in
+  let seq = seq0 + 1 in
+  let results = Array.make 5 [] in
+  let durable () = (Region.peek_durable region C.curtx_cell).Word.v = seq in
+  let pick ~step:_ ~enabled ~last:_ =
+    if Array.mem coop_owner enabled then coop_owner else enabled.(0)
+  in
+  ignore
+    (Sched.run_controlled ~pick
+       ~on_step:(fun s -> if durable () then Sched.stop s)
+       (coop_fibers t results));
+  check bool "stopped with curTx durable at the commit" true (durable ());
+  check (Alcotest.pair int bool) "chunk 0 unclaimed" (0, false) (C.chunk_info t 0);
+  Region.crash region ();
+  C.recover t;
+  check int "recovery helped" 1 (Telemetry.get te "recovery.helped");
+  check int "no chunk wait" 0 (Telemetry.get te "tx.chunk_waits");
+  check int "no chunk timeout" 0 (Telemetry.get te "tx.chunk_timeouts");
+  for i = 0 to coop_roots - 1 do
+    check int "owner's word" (1000 + i) (C.lf_read_tx t (fun tx -> C.load tx (C.root t i)))
+  done
 
 (* A helper held forever right after its claim: the owner's wait spends
    [claim_budget] polls on that chunk, applies it itself and closes, all
@@ -1465,15 +1581,15 @@ let test_wf_cost_counts () =
          done;
          0));
   let d = Pstats.diff st snap in
-  (* the WF row of the table: one extra pwb (operation publication) on
-     top of the LF count (which includes the request flush); the result
-     and opid-acknowledgment words add two to Nw.  Data flushes are
-     line-deduped: 8 root words = 2 lines, and the result/ack pair of
+  (* the WF row of the table: the LF count (which includes the request
+     flush) with the result and opid-acknowledgment words adding two to
+     Nw; the announcement is volatile, so it costs no pwb.  Data flushes
+     are line-deduped: 8 root words = 2 lines, and the result/ack pair of
      thread 0 shares one more line *)
   let nw' = nw + 2 in
   let log_lines = (2 + nw' + 3) / 4 in
   let data_lines = ((nw + 3) / 4) + 1 in
-  check int "pwb count" (3 + log_lines + data_lines) d.Pstats.pwb;
+  check int "pwb count" (2 + log_lines + data_lines) d.Pstats.pwb;
   check int "pfence count" 0 d.Pstats.pfence;
   check int "dcas count" nw' d.Pstats.dcas;
   check int "one commit" 1 d.Pstats.commits
@@ -1564,6 +1680,9 @@ let () =
         [
           Alcotest.test_case "owner parked, helpers apply" `Quick test_coop_owner_parked;
           Alcotest.test_case "helper parked after its claim" `Quick test_coop_helper_parked;
+          Alcotest.test_case "curTx written back once" `Quick test_coop_curtx_once;
+          Alcotest.test_case "owner parked at its CAS" `Quick test_coop_owner_parked_at_cas;
+          Alcotest.test_case "recovery claims chunk 0" `Quick test_coop_recovery_claims_chunk0;
           Alcotest.test_case "line across the chunk boundary" `Quick
             test_coop_line_across_boundary;
           Alcotest.test_case "reader registration helps" `Quick test_coop_reader_helps;

@@ -143,6 +143,50 @@ let test_free_rejects_garbage () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* A block's header is written once, when the bump pointer carves it:
+   [free] leaves it alone, so a block popped from its free list already
+   holds its class and the pop logs no header store.  The header is
+   durable from the carving commit on, so it still reads its class after
+   a crash and recovery, and the block can be freed and popped again. *)
+let test_pop_logs_no_header () =
+  let module C = Onefile.Core0 in
+  let module Region = Pmem.Region in
+  let t = C.create ~size:(1 lsl 12) ~max_threads:1 ~ws_cap:16 ~num_roots:2 () in
+  let region = C.region t and r0 = C.root t 0 in
+  let k =
+    (* log2 of the block size, minus one *)
+    let rec lg n = if n <= 1 then 0 else 1 + lg (n / 2) in
+    lg (Tm_alloc.block_cells 2) - 1
+  in
+  let alloc_into_root () =
+    C.lf_update_tx t (fun tx ->
+        let p = C.alloc tx 2 in
+        C.store tx r0 p;
+        p)
+  in
+  let free_root p =
+    ignore
+      (C.lf_update_tx t (fun tx ->
+           C.free tx p;
+           C.store tx r0 0;
+           0))
+  in
+  let p = alloc_into_root () in
+  check int "the carved header holds the class" k (Region.peek region (p - 1)).Pmem.Word.v;
+  free_root p;
+  check int "popped: the same block" p (alloc_into_root ());
+  let logged =
+    List.init (Region.peek region (C.nstores_cell t 0)).Pmem.Word.v (fun i ->
+        (Region.peek region (C.entry_cell t 0 i)).Pmem.Word.v)
+  in
+  check bool "the pop's redo log has no header entry" false (List.mem (p - 1) logged);
+  check bool "... but the head and the root" true (List.mem r0 logged);
+  Region.crash region ~evict_lines:[] ();
+  C.recover t;
+  check int "header durable across the crash" k (Region.peek region (p - 1)).Pmem.Word.v;
+  free_root p;
+  check int "freed and popped again" p (alloc_into_root ())
+
 let () =
   Alcotest.run "tm"
     [
@@ -161,5 +205,6 @@ let () =
           Alcotest.test_case "bad sizes" `Quick test_alloc_rejects_bad_sizes;
           Alcotest.test_case "out of memory" `Quick test_alloc_out_of_memory;
           Alcotest.test_case "free garbage" `Quick test_free_rejects_garbage;
+          Alcotest.test_case "pop logs no header" `Quick test_pop_logs_no_header;
         ] );
     ]
