@@ -154,7 +154,8 @@ type faults = {
          durability hole (volatile close vs. log recycling) *)
   mutable stale_commit_snapshot : bool;
       (* refresh curTx right before the commit CAS, ignoring everything
-         committed since the snapshot: a classic lost update *)
+         committed since the snapshot, and retry a lost CAS the same way
+         with the same write-set: a blind-retry lost update *)
   mutable stale_dedup_flush : bool;
       (* a write-back pass starts with its own first line marked as
          already written back, so a committed write can silently skip its
@@ -1174,7 +1175,8 @@ let ro_end inst =
    The close is one CAS from the request word [publish_log] stored: it
    fails, changing nothing, when a helper closed the request first.
    Returns whether the commit CAS won; a lost CAS aborts the attempt. *)
-let commit inst ~me ~may_split tx ct =
+(* flowlint: bounded only the planted stale_commit_snapshot fault recurses, and only after a lost CAS, i.e. after another commit advanced curTx *)
+let rec commit inst ~me ~may_split tx ct =
   let ct = if inst.faults.stale_commit_snapshot then read_curtx inst else ct in
   let seq = ct.Word.v + 1 in
   let n = Writeset.size tx.ws in
@@ -1197,6 +1199,10 @@ let commit inst ~me ~may_split tx ct =
     Telemetry.tick inst.c_commits;
     true
   end
+  else if inst.faults.stale_commit_snapshot then
+    (* the planted lost update retries blindly: the same write-set,
+       re-published at the current curTx *)
+    commit inst ~me ~may_split tx ct
   else begin
     abort inst;
     false

@@ -172,7 +172,9 @@ type faults = {
           PR 1 durability hole (volatile request close vs. log recycling) *)
   mutable stale_commit_snapshot : bool;
       (** refresh curTx right before the commit CAS, ignoring every
-          transaction committed since the snapshot: a classic lost update *)
+          transaction committed since the snapshot, and retry a lost CAS
+          the same way with the same write-set: a blind-retry lost
+          update *)
   mutable stale_dedup_flush : bool;
       (** start every write-back pass with its own first cache line
           marked as already written back, so a committed write can skip

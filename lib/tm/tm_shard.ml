@@ -10,22 +10,22 @@
    is wait-free without conditions, even mid-migration.
 
    Single-shard transactions run entirely on their home shard as one
-   ordinary [T] transaction (wait-free when T is, parallel across
-   shards).  Routing is decided by a transaction-free classify pre-pass:
-   the closure runs once with every load returning 0 and every effect
-   discarded, recording only the set of shards touched (allocs commit to
-   a rotating fresh home).  A pure run routes nowhere, a single-shard
-   run routes straight to its home, a multi-shard run (or one exceeding
-   the classify op budget) routes to the cross path — all without a
-   durable transaction.  Classification is advisory, not load-bearing:
-   if the real data makes the closure touch a different shard set, the
-   home execution "escapes" by committing only a per-owner escape token
-   and re-routing cross, and the cross path handles single-shard members
-   under its locks.  All routed effects are buffered per execution
-   (stores, frees) or compensated (allocs), so an escaping execution
-   commits nothing else — this matters under OneFile-WF, where helpers
-   may run the closure and only the committed execution's verdict
-   counts.
+   ordinary [T] transaction (parallel across shards).  Routing is
+   decided by a transaction-free classify pre-pass: the closure runs
+   once with every load returning 0 and every effect discarded,
+   recording only the set of shards touched (allocs commit to a
+   rotating fresh home).  A pure run routes nowhere, a single-shard run
+   routes straight to its home, a multi-shard run (or one exceeding the
+   classify op budget) routes to the cross path — all without a durable
+   transaction.  Classification is advisory, not load-bearing: if the
+   real data makes the closure touch a different shard set, the home
+   execution raises [Cross_escape], and one that finds its shard frozen
+   by a batch raises [Blocked].  Either verdict leaves the shard
+   transaction with nothing committed, because [T] must hand a
+   closure's exception (other than [Abort]) to its caller that way
+   (OneFile's [Front.S] does, WF aggregates included); the router then
+   re-runs the transaction cross, or waits the freeze out and retries.
+   The cross path handles single-shard members under its locks.
 
    Cross-shard transactions go through a lock-free batched 2PC pipeline
    (DESIGN.md §12).  An owner publishes its request into a per-shard
@@ -56,23 +56,25 @@
    back pending allocations and stale locks of a batch that never
    committed — the whole batch is replayed or discarded as a unit.
 
-   Progress: single-shard transactions keep T's guarantee; the
+   Progress: a single-shard transaction keeps T's guarantee only while
+   its home shard is not frozen.  One that finds the shard frozen waits
+   for the batch leader that froze it: once the batch is published the
+   waiter helps it to completion, but a leader stalled between its
+   freeze and its publication stalls the waiter with it.  The
    cross-shard pipeline is lock-free — a stalled leader can only stall
    pre-publication, where it holds no published batch, and every
    published batch is completed by whoever observes it.
 
    Cross-shard read-only transactions never enter the pipeline: they pin
    a consistent per-shard epoch vector and read at it (DESIGN.md §13). *)
-(* relaxed-ok: the migration-stall sample handed to Telemetry.observe is
-   read step-free, so attaching a registry never changes a schedule. *)
-(* mutable-ok: the per-execution buffers (exec, overlay) are confined to
-   the fiber running the transaction — under batching that is the
-   leader's fiber, which executes members serially; the batch context
-   (bctx) and the queue heads are leader-confined by the [leader] CAS;
-   a request's result cell is written by the leader and read by the
-   owner only after the [closed] flag flips (one Satomic cell); the
-   faults flags are test-only sequential set-up.  Shared counters
-   (leader, cur, tickets, ids) go through Satomic. *)
+(* mutable-ok: the per-member overlay is confined to the leader's fiber,
+   which executes members serially; the batch context (bctx) and the
+   queue heads are leader-confined by the [leader] CAS; a request's
+   result cell is written by the leader and read by the owner only
+   after the [closed] flag flips (one Satomic cell); the faults flags
+   are test-only sequential set-up; a migration's stall count is a
+   telemetry sample bumped without a scheduling step, like Pstats.
+   Shared counters (leader, cur, tickets, ids) go through Satomic. *)
 
 open Runtime
 
@@ -89,6 +91,7 @@ module Make (T : Tm_intf.S) = struct
   let name = "Shard(" ^ T.name ^ ")"
 
   exception Cross_escape
+  exception Blocked
 
   type faults = {
     mutable torn_commit_record : bool;
@@ -112,7 +115,10 @@ module Make (T : Tm_intf.S) = struct
     m_dbase : int;
     m_back : bool; (* retiring a remapped range to its native home *)
     m_epoch : int; (* the map epoch this migration will establish *)
-    stalled : int Satomic.t; (* single-update escapes forced by the move *)
+    mutable stalled : int;
+        (* single-shard executions that escaped because they store to or
+           free a cell of the moving range: executions, not updates — a
+           WF aggregate or a re-execution of the same update counts again *)
   }
 
   (* The routing state: the published map image and the live migration
@@ -195,10 +201,10 @@ module Make (T : Tm_intf.S) = struct
            transaction and cleared just after its apply/unlock commits.
            Single-shard transactions consult it to wait a freeze out on
            volatile state; it is a hint only — a lost set just means one
-           wasted "blocked" probe, a lost clear is bounded by the
-           batcher-quiescent escape in [wait_unfrozen] — so correctness
-           always rests on the in-transaction lock check. *)
-    next_token : int Satomic.t;
+           shard transaction that raises [Blocked], a lost clear is
+           bounded by the batcher-quiescent escape in [wait_unfrozen] —
+           so correctness always rests on the in-transaction lock
+           check. *)
     next_txid : int Satomic.t;
     next_home : int Satomic.t; (* round-robin home for alloc-first txs *)
     snap : T.t Tm_intf.snapshot_ops;
@@ -229,14 +235,15 @@ module Make (T : Tm_intf.S) = struct
     c_enqueues : Telemetry.handle; (* router.enqueues *)
     c_migs : Telemetry.handle; (* router.migrations *)
     c_epoch : Telemetry.handle; (* router.map_epoch (flips observed) *)
+    c_escapes : Telemetry.handle; (* router.escapes *)
+    c_blocked : Telemetry.handle; (* router.blocked *)
     s_bsize : Telemetry.span_handle; (* router.batch_size *)
     s_stall : Telemetry.span_handle; (* router.migration_stall *)
     faults : faults;
   }
 
   (* control block: lock | applied_id | pending count | pending slots
-     (max_pending) | escape tokens (max_threads) | blocked tokens
-     (max_threads) | migration hold; shard 0 appends the batch commit
+     (max_pending) | migration hold; shard 0 appends the batch commit
      record: status (0 none / 1 committed / 2 done) | id | participants
      bitmap | nwrites | nfrees | (gaddr,value) pairs (max_writes) | free
      gaddrs (max_frees); then the persistent shard map (layout owned by
@@ -247,10 +254,7 @@ module Make (T : Tm_intf.S) = struct
   let applied_cell t s = t.ctl.(s) + 1
   let pcount_cell t s = t.ctl.(s) + 2
   let pslot_cell t s i = t.ctl.(s) + 3 + i
-  let esc_cell t s tid = t.ctl.(s) + 3 + max_pending + tid
-  let blk_cell t s tid = t.ctl.(s) + 3 + max_pending + t.max_threads + tid
-
-  let mighold_cell t s = t.ctl.(s) + 3 + max_pending + (2 * t.max_threads)
+  let mighold_cell t s = t.ctl.(s) + 3 + max_pending
 
   (* ---------------------------------------------------------------- *)
   (* The shard map                                                     *)
@@ -315,7 +319,7 @@ module Make (T : Tm_intf.S) = struct
       shards;
     if nroots < 2 then
       invalid_arg "Tm_shard.make: shards need >= 2 roots (one is reserved)";
-    let ctl_cells = 4 + max_pending + (2 * max_threads) in
+    let ctl_cells = 4 + max_pending in
     let rec_cells = 5 + (2 * max_writes) + max_frees in
     let map_cells = Shard_map.cells ~max_ranges in
     let mig_cells = 8 in
@@ -361,7 +365,6 @@ module Make (T : Tm_intf.S) = struct
         leader = Satomic.make 0;
         locked_mask = Satomic.make 0;
         cur = Satomic.make None;
-        next_token = Satomic.make 0;
         next_txid = Satomic.make 0;
         next_home = Satomic.make 0;
         snap = ro_snapshot;
@@ -375,6 +378,8 @@ module Make (T : Tm_intf.S) = struct
         c_enqueues = Telemetry.counter tele "router.enqueues";
         c_migs = Telemetry.counter tele "router.migrations";
         c_epoch = Telemetry.counter tele "router.map_epoch";
+        c_escapes = Telemetry.counter tele "router.escapes";
+        c_blocked = Telemetry.counter tele "router.blocked";
         s_bsize = Telemetry.span tele "router.batch_size";
         s_stall = Telemetry.span tele "router.migration_stall";
         faults =
@@ -385,27 +390,14 @@ module Make (T : Tm_intf.S) = struct
           };
       }
     in
-    (* fresh batch ids must stay above any persisted applied id, and
-       fresh escape/blocked tokens above every token cell: an adopted
-       device may carry state from an earlier incarnation, and a freshly
-       allocated control block is not zeroed.  A stale token equal to a
-       fresh one would make [single_update] mistake a genuine [-token]
-       result for an escape and run the closure again. *)
+    (* fresh batch ids must stay above any persisted applied id: an
+       adopted device may carry state from an earlier incarnation, and a
+       freshly allocated control block is not zeroed *)
     let hi = ref (T.read_tx shards.(0) (fun itx -> T.load itx (t.rec_base + 1))) in
-    let tok = ref 0 in
     for s = 0 to n - 1 do
-      let applied =
-        T.read_tx shards.(s) (fun itx ->
-            for tid = 0 to max_threads - 1 do
-              tok := max !tok (T.load itx (esc_cell t s tid));
-              tok := max !tok (T.load itx (blk_cell t s tid))
-            done;
-            T.load itx (applied_cell t s))
-      in
-      hi := max !hi applied
+      hi := max !hi (T.read_tx shards.(s) (fun itx -> T.load itx (applied_cell t s)))
     done;
     Satomic.set t.next_txid !hi;
-    Satomic.set t.next_token !tok;
     t
 
   let shards t = t.shards
@@ -428,14 +420,6 @@ module Make (T : Tm_intf.S) = struct
 
   (* ---------------------------------------------------------------- *)
   (* Transaction contexts                                              *)
-
-  type exec = {
-    (* one single-shard execution's buffered effects (shard-local addrs) *)
-    stores : (int, int) Hashtbl.t; (* addr -> last value *)
-    mutable sorder : int list; (* reversed first-store order *)
-    mutable sfrees : int list;
-    mutable sallocs : int list;
-  }
 
   type overlay = {
     (* one batch member's private effects, merged into the batch union
@@ -461,7 +445,7 @@ module Make (T : Tm_intf.S) = struct
 
   type kind =
     | Classify of cls
-    | Single of { home : int; itx : T.tx; ex : exec; rs : routing }
+    | Single of { home : int; itx : T.tx; rs : routing }
     | Read_single of { home : int; itx : T.tx; img : Shard_map.image }
         (* single-shard executions route every access through the routing
            state read once at the start of the execution *)
@@ -538,7 +522,7 @@ module Make (T : Tm_intf.S) = struct
   let escape_migrating rs g =
     match mig_range rs.live g with
     | Some m ->
-        Satomic.set m.stalled (Satomic.get m.stalled + 1);
+        m.stalled <- m.stalled + 1;
         raise Cross_escape
     | None -> ()
 
@@ -548,11 +532,7 @@ module Make (T : Tm_intf.S) = struct
     | Classify c ->
         cnote_addr t c g;
         0
-    | Single { home; itx; ex; rs } -> (
-        let l = home_local t rs.img home g in
-        match Hashtbl.find ex.stores l with
-        | v -> v
-        | exception Not_found -> T.load itx l)
+    | Single { home; itx; rs } -> T.load itx (home_local t rs.img home g)
     | Read_single { home; itx; img } -> T.load itx (home_local t img home g)
     | Snap { eps; img } ->
         if g = 0 then 0
@@ -597,13 +577,13 @@ module Make (T : Tm_intf.S) = struct
                         else begin
                           (* the shard is frozen (locked) for the whole
                              batch: its user cells cannot change until
-                             this batch's own apply (single-shard
-                             commits there see the lock and commit only
-                             a blocked token, and the previous batch was
-                             reconciled before this one), so one epoch,
-                             pinned after the lock transaction raised
-                             [ro_stable] past it, serves every later
-                             read of the batch *)
+                             this batch's own apply (a single-shard
+                             transaction there sees the lock, raises
+                             [Blocked] and commits nothing, and the
+                             previous batch was reconciled before this
+                             one), so one epoch, pinned after the lock
+                             transaction raised [ro_stable] past it,
+                             serves every later read of the batch *)
                           if bc.pins.(s) < 0 then bc.pins.(s) <- snap_pin t s;
                           (* flowlint: ok unpinned-snapshot-load the pin is taken just above when absent and held in bc.pins until unpin_frozen *)
                           snap_load t s bc.pins.(s) l
@@ -617,11 +597,9 @@ module Make (T : Tm_intf.S) = struct
     match tx.kind with
     | Classify c -> cnote_addr t c g
     | Read_single _ | Snap _ -> raise Store_in_read_tx
-    | Single { home; ex; rs; _ } ->
+    | Single { home; itx; rs } ->
         escape_migrating rs g;
-        let l = home_local t rs.img home g in
-        if not (Hashtbl.mem ex.stores l) then ex.sorder <- l :: ex.sorder;
-        Hashtbl.replace ex.stores l v
+        T.store itx (home_local t rs.img home g) v
     | Cross { bc; ov } ->
         let s = shard_of t g in
         ensure_locked t bc s;
@@ -650,10 +628,7 @@ module Make (T : Tm_intf.S) = struct
         cbump c;
         global t c.cfirst 1
     | Read_single _ | Snap _ -> raise Store_in_read_tx
-    | Single { home; itx; ex; _ } ->
-        let a = T.alloc itx nw in
-        ex.sallocs <- a :: ex.sallocs;
-        global t home a
+    | Single { home; itx; _ } -> global t home (T.alloc itx nw)
     | Cross { bc; ov } ->
         let s = fresh_home t in
         ensure_locked t bc s;
@@ -679,9 +654,9 @@ module Make (T : Tm_intf.S) = struct
     match tx.kind with
     | Classify c -> cnote_addr t c g
     | Read_single _ | Snap _ -> raise Store_in_read_tx
-    | Single { home; ex; rs; _ } ->
+    | Single { home; itx; rs } ->
         escape_migrating rs g;
-        ex.sfrees <- home_local t rs.img home g :: ex.sfrees
+        T.free itx (home_local t rs.img home g)
     | Cross { bc; ov } ->
         let s = shard_of t g in
         ensure_locked t bc s;
@@ -689,12 +664,6 @@ module Make (T : Tm_intf.S) = struct
 
   (* ---------------------------------------------------------------- *)
   (* Batch execution (leader side)                                     *)
-
-  let flush_exec (ex : exec) itx =
-    List.iter
-      (fun l -> T.store itx l (Hashtbl.find ex.stores l))
-      (List.rev ex.sorder);
-    List.iter (fun l -> T.free itx l) (List.rev ex.sfrees)
 
   (* undo one member's write-ahead allocations: the leader executes
      members serially, so this overlay's entries are exactly the newest
@@ -895,9 +864,12 @@ module Make (T : Tm_intf.S) = struct
      Helping drives a published batch's applies — which release the
      locks — and the backoff keeps a crowd of frozen waiters from
      thundering onto the same idempotent apply (or onto the leader's
-     own shard transactions with durable lock probes). *)
+     own shard transactions with durable lock probes).  Before the
+     publication there is nothing to help: the wait then lasts as long
+     as the leader takes to publish, counted in the leader's steps, not
+     the waiter's. *)
   let wait_unfrozen t home =
-    (* flowlint: bounded the freeze lifts when the in-flight batch completes; helping drives its apply/unlock steps, and a pre-publication leader holds the freeze only across its own bounded execution *)
+    (* flowlint: bounded by the leader's progress, not by the waiter's own steps: after publication helping drives the apply/unlock steps, but before it the waiter spins until the leader, which froze the shard, runs its bounded execution and publishes *)
     let rec loop bo =
       if
         Satomic.get t.locked_mask land (1 lsl home) <> 0
@@ -1149,72 +1121,44 @@ module Make (T : Tm_intf.S) = struct
   (* ---------------------------------------------------------------- *)
   (* Drivers                                                           *)
 
-  (* flowlint: bounded recursion re-enters only after a freeze observed via the blk token, i.e. after a batch completed; see the freeze-wait below *)
+  (* A home execution's verdict is an exception out of the shard
+     transaction, which then commits nothing: [Cross_escape] when the
+     closure touches another shard (or mutates a migrating cell),
+     [Blocked] when a batch froze the home shard.  Under OneFile-WF the
+     closure may raise inside another thread's aggregate; that aggregate
+     aborts its attempt and the operation reaches this caller through
+     the engine's [Solo] path (a cancel, then an LF run).  The freeze
+     pre-check keeps updates to a shard already known to be frozen out
+     of the aggregates; the in-transaction lock check still catches a
+     freeze that lands after it. *)
+  (* flowlint: bounded recursion re-enters only after the in-transaction lock check raised Blocked, and then first waits the freeze out in wait_unfrozen *)
   let rec single_update t home f =
-    let tid = Sched.self () in
-    if tid >= t.max_threads then
-      invalid_arg "Tm_shard: thread id >= max_threads";
-    let token = Satomic.fetch_and_add t.next_token 1 + 1 in
-    let sh = t.shards.(home) in
-    let esc = esc_cell t home tid and blk = blk_cell t home tid in
-    (* cheap freeze pre-check: one volatile read rules out the common
-       (no batcher around) case, and a frozen shard is waited out on
-       volatile state instead of burning a full transaction just to
-       commit a "blocked" verdict.  The in-transaction lock check below
-       still catches a freeze that lands after this. *)
     wait_unfrozen t home;
     let wrapped itx =
-      if T.load itx (lock_cell t home) <> 0 then begin
-        (* shard frozen by a cross-shard batch: report "blocked" through
-           the transaction itself — helpers may run this closure, and only
-           the committed execution's verdict counts *)
-        T.store itx blk token;
-        -token
-      end
-      else begin
-        let ex =
-          { stores = Hashtbl.create 8; sorder = []; sfrees = []; sallocs = [] }
-        in
-        (* read per execution, so a retry routes with a fresh image *)
-        let rs = Satomic.get t.routing in
-        let rtx = { rt = t; kind = Single { home; itx; ex; rs } } in
-        match f rtx with
-        | r ->
-            flush_exec ex itx;
-            r
-        | exception Cross_escape ->
-            (* undo this execution's eager allocations and commit only the
-               escape token; the router then re-runs on the cross path *)
-            List.iter (fun a -> T.free itx a) ex.sallocs;
-            T.store itx esc token;
-            -token
-      end
+      if T.load itx (lock_cell t home) <> 0 then raise Blocked;
+      (* read per execution, so a retry routes with a fresh image *)
+      let rs = Satomic.get t.routing in
+      f { rt = t; kind = Single { home; itx; rs } }
     in
-    let r = T.update_tx sh wrapped in
-    if r <> -token then r
-      (* -token can also be a genuine user result: the token cells, written
-         only by a committed escaped/blocked execution, disambiguate *)
-    else if T.read_tx sh (fun itx -> T.load itx esc) = token then
-      cross_tx t ~home f
-    else if T.read_tx sh (fun itx -> T.load itx blk) = token then begin
-      (* wait for the freeze to lift before retrying, helping the
-         in-flight batch along: once the batch is published its applies
-         (which release the locks) can be driven by this thread *)
-      wait_unfrozen t home;
-      single_update t home f
-    end
-    else r
+    match T.update_tx t.shards.(home) wrapped with
+    | r -> r
+    | exception Cross_escape ->
+        Telemetry.tick t.c_escapes;
+        cross_tx t ~home f
+    | exception Blocked ->
+        Telemetry.tick t.c_blocked;
+        single_update t home f
 
   (* Routing pre-pass: run the closure once OUTSIDE any transaction,
      serving every load with 0 and only recording which shards it
      touches.  The verdict is a hint, not a commitment — a mis-routed
-     single still escapes through the in-transaction token fallback, and
-     the batch path executes a single-shard member correctly under its
-     lock — so the garbage values cannot break correctness, only pick a
-     slower path.  What the pre-pass buys: a cross-shard transaction
-     goes straight to the prepare queues instead of first paying a
-     durable escape transaction on its (contended) home shard just to
-     learn it is cross. *)
+     single still escapes from its shard transaction, and the batch
+     path executes a single-shard member correctly under its lock — so
+     the garbage values cannot break correctness, only pick a slower
+     path.  What the pre-pass buys: a cross-shard transaction
+     goes straight to the prepare queues instead of first running a
+     doomed transaction on its (contended) home shard just to learn it
+     is cross. *)
   let classify t f =
     let c =
       { crs = Satomic.get t.routing; cfirst = -1; cmulti = false; cops = 0 }
@@ -1314,20 +1258,14 @@ module Make (T : Tm_intf.S) = struct
     match classify t f with
     | `Pure r -> r
     | `Cross _ -> snap_cross_read t f
-    | `Home home ->
-        let escaped = ref false in
-        let r =
+    | `Home home -> (
+        match
           T.read_tx t.shards.(home) (fun itx ->
               let img = (Satomic.get t.routing).img in
-              let rtx = { rt = t; kind = Read_single { home; itx; img } } in
-              try f rtx
-              with Cross_escape ->
-                escaped := true;
-                0)
-        in
-        (* a stale flag from an aborted execution merely re-runs the pure
-           read on the (consistent) cross-shard path *)
-        if !escaped then snap_cross_read t f else r
+              f { rt = t; kind = Read_single { home; itx; img } })
+        with
+        | r -> r
+        | exception Cross_escape -> snap_cross_read t f)
 
   (* ---------------------------------------------------------------- *)
   (* Live range migration (DESIGN.md §14)                               *)
@@ -1477,7 +1415,7 @@ module Make (T : Tm_intf.S) = struct
                 m_dbase = lo mod t.span;
                 m_back = true;
                 m_epoch = img.epoch + 1;
-                stalled = Satomic.make 0;
+                stalled = 0;
               }
             in
             (* condemn the host block: once the record settles it is
@@ -1526,7 +1464,7 @@ module Make (T : Tm_intf.S) = struct
                   m_dbase = dbase;
                   m_back = false;
                   m_epoch = img.epoch + 1;
-                  stalled = Satomic.make 0;
+                  stalled = 0;
                 }
               in
               run_migration t img m
@@ -1565,7 +1503,7 @@ module Make (T : Tm_intf.S) = struct
            if m.m_back then T.free itx m.m_sbase;
            T.store itx (mighold_cell t hold_shard) 0;
            0));
-    Telemetry.observe t.s_stall (Satomic.get_relaxed m.stalled);
+    Telemetry.observe t.s_stall m.stalled;
     Satomic.set t.mig_claim 0;
     `Ok
 
@@ -1677,7 +1615,7 @@ module Make (T : Tm_intf.S) = struct
            m_dbase = dbase;
            m_back = dst = lo / t.span && dbase = lo mod t.span;
            m_epoch = rd sh0 (mb + 7);
-           stalled = Satomic.make 0;
+           stalled = 0;
          }
        in
        let chunk = 8 in

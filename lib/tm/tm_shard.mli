@@ -5,7 +5,10 @@
     [Make (T)] recovers multi-instance scalability by routing addresses
     to shards ([shard * span + local], [span] = the equal shard region
     size) and running single-shard transactions entirely on their home
-    shard — wait-free when [T] is, parallel across shards.
+    shard, in parallel across shards.  A single-shard transaction keeps
+    [T]'s progress guarantee only while its shard is not frozen by a
+    cross-shard batch: it then waits for the batch's leader, which it
+    can help only once the batch is published.
 
     Cross-shard transactions go through a lock-free batched 2PC commit
     pipeline (DESIGN.md §12): owners publish requests into per-shard
@@ -41,8 +44,8 @@ module Make (T : Tm_intf.S) : sig
       write-ahead allocations per shard, and 64 buffered writes and 32
       buffered frees per batch commit record (a drained generation that
       would overflow the record is split into consecutive sub-batches).
-      [max_threads] (default 64) caps the per-owner token and
-      prepare-queue slots.  [batch_watermark] (7) closes the
+      [max_threads] (default 64) caps the per-shard prepare-queue
+      slots.  [batch_watermark] (7) closes the
       leader's group-commit accumulation window early once that many
       requests are queued; arrivals are at most one per thread, so a
       value near the expected thread count maximizes batch size (the
@@ -60,7 +63,17 @@ module Make (T : Tm_intf.S) : sig
       and resolve every load at its shard's pinned epoch, without
       entering the batched-2PC prepare queues or taking any lock
       (DESIGN.md §13).  Single-shard read-only transactions run on the
-      shard's own wait-free [read_tx]. *)
+      shard's own wait-free [read_tx].
+
+      Requirement on [T]: a transaction function that raises anything
+      but {!Tm_intf.Abort} must hand the exception to [T.update_tx]'s or
+      [T.read_tx]'s caller with nothing committed.  A single-shard
+      execution reports its routing verdict that way — it raises when
+      it touches a second shard, or finds its shard frozen by a batch —
+      and the router then re-runs it.  OneFile's front-ends guarantee
+      this, also when a WF aggregate of another thread runs the
+      function.  TinySTM and [Seqtm] write in place and do not; only
+      OneFile supplies [ro_snapshot], which already limits [T] to it. *)
 
   val shards : t -> T.t array
 
@@ -147,12 +160,17 @@ module Make (T : Tm_intf.S) : sig
       included), [router.helps] (helping iterations that observed an
       in-flight published batch), [router.enqueues] (requests published
       into the prepare queues), [router.migrations] (completed
-      migrations) and [router.map_epoch] (epoch flips observed by this
-      incarnation), plus the [router.batch_size] span (members per
-      committed batch) and the [router.migration_stall] span (per
-      migration: single-shard updates forced onto the cross path by the
-      live move — the price traffic paid for elasticity).  The shards
-      keep their own telemetry attachment. *)
+      migrations), [router.map_epoch] (epoch flips observed by this
+      incarnation), [router.escapes] (single-shard updates whose home
+      execution touched a second shard and re-ran cross) and
+      [router.blocked] (single-shard updates whose home execution found
+      the shard frozen by a batch and retried), plus the
+      [router.batch_size] span (members per committed batch) and the
+      [router.migration_stall] span (per migration: single-shard
+      executions forced onto the cross path by the live move — the
+      price traffic paid for elasticity; a WF aggregate or a re-run of
+      the same update counts again).  The shards keep their own
+      telemetry attachment. *)
 
   val detach_telemetry : t -> unit
 

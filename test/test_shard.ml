@@ -192,10 +192,10 @@ let test_crash_recovery () =
    slot, so the test exercises the exact durable footprint a crash
    between the final prepare and the record commit leaves behind. *)
 
-(* mirror of the private control-block layout in tm_shard.ml: its
-   max_pending = 32 and mk_sharded's max_threads = 8, plus the
-   migration-hold cell appended by the elastic-sharding refactor *)
-let ctl_cells = 4 + 32 + (2 * 8)
+(* mirror of the private control-block layout in tm_shard.ml: lock,
+   applied id, pending count, its max_pending = 32 pending slots and the
+   migration-hold cell *)
+let ctl_cells = 4 + 32
 
 let ctl_base sh =
   Wf.read_tx sh (fun itx -> Wf.load itx (Wf.root sh (Wf.num_roots sh - 1)))
@@ -614,12 +614,11 @@ let test_lf_router_volatile () =
   in
   check int "volatile lf cross tx" 3 v
 
-(* Escape and blocked tokens must stay unique across router incarnations:
-   [single_update] tells a genuine [-token] result from an escape by the
-   token cells, and a second [make] over the same shards adopts their
-   control blocks, tokens included.  Incarnation 1 escapes once, leaving
-   token 2 in tid 0's escape cell on shard 0; incarnation 2's second
-   single-shard update returns -2 and must still apply exactly once. *)
+(* A single-shard update's result is returned as is, whatever its
+   value, also on a reopened router, which adopts the control blocks an
+   earlier incarnation left on its shards.  Incarnation 1 escapes once;
+   incarnation 2's second single-shard update returns -2 and must apply
+   exactly once. *)
 module Token_reuse (F : Tm.Tm_intf.S with type t = Lf.t) = struct
   module Sh = Tm.Tm_shard.Make (F)
 
@@ -659,6 +658,209 @@ end
 
 module Token_reuse_lf = Token_reuse (Lf)
 module Token_reuse_wf = Token_reuse (Wf)
+
+(* --- single-shard verdicts ------------------------------------------ *)
+
+(* A home execution's verdict leaves its shard transaction as an
+   exception, with nothing committed: [Blocked] when a batch froze the
+   shard, [Cross_escape] when the real data touches another shard.  The
+   scripts below reach both on purpose, on LF and on WF shards, and
+   count them with the router's step-free [router.blocked] and
+   [router.escapes] counters. *)
+module Verdicts (F : Tm.Tm_intf.S with type t = Lf.t) = struct
+  module Sh = Tm.Tm_shard.Make (F)
+
+  (* two persistent shards: roots 0 and 2 live on shard 0, root 1 on
+     shard 1 *)
+  let setup () =
+    let device = Region.create (2 * 4096) in
+    let views = Region.partition device [ 4096; 4096 ] in
+    let shards =
+      Array.of_list
+        (List.map
+           (fun v ->
+             Lf.create ~region:v ~instance:(Region.id v) ~max_threads:8
+               ~ws_cap:256 ())
+           views)
+    in
+    let tm = Sh.make ~max_threads:8 ~ro_snapshot:Lf.snapshot_ops shards in
+    let te = Telemetry.create () in
+    Array.iter (fun sh -> Lf.attach_telemetry sh te) shards;
+    Sh.attach_telemetry tm te;
+    let r = Sh.root tm in
+    (tm, te, r 0, r 1, r 2)
+
+  let get tm g = Sh.read_tx tm (fun tx -> Sh.load tx g)
+  let set tm g v = ignore (Sh.update_tx tm (fun tx -> Sh.store tx g v; 0))
+
+  (* the volatile word of a shard-0 cell, read without a step *)
+  let word tm l = (Region.peek (Lf.region (Sh.shards tm).(0)) l).Pmem.Word.v
+
+  let ( @? ) enabled t = if Array.mem t enabled then t else enabled.(0)
+
+  (* Fiber 0 leads a batch that transfers from root 0 to root 1; fiber 1
+     increments root 2, on shard 0.  Fiber 1 runs until its closure has
+     run on real data (the classify pre-pass serves 0), not yet
+     committed.  Fiber 0 then runs until shard 0's lock cell reads 1 and
+     is parked there, before it publishes its batch.  Fiber 1's commit
+     conflicts with the lock transaction; its retry reads the lock,
+     raises [Blocked] and commits nothing, and the fiber waits the
+     freeze out (it cannot help: nothing is published) until fiber 0
+     finishes the batch.  Under WF fiber 0's lock transaction aggregates
+     fiber 1's published operation, which raises [Blocked] there: that
+     attempt aborts, and fiber 0's next one commits the lock alone. *)
+  let blocked () =
+    let tm, te, r0, r1, r2 = setup () in
+    set tm r0 100;
+    set tm r2 10;
+    let lock = ctl_base (Sh.shards tm).(0) in
+    let ran = ref false in
+    let transfer () =
+      ignore
+        (Sh.update_tx tm (fun tx ->
+             let a = Sh.load tx r0 in
+             let b = Sh.load tx r1 in
+             Sh.store tx r0 (a - 5);
+             Sh.store tx r1 (b + 5);
+             0))
+    in
+    let bump () =
+      ignore
+        (Sh.update_tx tm (fun tx ->
+             let v = Sh.load tx r2 in
+             if v <> 0 then ran := true;
+             Sh.store tx r2 (v + 1);
+             0))
+    in
+    let n_blocked () = Telemetry.get te "router.blocked" in
+    let aggregated () = Telemetry.get te "s0.wf.aggregated" in
+    let phase = ref `Execute and waited = ref 0 and agg = ref 0 in
+    let frozen = ref None in
+    let pick ~step:_ ~enabled ~last:_ =
+      (match !phase with
+      | `Execute when !ran ->
+          agg := aggregated ();
+          phase := `Freeze
+      | `Freeze when word tm lock <> 0 ->
+          agg := aggregated () - !agg;
+          phase := `Wait
+      | `Wait when (n_blocked () > 0 && !waited >= 300) || !waited >= 20_000 ->
+          frozen := Some (word tm r2, Array.mem 1 enabled, n_blocked ());
+          phase := `Finish
+      | _ -> ());
+      match !phase with
+      | `Execute -> enabled @? 1
+      | `Freeze -> enabled @? 0
+      | `Wait ->
+          if n_blocked () > 0 then incr waited;
+          enabled @? 1
+      | `Finish -> enabled @? 0
+    in
+    ignore (Sched.run_controlled ~max_steps:200_000 ~pick [| transfer; bump |]);
+    check
+      (Alcotest.option (Alcotest.triple int bool int))
+      "frozen: one Blocked verdict, nothing committed, still waiting"
+      (Some (10, true, 1)) !frozen;
+    check int "applied once after the batch" 11 (get tm r2);
+    check int "the batch applied" 95 (get tm r0);
+    check int "the batch applied on shard 1" 5 (get tm r1);
+    check int "one Blocked verdict in all" 1 (n_blocked ());
+    check int "no escape" 0 (Telemetry.get te "router.escapes");
+    !agg
+
+  (* An execution that allocates a block and stores on its home shard,
+     then escapes, leaves neither behind: the escape abandons the shard
+     transaction whole.  The closure then fails on the cross path, where
+     its write-ahead block is rolled back, so nothing of it remains. *)
+  let escape_leaves_nothing () =
+    let tm, te, r0, r1, r2 = setup () in
+    set tm r0 1;
+    set tm r2 10;
+    let cells () = Array.map Lf.allocated_cells (Sh.shards tm) in
+    let base = cells () in
+    (match
+       Sh.update_tx tm (fun tx ->
+           let v = Sh.load tx r0 in
+           let p = Sh.alloc tx 2 in
+           Sh.store tx p 7;
+           Sh.store tx r2 (Sh.load tx r2 + 1);
+           (* classify serves v = 0 and predicts shard 0; on real data the
+              home execution loads root 1, on shard 1, and escapes *)
+           if v <> 0 && Sh.load tx r1 >= 0 then failwith "fails on the cross path";
+           p)
+     with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.fail "the cross path's failure was lost");
+    check (Alcotest.array int) "no block left behind" base (cells ());
+    check int "no store left behind" 10 (get tm r2);
+    check int "one escape" 1 (Telemetry.get te "router.escapes");
+    check int "no Blocked verdict" 0 (Telemetry.get te "router.blocked")
+end
+
+module Verdicts_lf = Verdicts (Lf)
+module Verdicts_wf = Verdicts (Wf)
+
+let test_blocked_lf () =
+  check int "LF: no aggregate" 0 (Verdicts_lf.blocked ())
+
+let test_blocked_wf () =
+  (* fiber 0 runs its lock operation, fiber 1's operation (which raises
+     Blocked), and its lock operation again *)
+  check int "WF: fiber 1's operation ran in fiber 0's aggregate" 3
+    (Verdicts_wf.blocked ())
+
+(* WF: fiber 1's update escapes (the classify pre-pass serves root 0 as
+   0 and predicts shard 0; on real data it writes root 1, on shard 1).
+   Fiber 1 is parked right after it publishes its operation on shard 0,
+   and fiber 0's increment of root 2 aggregates it: the closure escapes
+   inside fiber 0's aggregate, which aborts that attempt, and fiber 0's
+   next attempt commits its own increment alone.  Fiber 1 then cancels
+   its operation, escapes on its own and goes cross: its increment
+   applies once. *)
+let test_escape_in_aggregate_wf () =
+  let module V = Verdicts_wf in
+  let tm, te, r0, r1, r2 = V.setup () in
+  V.set tm r0 1;
+  V.set tm r2 10;
+  let sh0 = (V.Sh.shards tm).(0) in
+  let runners = ref [] in
+  let escaping () =
+    ignore
+      (V.Sh.update_tx tm (fun tx ->
+           if V.Sh.load tx r0 <> 0 then begin
+             runners := Sched.self () :: !runners;
+             V.Sh.store tx r1 (V.Sh.load tx r1 + 1)
+           end;
+           0))
+  in
+  let bump () =
+    ignore
+      (V.Sh.update_tx tm (fun tx ->
+           V.Sh.store tx r2 (V.Sh.load tx r2 + 1);
+           0))
+  in
+  let after_bump = ref None in
+  let pick ~step:_ ~enabled ~last:_ =
+    let has t = Array.mem t enabled in
+    if (not (Onefile.Core0.published sh0 1)) && !after_bump = None then
+      V.(enabled @? 1)
+    else if has 0 then 0
+    else begin
+      if !after_bump = None then
+        after_bump := Some (V.word tm r2, !runners, Telemetry.get te "router.escapes");
+      V.(enabled @? 1)
+    end
+  in
+  ignore
+    (Sched.run_controlled ~max_steps:200_000 ~pick [| bump; escaping |]);
+  check
+    (Alcotest.option (Alcotest.triple int (Alcotest.list int) int))
+    "fiber 0 committed alone, having run fiber 1's closure, which escaped"
+    (Some (11, [ 0 ], 0)) !after_bump;
+  check int "the escaped increment applied once" 1 (V.get tm r1);
+  check int "the aggregator's increment" 11 (V.get tm r2);
+  check int "one escape verdict" 1 (Telemetry.get te "router.escapes");
+  check int "no Blocked verdict" 0 (Telemetry.get te "router.blocked")
 
 (* --- capture scoping and batch-pinned reads ------------------------- *)
 
@@ -826,13 +1028,13 @@ let test_batch_pin_dropped_for_alloc () =
 
 (* --- elastic sharding: live range migration ------------------------ *)
 
-(* shard-0 control appendix mirror (max_pending 32, max_threads 8,
-   max_writes 64, max_frees 32, max_ranges 8): batch record, then map,
-   then migration record *)
+(* shard-0 control appendix mirror (max_pending 32, max_writes 64,
+   max_frees 32, max_ranges 8): batch record, then map, then migration
+   record *)
 let rec_cells = 5 + (2 * 64) + 32
 let map_base sh0 = ctl_base sh0 + ctl_cells + rec_cells
 let mig_base sh0 = map_base sh0 + Tm.Shard_map.cells ~max_ranges:8
-let mighold sh = ctl_base sh + 3 + 32 + (2 * 8)
+let mighold sh = ctl_base sh + 3 + 32
 
 let ok = Alcotest.of_pp (fun ppf -> function
   | `Ok -> Fmt.string ppf "Ok"
@@ -1277,6 +1479,17 @@ let () =
             Token_reuse_lf.run;
           Alcotest.test_case "reopened-token-unique-wf" `Quick
             Token_reuse_wf.run;
+        ] );
+      ( "verdicts",
+        [
+          Alcotest.test_case "blocked-while-frozen-lf" `Quick test_blocked_lf;
+          Alcotest.test_case "blocked-while-frozen-wf" `Quick test_blocked_wf;
+          Alcotest.test_case "escape-in-aggregate-wf" `Quick
+            test_escape_in_aggregate_wf;
+          Alcotest.test_case "escape-leaves-nothing-lf" `Quick
+            Verdicts_lf.escape_leaves_nothing;
+          Alcotest.test_case "escape-leaves-nothing-wf" `Quick
+            Verdicts_wf.escape_leaves_nothing;
         ] );
       ( "capture-scope",
         [
