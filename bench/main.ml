@@ -498,14 +498,13 @@ let fig_crashes () =
           [
             float_of_int r.Crash_campaign.trials;
             float_of_int r.torn;
-            float_of_int r.regressed;
             float_of_int r.leaked;
           ] ))
       campaigns
   in
   emit ~label_col:"campaign"
     ~title:"Crash-recovery campaign (whole-system crash at swept points)"
-    ~columns:[ "trials"; "torn"; "regressed"; "leaked" ]
+    ~columns:[ "trials"; "torn"; "leaked" ]
     ~better:J.Lower_better rows
 
 (* ------------------------------------------------------------------ *)
@@ -612,46 +611,6 @@ let fig_table1 () =
     ~nw:8;
   measure "Persistence-cost table (per update transaction, Nw = 4 modified words)"
     ~nw:4
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks *)
-
-let micro () =
-  let open Bechamel in
-  let lf = Lf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~ws_cap:64 () in
-  let wf = Wf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~ws_cap:64 () in
-  let lfp = Lf.create ~mode:Region.Persistent ~size:(1 lsl 14) ~ws_cap:64 () in
-  let r0 = Lf.root lf 0 in
-  let tests =
-    Test.make_grouped ~name:"onefile"
-      [
-        Test.make ~name:"lf-update-1w"
-          (Staged.stage (fun () ->
-               ignore (Lf.update_tx lf (fun tx -> Lf.store tx r0 1; 0))));
-        Test.make ~name:"wf-update-1w"
-          (Staged.stage (fun () ->
-               ignore (Wf.update_tx wf (fun tx -> Wf.store tx (Wf.root wf 0) 1; 0))));
-        Test.make ~name:"lf-read-1w"
-          (Staged.stage (fun () -> ignore (Lf.read_tx lf (fun tx -> Lf.load tx r0))));
-        Test.make ~name:"ptm-update-1w"
-          (Staged.stage (fun () ->
-               ignore (Lf.update_tx lfp (fun tx -> Lf.store tx (Lf.root lfp 0) 1; 0))));
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results = Analyze.all ols instance raw in
-  pr "@.# Primitive costs (real wall-clock, single thread, no simulator)@.";
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> pr "%-32s %10.0f ns/op@." name est
-      | _ -> pr "%-32s (no estimate)@." name)
-    results
 
 (* ------------------------------------------------------------------ *)
 (* Hot-path cost trajectory (extension).
@@ -771,8 +730,8 @@ let fig_hotpath mode =
     [ ("OF-LF", List.map snd lf_pts); ("OF-WF", List.map snd wf_pts) ];
   (* 4. Helper work under write-write contention: 8 threads hammering
      overlapping 12-word write sets.  Raw deterministic counts (Info):
-     helps = foreign write-sets applied, early-exits = helper apply loops
-     abandoned at a K-entry request re-check, dcas-fail = DCAS attempts
+     helps = foreign write-sets applied, early-exits = helps that found
+     the request closed after copying a chunk, dcas-fail = DCAS attempts
      that lost their race. *)
   let contention (type a) (module T : Tm.Tm_intf.S with type t = a) (t : a)
       ~seed =
@@ -1116,8 +1075,6 @@ let figures =
       run = (fun _ -> fig_crashes ()) };
     { name = "ablation"; title = "design-choice ablations (extension)"; gate = false;
       run = fig_ablation };
-    { name = "micro"; title = "bechamel primitive micro-benchmarks"; gate = false;
-      run = (fun _ -> micro ()) };
     { name = "hotpath";
       title = "hot-path cost trajectory: alloc/op, pwb per tx, helper work (extension)";
       gate = true; run = fig_hotpath };

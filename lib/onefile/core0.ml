@@ -27,7 +27,8 @@
    resurrect a half-persisted transaction that recovery no longer knows
    about.  A helper of a split WF log skips that write-back once chunk 0's
    claim word shows a claim: only a thread that already wrote curTx back
-   claims chunk 0 — the owner, or recovery ([put], [apply]).
+   claims chunk 0 — the owner, or a helper that presumes the owner
+   stalled and so applies what the owner held ([put], [help]).
 
    That note, and the rest of the correctness argument, are checkable: the
    [Check.Tmcheck] sanitizer (attached with [sanitize]) observes every
@@ -680,15 +681,14 @@ let rec decide_capture inst ~seq =
    help); no other simulator metric worse by over 1.4%.  The benchmark's
    pwb/op bound is 2%, so the stamp stays.
 
-   A helper of a split log passes [signal = 0]: before that first DCAS
-   it reads chunk 0's claim word, and writes curTx back only when the
-   word is below [2 seq].  Chunk 0 is claimed, with a CAS, only by a
-   thread that already wrote curTx back for [seq] (the owner, or
-   recovery; see [apply]), and every other raise of the word (a done
-   mark) follows DCASes for [seq] that obeyed this rule, so a word at
-   [2 seq] or above means the durable curTx is >= [seq] already
-   (DESIGN.md §6).
-   Every other applier passes [-1] and always writes back.
+   Only a helper of a split log that has not presumed its owner stalled
+   ([help]) reaches that DCAS without its stamp; it writes curTx back
+   only when chunk [signal]'s claim word (chunk 0's, but for the planted
+   [early_curtx_signal]) is below [2 seq].  Chunk 0 is claimed, with a
+   CAS, only after a curTx write-back for [seq], and every other raise
+   of the word (a done mark) follows DCASes for [seq] that obeyed this
+   rule, so a word at [2 seq] or above means the durable curTx is >=
+   [seq] already (DESIGN.md §6).
 
    Under a capturing decision the word about to be overwritten is
    installed in the version store before the winning CAS: it covered the
@@ -701,7 +701,7 @@ let rec put inst ~me ~signal ~seq ~cap addr v =
   let w = Region.load inst.region addr in
   if w.Word.s < seq then begin
     if inst.curtx_stamp.(me) < seq then begin
-      if signal < 0 || Satomic.get inst.chunk_st.(signal) < 2 * seq then
+      if Satomic.get inst.chunk_st.(signal) < 2 * seq then
         Region.pwb inst.region curtx_cell;
       inst.curtx_stamp.(me) <- seq
     end;
@@ -715,7 +715,7 @@ let rec put inst ~me ~signal ~seq ~cap addr v =
 (* thread 0's put, counted as its curTx write-back for [seq] *)
 let put_one inst ~seq addr v =
   inst.curtx_stamp.(0) <- max seq inst.curtx_stamp.(0);
-  put inst ~me:0 ~signal:(-1) ~seq ~cap:(decide_capture inst ~seq) addr v
+  put inst ~me:0 ~signal:0 ~seq ~cap:(decide_capture inst ~seq) addr v
 
 let close_request inst ~tid ~seq =
   let cell = req_cell inst tid in
@@ -743,11 +743,12 @@ let close_request inst ~tid ~seq =
    aggregator and every helper claim chunks, apply their puts, write
    back their lines and then mark them done; each then waits for the
    chunks others claimed ([apply]).  Chunk 0 is claimed only after a
-   curTx write-back — the aggregator's, or recovery's — which spares
-   the helpers theirs ([put]).  Every other log — an LF commit's,
-   or one of at most [chunk_len] entries — is one chunk that every
-   applier runs whole, without claims: the single pass the paper
-   describes. *)
+   curTx write-back — the aggregator's, or that of a helper that
+   presumes it stalled — which spares the other helpers theirs ([put]).
+   Every other log — an LF commit's, or one of at most [chunk_len]
+   entries — counts as one chunk, chunk 0: its owner applies it whole,
+   the single pass the paper describes, and a helper claims its chunks
+   only once it presumes the owner stalled ([help]). *)
 
 (* Logs the WF aggregator splits: those of more than one chunk.  Keeping
    logs of two chunks whole takes hotpath OF-WF update-8w, whose
@@ -842,61 +843,31 @@ let mark_done inst ~seq k =
   if not (Satomic.compare_and_set cell (2 * seq) ((2 * seq) + 1)) then
     cas_max cell ((2 * seq) + 1)
 
-(* Puts of entries [lo, hi) of commit [seq], in the order [lo + off] ..
-   [hi - 1], [lo] .. [lo + off - 1].  A helper running a whole log passes
-   the owner's tid in [check] (-1 for none): it re-reads the request
-   every [chunk_len] puts (paper §III-B: "helpers check that the
-   transaction is still open") and stops with [false] once it closed. *)
-(* flowlint: bounded i strictly increases to hi - lo *)
-let rec put_range inst ~me ~signal ~seq ~cap ~check addrs vals ~lo ~hi ~off
-    i =
-  let len = hi - lo in
-  if i >= len then true
-  else if
-    check >= 0
-    && i > 0
-    && i land (chunk_len - 1) = 0
-    && req_closed inst ~tid:check ~seq
-  then false
-  else begin
-    let j = lo + if off + i >= len then off + i - len else off + i in
-    put inst ~me ~signal ~seq ~cap addrs.(j) vals.(j);
-    put_range inst ~me ~signal ~seq ~cap ~check addrs vals ~lo ~hi ~off (i + 1)
-  end
+(* Puts of entries [lo, hi) of commit [seq], in ascending address
+   order. *)
+let put_range inst ~me ~signal ~seq ~cap addrs vals ~lo ~hi =
+  for i = lo to hi - 1 do
+    put inst ~me ~signal ~seq ~cap addrs.(i) vals.(i)
+  done
 
-(* One pwb per cache line of the sorted entries [i, hi): a line's entries
-   are adjacent, so comparing with the previous entry's line flushes each
-   line once.  With [check], the request is re-read before the first
-   write-back and every [chunk_len] entries after it, so a helper that
-   resumes after the close writes back nothing. *)
-(* flowlint: bounded i strictly increases to hi *)
-let rec write_lines inst ~seq ~check addrs ~lo ~hi i last =
-  if i >= hi then true
-  else if
-    check >= 0
-    && (i - lo) land (chunk_len - 1) = 0
-    && req_closed inst ~tid:check ~seq
-  then false
-  else begin
-    let line = Region.line_of addrs.(i) in
-    if line <> last then Region.pwb inst.region addrs.(i);
-    write_lines inst ~seq ~check addrs ~lo ~hi (i + 1) line
-  end
-
-(* The write-back pass over entries [lo, hi).  The planted
+(* The write-back pass over the sorted entries [lo, hi): one pwb per
+   cache line, since a line's entries are adjacent and comparing with the
+   previous entry's line flushes each line once.  The planted
    [stale_dedup_flush] starts it with its own first line marked as
    already written back. *)
-let write_back inst ~seq ~check addrs ~lo ~hi =
-  let last =
-    if inst.faults.stale_dedup_flush && lo < hi then Region.line_of addrs.(lo)
-    else -1
-  in
-  write_lines inst ~seq ~check addrs ~lo ~hi lo last
+let write_back inst addrs ~lo ~hi =
+  let stale = inst.faults.stale_dedup_flush && lo < hi in
+  let last = ref (if stale then Region.line_of addrs.(lo) else -1) in
+  for i = lo to hi - 1 do
+    let line = Region.line_of addrs.(i) in
+    if line <> !last then Region.pwb inst.region addrs.(i);
+    last := line
+  done
 
 (* Copy into [addrs]/[vals], at their log positions, the entries of
    [tid]'s log from [i] on: up to entry [past], and then while an entry
    shares the line of the one before it — so [chunk_start] of the chunk
-   that ends at [past] is known.  [~past:n] from 0 copies the whole log. *)
+   that ends at [past] is known. *)
 (* flowlint: bounded i strictly increases to n *)
 let rec copy_entries inst ~tid ~n ~past addrs vals i =
   if i < n then begin
@@ -909,7 +880,8 @@ let rec copy_entries inst ~tid ~n ~past addrs vals i =
 
 (* Apply chunk [k] of commit [seq] of [tid]'s [n]-entry log.  The owner's
    [addrs]/[vals] hold its whole sorted log; a helper first copies the
-   entries that fix the chunk's bounds and re-reads the request, and
+   entries that fix the chunk's bounds and re-reads the request, which
+   validates the copy (an open request's log is not recycled), and
    returns [false] if it closed.  Then the puts, with chunk 0's claim as
    the curTx signal ([put]), the write-back of the chunk's lines, and the
    done mark. *)
@@ -922,11 +894,10 @@ let run_chunk inst ~me ~tid ~seq ~n ~cap ~owner addrs vals k =
   &&
   let lo = chunk_start addrs ~n k and hi = chunk_start addrs ~n (k + 1) in
   let signal = if inst.faults.early_curtx_signal then k else 0 in
-  ignore
-    (put_range inst ~me ~signal ~seq ~cap ~check:(-1) addrs vals ~lo ~hi ~off:0 0);
+  put_range inst ~me ~signal ~seq ~cap addrs vals ~lo ~hi;
   let early = inst.faults.early_chunk_done in
   if early then mark_done inst ~seq k;
-  ignore (write_back inst ~seq ~check:(-1) addrs ~lo ~hi);
+  write_back inst addrs ~lo ~hi;
   if not early then mark_done inst ~seq k;
   true
 
@@ -957,9 +928,10 @@ let rec claim_pass inst ~me ~tid ~seq ~n ~first ~nc ~cap ~owner addrs vals
      commit's request ([wait_claim], [wait_close]).  tx.claim_waits
      counts the polls of both phases that found the wait going on.
    - The chunk wait of a split apply ([wait_pass]), per applier and
-     commit: reads of a chunk word that another thread claimed.
-     tx.chunk_waits counts them, tx.chunk_timeouts the waits that spent
-     the budget.
+     commit: reads of a chunk word that another thread claimed; and a
+     helper's wait for the owner of a one-chunk log ([help]): reads of
+     its request.  tx.chunk_waits counts them, tx.chunk_timeouts the
+     waits that spent the budget.
    WF budget sweeps at 8/16/32/64/128/256, with the share of operations
    that spent the budget:
    - wf-kv-write (benchmark/run.exe, seed 1, --seconds 2): 88%/88%/77%/
@@ -1017,78 +989,91 @@ let rec wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start i
       && wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start
            (i + 1) 0
 
-(* Where an applier of [tid]'s commit starts among chunks or entries
-   [first, m): the owner ([me = tid]) at [first], a helper spread by its
-   tid distance. *)
-let spread inst ~me ~tid ~first m =
+(* Where an applier of [tid]'s commit starts among chunks [first, nc):
+   the owner ([me = tid]) at [first], a helper spread by its tid
+   distance. *)
+let spread inst ~me ~tid ~first nc =
   let mt = inst.max_threads in
-  first + ((me - tid + mt) mod mt * (m - first) / mt)
+  first + ((me - tid + mt) mod mt * (nc - first) / mt)
 
 (* The one apply routine, for the [owner] of commit [seq] ([tid = me],
-   [addrs]/[vals] holding its sorted log) and for its helpers.  A split
-   log is claimed chunk by chunk, then waited for; the owner starts at
-   chunk 0 and a helper at a chunk of [1, nc) spread by its tid distance
-   from the owner, so they take different chunks.  Chunk 0's claim is
-   the curTx signal ([put]), so only a thread whose stamp shows curTx
-   written back for [seq] claims it: the owner, or recovery ([recover]);
-   any other helper applies chunk 0 only once its wait for it spends the
-   budget.  Any other log is one chunk that
-   everyone applies whole: the owner from entry 0, a helper from an entry
-   spread the same way, so the two split the puts instead of trailing
-   one another (each put is idempotent under the sequence guard and a
-   capture dedups on (addr, del), so the order is free).  Returns [true]
-   when every entry is applied and written back, by this thread or by
-   the threads whose chunks it waited for; a helper returns [false] when
-   it found the request closed, which its closer did only after that. *)
+   [addrs]/[vals] holding its sorted log) and for its helpers.  The owner
+   of a one-chunk log applies it whole.  Otherwise the log is claimed
+   chunk by chunk, then waited for; the owner starts at chunk 0 and a
+   helper at a chunk spread by its tid distance from the owner.  Only a
+   thread whose stamp shows curTx written back for [seq] claims chunk 0,
+   the curTx signal ([put]); any other helper claims from chunk 1 and
+   applies chunk 0 only once its wait for it spends the budget.  Puts
+   run in ascending address order.  Returns [true] when every entry is
+   applied and written back, by this thread or by the threads whose
+   chunks it waited for; a helper returns [false] when it found the
+   request closed, which its closer did only after that. *)
 let apply inst ~me ~tid ~seq ~n ~split ~owner addrs vals =
   let cap = decide_capture inst ~seq in
-  (* the planted [skip_help_curtx_pwb]: a helper takes its stamp as set *)
-  if inst.faults.skip_help_curtx_pwb then
-    inst.curtx_stamp.(me) <- max seq inst.curtx_stamp.(me);
-  if split then begin
+  if owner && not split then begin
+    put_range inst ~me ~signal:0 ~seq ~cap addrs vals ~lo:0 ~hi:n;
+    write_back inst addrs ~lo:0 ~hi:n;
+    true
+  end
+  else
     let nc = nchunks n
     and first = if inst.curtx_stamp.(me) >= seq then 0 else 1 in
     let start = spread inst ~me ~tid ~first nc in
     claim_pass inst ~me ~tid ~seq ~n ~first ~nc ~cap ~owner addrs vals start 0
     && wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start 0
          claim_budget
-  end
-  else
-    let check = if owner then -1 else tid in
-    put_range inst ~me ~signal:(-1) ~seq ~cap ~check addrs vals ~lo:0 ~hi:n
-      ~off:(spread inst ~me ~tid ~first:0 n) 0
-    && write_back inst ~seq ~check addrs ~lo:0 ~hi:n
 
-(* Help the committed-but-possibly-unapplied transaction [ct].  A split
-   log is copied chunk by chunk as the helper claims them ([run_chunk]);
-   any other is copied whole and the request re-read first — the log
-   cannot have been recycled while the request is still open.  The
-   helper closes the request once the whole log is applied. *)
-let help inst ~me (ct : Word.t) =
+(* A helper's wait for the owner of a one-chunk log: [true] once [tid]'s
+   request for [seq] closed, [false] when [budget] polls found it open. *)
+(* flowlint: bounded budget strictly decreases to 0 *)
+let rec owner_closes inst ~tid ~seq budget =
+  budget > 0
+  && (req_closed inst ~tid ~seq
+     || begin
+          Telemetry.tick inst.c_chunk_waits;
+          if budget = 1 then Telemetry.tick inst.c_chunk_timeouts;
+          owner_closes inst ~tid ~seq (budget - 1)
+        end)
+
+(* Help the committed-but-possibly-unapplied transaction [ct], applying
+   nothing a running owner holds: chunk 0 of a split log ([apply]), or
+   the whole of a one-chunk log, whose request the helper polls for one
+   [claim_budget], returning at the close.  Once that budget is spent,
+   or when the caller [waited] it out already (an LF claim loser, or
+   recovery, which has no owner), the helper presumes the owner stalled:
+   it writes curTx back and claims chunks from chunk 0, so the helpers of
+   a stalled owner split its log instead of racing over it.  The helper
+   closes the request once the whole log is applied. *)
+let help inst ~me ?(waited = false) (ct : Word.t) =
   let region = inst.region in
   let tid = ct.Word.s and seq = ct.Word.v in
   let req = Region.load region (req_cell inst tid) in
   (if req.Word.v = seq then begin
      let hdr = Region.load region (nstores_cell inst tid) in
      let n = hdr.Word.v and split = hdr.Word.s = 1 in
-     if n >= 0 && n <= inst.ws_cap then begin
-       let addrs = inst.scratch_addrs.(me) and vals = inst.scratch_vals.(me) in
+     if
+       n >= 0 && n <= inst.ws_cap
+       && (split || waited || not (owner_closes inst ~tid ~seq claim_budget))
+     then begin
+       let stalled = waited || not split in
+       (* the planted [skip_help_curtx_pwb]: a helper takes its stamp as set *)
+       if inst.faults.skip_help_curtx_pwb then
+         inst.curtx_stamp.(me) <- max seq inst.curtx_stamp.(me);
+       if stalled && inst.curtx_stamp.(me) < seq then begin
+         Region.pwb region curtx_cell;
+         inst.curtx_stamp.(me) <- seq
+       end;
+       if tid <> me then begin
+         (stats inst).Pstats.helps <- (stats inst).Pstats.helps + 1;
+         Telemetry.tick inst.c_helps
+       end;
        if
-         split
-         ||
-         (copy_entries inst ~tid ~n ~past:n addrs vals 0;
-          not (req_closed inst ~tid ~seq))
-       then begin
-         if tid <> me then begin
-           (stats inst).Pstats.helps <- (stats inst).Pstats.helps + 1;
-           Telemetry.tick inst.c_helps
-         end;
-         if apply inst ~me ~tid ~seq ~n ~split ~owner:false addrs vals then
-           close_request inst ~tid ~seq
-         else begin
-           (stats inst).Pstats.help_exits <- (stats inst).Pstats.help_exits + 1;
-           Telemetry.tick inst.c_help_exits
-         end
+         apply inst ~me ~tid ~seq ~n ~split ~owner:false inst.scratch_addrs.(me)
+           inst.scratch_vals.(me)
+       then close_request inst ~tid ~seq
+       else begin
+         (stats inst).Pstats.help_exits <- (stats inst).Pstats.help_exits + 1;
+         Telemetry.tick inst.c_help_exits
        end
      end
    end);
@@ -1456,7 +1441,7 @@ let rec wait_close inst ~me (ct : Word.t) budget =
   if inst.faults.early_retry then ct
   else if budget = 0 then begin
     Telemetry.tick inst.c_claim_timeouts;
-    help inst ~me ct;
+    help inst ~me ~waited:true ct;
     ct
   end
   else if not (is_open inst ct) then ct
@@ -1684,18 +1669,13 @@ let wf_update_tx inst f =
   let rec loop budget =
     let ackw = Region.load region_ (ack_cell inst me) in
     if ackw.Word.v = opid then begin
-      let resw = Region.load region_ (res_cell inst me) in
+      (* every applier puts the result, one cell below the
+         acknowledgment on its line, before the acknowledgment *)
+      let r = (Region.load region_ (res_cell inst me)).Word.v in
       unpublish ~del:ackw.Word.s;
       (* session order for snapshot reads: a snap_read_tx issued by this
-         thread after we return must observe this operation's commit.
-         That also finishes the commit's apply.  A striped helper may put
-         the acknowledgment before the result, so a result word older
-         than the acknowledgment is read again once the apply is done. *)
+         thread after we return must observe this operation's commit *)
       ensure_stable inst ~me ackw.Word.s;
-      let r =
-        if resw.Word.s = ackw.Word.s then resw.Word.v
-        else (Region.load region_ (res_cell inst me)).Word.v
-      in
       Telemetry.observe inst.s_latency (Sched.now () - t0 + 1);
       r
     end
@@ -1810,13 +1790,8 @@ let recover inst =
   let ct = read_curtx inst in
   if is_open inst ct then begin
     Telemetry.tick inst.c_rec_helped;
-    (* no owner is left to claim chunk 0 of a split log: recovery writes
-       curTx back first, so it may claim chunk 0 itself ([apply]) *)
-    if (Region.load inst.region (nstores_cell inst ct.Word.s)).Word.s = 1 then begin
-      Region.pwb inst.region curtx_cell;
-      inst.curtx_stamp.(0) <- ct.Word.v
-    end;
-    help inst ~me:0 ct
+    (* no owner is left to wait for *)
+    help inst ~me:0 ~waited:true ct
   end;
   (* The snapshot version store is volatile: rebuild epoch bookkeeping from
      the durable image.  Pre-crash readers are gone, so no era pins or

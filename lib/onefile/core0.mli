@@ -145,8 +145,9 @@ val attach_telemetry : t -> Runtime.Telemetry.t -> unit
     of the winning commit's request), "tx.claim_timeouts" (waits that
     spent their whole budget: per WF operation, per LF attempt),
     "tx.chunk_waits" (polls of a chunk another thread claimed, while a
-    chunked WF redo log is applied), "tx.chunk_timeouts" (chunk waits
-    that spent their whole budget),
+    chunked WF redo log is applied, and a helper's polls of the request
+    of a one-chunk log's owner), "tx.chunk_timeouts" (chunk waits that
+    spent their whole budget),
     "recovery.runs",
     "recovery.helped", "ro.captures" (versions handed to the version
     store), spans "tx.latency" and "ro.snapshot_lag"),
@@ -242,4 +243,10 @@ val publish_log : t -> me:int -> Writeset.t -> seq:int -> split:bool -> unit
     it as applied chunk by chunk (a WF aggregate of more than one
     chunk). *)
 
-val help : t -> me:int -> Pmem.Word.t -> unit
+val help : t -> me:int -> ?waited:bool -> Pmem.Word.t -> unit
+(** Help the open commit [ct] as thread [me].  The helper of a one-chunk
+    log first polls the owner's request for [claim_budget] (64) polls
+    and returns at its close having applied nothing; [waited] (default
+    false) says the caller already waited that long.  Past that wait the
+    helper presumes the owner stalled: it writes curTx back and claims
+    the log's chunks from chunk 0. *)

@@ -3,30 +3,29 @@ module Region = Pmem.Region
 module Lf = Onefile.Onefile_lf
 module Wf = Onefile.Onefile_wf
 
-type report = { trials : int; torn : int; regressed : int; leaked : int }
+type report = { trials : int; torn : int; leaked : int }
 
 let pp ppf r =
-  Format.fprintf ppf "%d trials: torn=%d regressed=%d leaked=%d" r.trials
-    r.torn r.regressed r.leaked
+  Format.fprintf ppf "%d trials: torn=%d leaked=%d" r.trials r.torn r.leaked
 
-let empty = { trials = 0; torn = 0; regressed = 0; leaked = 0 }
+let empty = { trials = 0; torn = 0; leaked = 0 }
 
 let add a b =
-  {
-    trials = a.trials + b.trials;
-    torn = a.torn + b.torn;
-    regressed = a.regressed + b.regressed;
-    leaked = a.leaked + b.leaked;
-  }
+  { trials = a.trials + b.trials; torn = a.torn + b.torn; leaked = a.leaked + b.leaked }
 
-(* One trial skeleton: build, run [stop] rounds, crash, recover, audit. *)
-let trial ~stop ~evict ~build ~workload ~recover ~audit =
-  let ctx = build () in
-  ignore (Sched.run ~seed:stop ~max_rounds:stop (workload ctx));
-  let region, rng = (fst ctx, Rng.create stop) in
-  Region.crash region ~evict_fraction:evict ~rng ();
-  recover ctx;
-  audit ctx
+(* One campaign: trial [k] of [1 .. trials] builds, runs [stop k] rounds,
+   crashes, recovers and audits; the reports add up. *)
+let campaign ~trials ~stop ~evict ~build ~workload ~recover ~audit =
+  let r = ref empty in
+  for k = 1 to trials do
+    let stop = stop k in
+    let ctx = build () in
+    ignore (Sched.run ~seed:stop ~max_rounds:stop (workload ctx));
+    Region.crash (fst ctx) ~evict_fraction:evict ~rng:(Rng.create stop) ();
+    recover ctx;
+    r := add !r (audit ctx)
+  done;
+  !r
 
 (* --- OneFile SPS ------------------------------------------------- *)
 
@@ -68,18 +67,10 @@ let onefile_sps ~wf ~trials ?(evict = 0.0) ?(sanitize = false) ?telemetry () =
   let audit (_, (_, sps)) =
     let sum = Sps_lf.checksum sps in
     let expected = n * (n - 1) / 2 in
-    {
-      trials = 1;
-      torn = (if sum <> expected then 1 else 0);
-      regressed = 0;
-      leaked = 0;
-    }
+    { trials = 1; torn = (if sum <> expected then 1 else 0); leaked = 0 }
   in
-  let r = ref empty in
-  for stop = 1 to trials do
-    r := add !r (trial ~stop:(5 + (stop * 7)) ~evict ~build ~workload ~recover ~audit)
-  done;
-  !r
+  campaign ~trials ~stop:(fun k -> 5 + (k * 7)) ~evict ~build ~workload ~recover
+    ~audit
 
 (* --- OneFile two queues ------------------------------------------ *)
 
@@ -119,13 +110,10 @@ let onefile_queues ~wf ~trials ?(evict = 0.0) ?(sanitize = false) ?telemetry () 
     let l = List.sort compare (Q.to_list q1 @ Q.to_list q2) in
     let torn = if l <> List.init items (fun i -> i + 1) then 1 else 0 in
     let leaked = if Lf.allocated_cells tm <> base then 1 else 0 in
-    { trials = 1; torn; regressed = 0; leaked }
+    { trials = 1; torn; leaked }
   in
-  let r = ref empty in
-  for stop = 1 to trials do
-    r := add !r (trial ~stop:(5 + (stop * 7)) ~evict ~build ~workload ~recover ~audit)
-  done;
-  !r
+  campaign ~trials ~stop:(fun k -> 5 + (k * 7)) ~evict ~build ~workload ~recover
+    ~audit
 
 (* --- OneFile tree set -------------------------------------------- *)
 
@@ -169,42 +157,33 @@ let onefile_tree ~wf ~trials ?(evict = 0.0) ?(sanitize = false) ?telemetry () =
       then 1
       else 0
     in
-    { trials = 1; torn = (if sound then 0 else 1); regressed = 0; leaked }
+    { trials = 1; torn = (if sound then 0 else 1); leaked }
   in
-  let r = ref empty in
-  for stop = 1 to trials do
-    r := add !r (trial ~stop:(9 + (stop * 11)) ~evict ~build ~workload ~recover ~audit)
-  done;
-  !r
+  campaign ~trials ~stop:(fun k -> 9 + (k * 11)) ~evict ~build ~workload ~recover
+    ~audit
 
 (* --- Romulus / PMDK SPS pairs ------------------------------------ *)
 
 let pair_campaign ~trials ~evict ~mk ~update ~read ~recover_fn ~region_fn =
-  let r = ref empty in
-  for k = 1 to trials do
-    let stop = 5 + (k * 7) in
+  let build () =
     let t = mk () in
-    let r0 = ref 0 and r1 = ref 0 in
-    let workload =
-      Array.init 3 (fun i () ->
-          let rng = Rng.create (200 + i) in
-          while Sched.now () < max_int do
-            let x = Rng.int rng 100_000 in
-            ignore
-              (update t (fun store2 -> store2 x))
-          done)
-    in
-    ignore r0;
-    ignore r1;
-    ignore (Sched.run ~seed:stop ~max_rounds:stop workload);
-    Region.crash (region_fn t) ~evict_fraction:evict ~rng:(Rng.create stop) ();
-    recover_fn t;
+    (region_fn t, t)
+  in
+  let workload (_, t) =
+    Array.init 3 (fun i () ->
+        let rng = Rng.create (200 + i) in
+        while Sched.now () < max_int do
+          let x = Rng.int rng 100_000 in
+          ignore (update t (fun store2 -> store2 x))
+        done)
+  in
+  let recover (_, t) = recover_fn t in
+  let audit (_, t) =
     let a, b = read t in
-    r :=
-      add !r
-        { trials = 1; torn = (if a <> b then 1 else 0); regressed = 0; leaked = 0 }
-  done;
-  !r
+    { trials = 1; torn = (if a <> b then 1 else 0); leaked = 0 }
+  in
+  campaign ~trials ~stop:(fun k -> 5 + (k * 7)) ~evict ~build ~workload ~recover
+    ~audit
 
 let romulus_sps ~lr ~trials ?(evict = 0.0) () =
   let module R = Baselines.Romulus_log in

@@ -9,7 +9,6 @@
 type report = {
   trials : int;
   torn : int;  (** recovered state violated atomicity *)
-  regressed : int;  (** recovered state was never a committed state *)
   leaked : int;  (** allocator leaked or lost cells *)
 }
 

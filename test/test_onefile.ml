@@ -530,13 +530,13 @@ let test_wf_raise_in_one_aggregate () =
   check (Alcotest.list int) "the other operations committed" [ 1; 1 ]
     (List.map (fun i -> C.lf_read_tx t (fun tx -> C.load tx (C.root t (4 + i)))) [ c1; c2 ])
 
-(* A striped helper may put an operation's acknowledgment before its
-   result.  The owner that then reads the acknowledgment must still
-   return the result, not the stale word under it.  The schedule: X
+(* Every applier puts a commit's entries in ascending address order, and
+   a thread's result sits one cell below its acknowledgment, so the
+   result is in place when the acknowledgment lands.  The schedule: X
    publishes; A aggregates X's operation with its own, wins the commit
-   CAS and stops; H, whose stripe starts at X's acknowledgment, puts
-   that one entry; X runs to the end. *)
-let test_wf_result_after_striped_ack () =
+   CAS and stops for good; H helps until X's acknowledgment lands; X
+   runs to the end. *)
+let test_wf_result_before_ack () =
   let module C = Onefile.Core0 in
   let x = 0 and a = 1 and h = 2 in
   let t = C.create ~mode:Region.Volatile ~max_threads:3 ~num_roots:2 () in
@@ -559,8 +559,6 @@ let test_wf_result_after_striped_ack () =
        end
   in
   let ct0 = peek C.curtx_cell in
-  (* A's log is [res X; ack X; res A; ack A]: H starts at entry
-     (h - a) * 4 / 3 = 1 *)
   let staged =
     run_stages fibers
       [
@@ -571,7 +569,7 @@ let test_wf_result_after_striped_ack () =
       ]
   in
   check bool "every stage ran" true staged;
-  check int "the result word was stale when the ack landed" 0 !res_at_ack;
+  check int "the result word holds the result when the ack lands" 42 !res_at_ack;
   check int "the owner returns its result" 42 !result
 
 (* The sanitizer's verdict is not a closure's own error: a planted
@@ -690,12 +688,17 @@ let test_killed_claimer api ~n ~iters () =
   check (Alcotest.pair int int) "recovery drops the claim" (0, 0)
     (Onefile.Core0.claim_info t)
 
-(* A helper's put pass starts at an entry spread by its tid distance from
-   the owner, so owner and helpers split the write-back instead of
-   trailing one another through the same entries. *)
-let test_striped_help () =
+(* A helper that presumes the owner stalled claims the owner's log chunk
+   by chunk, from a chunk spread by its tid distance from the owner, so
+   helpers of one stalled owner take different chunks.  The owner
+   (slot 0) publishes an [n]-entry LF log of consecutive roots and CASes
+   curTx, and never runs again; helper 4 of 8 polls its request for the
+   budget, writes curTx back and starts at chunk [4 * nchunks / 8] = 1,
+   entry 8, for 16 and 24 entries alike (a whole-log pass spread the
+   same way would start at entry [4 * n / 8]: 8, then 12). *)
+let test_stalled_help_spread n () =
   let module C = Onefile.Core0 in
-  let mt = 8 and n = 16 and helper = 4 in
+  let mt = 8 and helper = 4 in
   let t = C.create ~mode:Region.Volatile ~max_threads:mt ~ws_cap:32 ~num_roots:n () in
   let ws = Writeset.create 32 in
   for i = 0 to n - 1 do
@@ -719,7 +722,7 @@ let test_striped_help () =
        ~pick:(fun ~step:_ ~enabled ~last:_ -> enabled.(0))
        [| (fun () -> C.help t ~me:helper (C.read_curtx t)) |]);
   Region.set_observer (C.region t) None;
-  check int "first DCAS at the helper's stripe" (C.root t (helper * n / mt)) !first;
+  check int "first DCAS at chunk 1" (C.root t 8) !first;
   for i = 0 to n - 1 do
     check int "entry applied" (100 + i) (C.lf_read_tx t (fun tx -> C.load tx (C.root t i)))
   done;
@@ -952,32 +955,35 @@ let test_lf_parked_winner_helped () =
     (List.sort compare (List.concat (Array.to_list shared)));
   check int "shared count" (n * iters) (Lf.read_tx t (fun tx -> Lf.load tx (Lf.root t n)))
 
-(* A helper writes curTx back before its first DCAS of a commit, not on
-   entry: one that arrives after the owner applied every entry finds no
-   put to make and writes back no curTx (its flush pass may still write
-   back data lines the owner flushed). *)
-let test_idle_helper_flushes_no_curtx () =
+(* The owner (slot 0) writes roots 0..3 through [update], a one-chunk
+   log, and a helper (slot 1) starts once the commit is open.  [stages t
+   polls] runs after the owner's commit CAS; [polls ()] counts the
+   helper's loads of the owner's request.  Returns the helper's loads of
+   the owner's log entries, its curTx write-backs, its other write-backs,
+   its DCASes and the helps counted. *)
+let idle_helper_run update stages =
   let module C = Onefile.Core0 in
   let t = C.create ~max_threads:2 ~ws_cap:32 ~num_roots:4 () in
   let region = C.region t in
-  let applied () =
-    List.for_all
-      (fun i -> (Region.peek region (C.root t i)).Word.v = 10 + i)
-      [ 0; 1; 2; 3 ]
-  in
-  let curtx_pwbs = ref 0 in
+  let seq0, _, _ = C.curtx_info t in
+  let polls = ref 0 and entry_loads = ref 0 in
+  let curtx_pwbs = ref 0 and data_pwbs = ref 0 and dcas = ref 0 in
   Region.set_observer region
     (Some
        (function
-       | Region.Ev_pwb { line }
-         when line = Region.line_of C.curtx_cell && Sched.self () = 1 ->
-           incr curtx_pwbs
+       | Region.Ev_load { addr; _ } when Sched.self () = 1 ->
+           if addr = C.req_cell t 0 then incr polls
+           else if addr > C.nstores_cell t 0 && addr < C.req_cell t 1 then
+             incr entry_loads
+       | Region.Ev_pwb { line } when Sched.self () = 1 ->
+           if line = Region.line_of C.curtx_cell then incr curtx_pwbs else incr data_pwbs
+       | Region.Ev_cas { dcas = true; _ } when Sched.self () = 1 -> incr dcas
        | _ -> ()));
   let fibers =
     [|
       (fun () ->
         ignore
-          (C.lf_update_tx t (fun tx ->
+          (update t (fun tx ->
                for i = 0 to 3 do
                  C.store tx (C.root t i) (10 + i)
                done;
@@ -985,12 +991,57 @@ let test_idle_helper_flushes_no_curtx () =
       (fun () -> C.help t ~me:1 (C.read_curtx t));
     |]
   in
-  let staged = run_stages fibers [ (0, applied); (1, fun () -> false) ] in
+  let opened () =
+    let seq, _, _ = C.curtx_info t in
+    seq > seq0
+  in
+  let staged = run_stages fibers ((0, opened) :: stages t (fun () -> !polls)) in
   Region.set_observer region None;
   check bool "every stage ran" true staged;
-  check int "no curTx write-back by the idle helper" 0 !curtx_pwbs;
   let _, _, open_ = C.curtx_info t in
-  check bool "request closed" false open_
+  check bool "request closed" false open_;
+  for i = 0 to 3 do
+    check int "owner's word" (10 + i) (C.lf_read_tx t (fun tx -> C.load tx (C.root t i)))
+  done;
+  (!entry_loads, !curtx_pwbs, !data_pwbs, !dcas, (Region.stats region).Pstats.helps)
+
+(* A helper of a running owner's one-chunk log, LF or WF, waits for the
+   close: the owner is held after its commit CAS while the helper polls
+   its request ten times, fewer than the budget, then applies and
+   closes; the helper returns without a load of the log's entries, a
+   DCAS or a write-back. *)
+let test_helper_waits_for_owner update () =
+  let module C = Onefile.Core0 in
+  let loads, curtx_pwbs, data_pwbs, dcas, helps =
+    idle_helper_run update (fun t polls ->
+        let closed () =
+          let _, _, open_ = C.curtx_info t in
+          not open_
+        in
+        [ (1, fun () -> polls () >= 10); (0, closed); (1, fun () -> false) ])
+  in
+  check int "no load of a log entry" 0 loads;
+  check int "no DCAS" 0 dcas;
+  check int "no curTx write-back" 0 curtx_pwbs;
+  check int "no data write-back" 0 data_pwbs;
+  check int "no help counted" 0 helps
+
+(* A helper whose owner applied every entry and then never closes
+   presumes it stalled once the budget is spent: it writes curTx back
+   once, as recovery does, then applies and closes the request. *)
+let test_stalled_helper_writes_curtx_once () =
+  let module C = Onefile.Core0 in
+  let _, curtx_pwbs, _, _, _ =
+    idle_helper_run C.lf_update_tx (fun t _ ->
+        let region = C.region t in
+        let applied () =
+          List.for_all
+            (fun i -> (Region.peek region (C.root t i)).Word.v = 10 + i)
+            [ 0; 1; 2; 3 ]
+        in
+        [ (0, applied); (1, fun () -> false) ])
+  in
+  check int "one curTx write-back" 1 curtx_pwbs
 
 (* ------------------------------------------------------------------ *)
 (* WF helpers split the apply *)
@@ -1668,12 +1719,17 @@ let () =
             test_wf_raise_in_one_aggregate;
           Alcotest.test_case "sanitizer verdict in an aggregate" `Quick
             test_wf_violation_in_aggregate_reported;
-          Alcotest.test_case "result after a striped ack" `Quick
-            test_wf_result_after_striped_ack;
+          Alcotest.test_case "result in place when the ack lands" `Quick
+            test_wf_result_before_ack;
+          Alcotest.test_case "helper of a running owner waits" `Quick
+            (test_helper_waits_for_owner Onefile.Core0.wf_update_tx);
           Alcotest.test_case "one aggregator per commit" `Quick test_wf_one_aggregator;
           Alcotest.test_case "killed claimer" `Quick
             (test_killed_claimer wf_api ~n:6 ~iters:10);
-          Alcotest.test_case "striped help" `Quick test_striped_help;
+          Alcotest.test_case "stalled owner, spread chunk claims" `Quick
+            (test_stalled_help_spread 16);
+          Alcotest.test_case "stalled owner, three chunks" `Quick
+            (test_stalled_help_spread 24);
           Alcotest.test_case "aggregate scans used slots" `Quick test_wf_scans_used_slots;
         ] );
       ( "wf-coop",
@@ -1695,7 +1751,9 @@ let () =
           Alcotest.test_case "killed claimer" `Quick
             (test_killed_claimer lf_api ~n:4 ~iters:20);
           Alcotest.test_case "idle helper flushes no curTx" `Quick
-            test_idle_helper_flushes_no_curtx;
+            (test_helper_waits_for_owner Onefile.Core0.lf_update_tx);
+          Alcotest.test_case "stalled owner, one curTx write-back" `Quick
+            test_stalled_helper_writes_curtx_once;
           Alcotest.test_case "losers wait, not help" `Quick test_lf_losers_wait_not_help;
           Alcotest.test_case "retry at the close" `Quick test_lf_retry_at_close;
           Alcotest.test_case "raise at the close" `Quick test_lf_raise_at_close;

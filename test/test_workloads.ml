@@ -79,7 +79,6 @@ let test_kill_test_with_kills_clean () =
 let test_crash_campaigns_clean () =
   let assert_clean label (r : Workloads.Crash_campaign.report) =
     check int (label ^ " torn") 0 r.torn;
-    check int (label ^ " regressed") 0 r.regressed;
     check int (label ^ " leaked") 0 r.leaked;
     check bool (label ^ " ran") true (r.trials > 0)
   in
@@ -113,7 +112,6 @@ let test_crash_matrix_with_telemetry () =
               in
               check int (label ^ " trials") trials r.trials;
               check int (label ^ " torn") 0 r.torn;
-              check int (label ^ " regressed") 0 r.regressed;
               check int (label ^ " leaked") 0 r.leaked;
               check int
                 (label ^ " recovery.runs matches ground truth")
