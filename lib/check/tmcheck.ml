@@ -22,7 +22,7 @@ type layout = {
   max_threads : int;
   ws_cap : int;
   req_cell : int -> int;
-  nstores_cell : int -> int;
+  log_len : Word.t -> int;
   entry_cell : int -> int -> int;
   req_tid_of : int -> int option;
   data_base : int;
@@ -174,13 +174,14 @@ let check_commit c (old : Word.t) (now : Word.t) =
           holds %d)"
          now.Word.v now.Word.s req.Word.v)
 
-(* (c) a request may close only after its write-set is fully applied *)
+(* (c) a request may close only after its write-set is fully applied;
+   the closing word [old] announces the count *)
 let check_close c ~tid (old : Word.t) =
   let seq = old.Word.v in
-  let n = (Region.peek c.region (c.lay.nstores_cell tid)).Word.v in
+  let n = c.lay.log_len old in
   if n < 0 || n > c.lay.ws_cap then
     fire c "close-before-applied"
-      (Format.sprintf "request (tid %d, seq %d) closed with corrupt numStores %d"
+      (Format.sprintf "request (tid %d, seq %d) closed with corrupt entry count %d"
          tid seq n)
   else
     for i = 0 to n - 1 do

@@ -50,7 +50,8 @@ type layout = {
   max_threads : int;
   ws_cap : int;
   req_cell : int -> int;
-  nstores_cell : int -> int;
+  log_len : Pmem.Word.t -> int;
+      (** the entry count of the redo log a request word announces *)
   entry_cell : int -> int -> int;
   req_tid_of : int -> int option;
       (** inverse of [req_cell]: which thread's request cell is this? *)

@@ -4,7 +4,10 @@
 
      0..3                       null pointer + padding (cell 0 is NULL)
      4                          curTx            (v = seq, s = tid)
-     ws_base + t*ws_stride      per-thread log:  request | numStores | entries
+     ws_base + t*ws_stride      per-thread log:  request | entries
+                                (request: v = seq while open, s = 2n + split
+                                for its n entries; a log of up to 3 entries
+                                shares the request's cache line)
      wf_base + 2t/2t+1          results[t] / acks[t]  (wait-free; two
                                 threads' pairs per cache line)
      roots_base ..              user roots
@@ -248,10 +251,8 @@ type t = {
   c_wf_aggregated : Telemetry.handle;
   c_wf_fallbacks : Telemetry.handle;
   c_claims : Telemetry.handle;
-  c_claim_waits : Telemetry.handle;
-  c_claim_timeouts : Telemetry.handle;
-  c_chunk_waits : Telemetry.handle;
-  c_chunk_timeouts : Telemetry.handle;
+  c_waits : Telemetry.handle;
+  c_wait_timeouts : Telemetry.handle;
   c_rec_runs : Telemetry.handle;
   c_rec_helped : Telemetry.handle;
   c_ro_pins : Telemetry.handle;
@@ -262,10 +263,12 @@ type t = {
 }
 
 let req_cell inst tid = inst.ws_base + (tid * inst.ws_stride)
-let nstores_cell inst tid = req_cell inst tid + 1
-let entry_cell inst tid i = req_cell inst tid + 2 + i
+let entry_cell inst tid i = req_cell inst tid + 1 + i
 let res_cell inst tid = inst.wf_base + (2 * tid)
 let ack_cell inst tid = inst.wf_base + (2 * tid) + 1
+
+(* the entry count of the redo log a request word announces *)
+let log_len (req : Word.t) = req.Word.s lsr 1
 
 (* [claim] fields; a tid fits 8 bits since [max_threads] <= 255 *)
 let claim_seq c = c lsr 8
@@ -373,7 +376,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
   (* pre-resolved handle names carry the instance id so two instances
      attached to one registry stay separable ("shard3.tx.commits") *)
   let key n = if instance = "" then n else instance ^ "." ^ n in
-  let ws_stride = round4 (2 + ws_cap) in
+  let ws_stride = round4 (1 + ws_cap) in
   let ws_base = 8 in
   let wf_base = ws_base + (max_threads * ws_stride) in
   let roots_base = round4 (wf_base + (2 * max_threads)) in
@@ -464,10 +467,8 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
       c_wf_aggregated = Telemetry.counter tele (key "wf.aggregated");
       c_wf_fallbacks = Telemetry.counter tele (key "wf.fallbacks");
       c_claims = Telemetry.counter tele (key "tx.claims");
-      c_claim_waits = Telemetry.counter tele (key "tx.claim_waits");
-      c_claim_timeouts = Telemetry.counter tele (key "tx.claim_timeouts");
-      c_chunk_waits = Telemetry.counter tele (key "tx.chunk_waits");
-      c_chunk_timeouts = Telemetry.counter tele (key "tx.chunk_timeouts");
+      c_waits = Telemetry.counter tele (key "tx.waits");
+      c_wait_timeouts = Telemetry.counter tele (key "tx.wait_timeouts");
       c_rec_runs = Telemetry.counter tele (key "recovery.runs");
       c_rec_helped = Telemetry.counter tele (key "recovery.helped");
       c_ro_pins = Telemetry.counter tele (key "tx.ro_epoch_pins");
@@ -517,7 +518,7 @@ let layout inst =
     max_threads = inst.max_threads;
     ws_cap = inst.ws_cap;
     req_cell = req_cell inst;
-    nstores_cell = nstores_cell inst;
+    log_len;
     entry_cell = entry_cell inst;
     req_tid_of =
       (fun a ->
@@ -717,11 +718,12 @@ let put_one inst ~seq addr v =
   inst.curtx_stamp.(0) <- max seq inst.curtx_stamp.(0);
   put inst ~me:0 ~signal:0 ~seq ~cap:(decide_capture inst ~seq) addr v
 
+(* A close moves the request word's [v] past [seq] and keeps its count. *)
 let close_request inst ~tid ~seq =
   let cell = req_cell inst tid in
   let w = Region.load inst.region cell in
   if w.Word.v = seq then
-    if Region.cas1 inst.region cell w (Word.make (seq + 1) 0) then
+    if Region.cas1 inst.region cell w (Word.make (seq + 1) w.Word.s) then
       Telemetry.tick inst.c_recycles
 
 (* ------------------------------------------------------------------ *)
@@ -921,50 +923,45 @@ let rec claim_pass inst ~me ~tid ~seq ~n ~first ~nc ~cap ~owner addrs vals
       claim_pass inst ~me ~tid ~seq ~n ~first ~nc ~cap ~owner addrs vals start
         (i + 1)
 
-(* A thread that finds another thread's claim waits at most this many
-   polls before it goes on without it.
-   - The commit claim (below), per WF operation: loop iterations of six
-     steps each; per LF attempt: reads of curTx and then of the winning
-     commit's request ([wait_claim], [wait_close]).  tx.claim_waits
-     counts the polls of both phases that found the wait going on.
-   - The chunk wait of a split apply ([wait_pass]), per applier and
-     commit: reads of a chunk word that another thread claimed; and a
-     helper's wait for the owner of a one-chunk log ([help]): reads of
-     its request.  tx.chunk_waits counts them, tx.chunk_timeouts the
-     waits that spent the budget.
-   WF budget sweeps at 8/16/32/64/128/256, with the share of operations
-   that spent the budget:
-   - wf-kv-write (benchmark/run.exe, seed 1, --seconds 2): 88%/88%/77%/
-     0.08%/0%/0% spent, 22.06/22.14/16.91/8.59/8.59/8.59 pwb/op;
-   - the shards figure's WF cells (transfers): 63%/31%/9.3%/0%/0%/0%
-     spent, 1-shard pwb/tx 18.0/15.8/4.4/4.0/4.0/4.0;
-   - fig5's OF-WF list cells: 55%/53%/52%/44%/30%/14% spent over all
-     cells, 87% at 64 and 28% at 256 at 100% updates on 8 threads, with
-     no throughput trend across the sweep.
-   64 is the smallest budget at the knee of the workloads whose closures
-   touch a few words: there the elected aggregator commits within the
-   budget.  A list closure walks tens of nodes, so an aggregate of
-   several outlasts these budgets and its waiters aggregate too; there a
-   longer budget cuts the share that spends it but not the throughput,
-   and lengthens the wait bound (DESIGN.md §5).  LF at 64, counting
-   tx.claim_timeouts (benchmark/run.exe, seed 1, --seconds 10):
-   - shard-local: 0 of 1.80 M lost claims;
-   - shard-cross: 453 of 198554, on commits of 3-19 entries (median 16,
-     against a home transfer's 3); in 429 of them the owner closed the
-     request before the help applied anything;
-   - lf-list-read90: 12 of 6108, on 6-entry list updates;
-   - wf-kv-write: 0 of 156857 WF operations;
-   - the shards figure: 0 on either front-end.
-   Every LF timeout fell in phase two: an LF claimer's closure has
-   already run, so it is a redo-log publish away from its CAS, while a
-   long write-set's apply can outlast the budget.
-   The chunk wait at 64 (an instrumented copy counting its polls; seed 1):
-   - wf-kv-write (benchmark/run.exe, the difference of a 2 s and a 1 s
-     run): 66.1 polls per commit over all appliers, 14.5 of them the
-     owner's (helpers also wait for chunk 0, the owner's), and 0
-     timeouts in 188417 polls;
-   - the shards figure (quick): 68678 polls, 0 timeouts. *)
+(* A thread that waits on another thread polls at most this many times
+   per wait before it goes on without it:
+   - the WF election ([elect]), per operation: loop iterations of six
+     steps each;
+   - an LF claim loser ([wait_claim]), per attempt: one budget of curTx
+     reads while the claim's winner has not committed, then a fresh one
+     of reads of the winning commit's request while it is open;
+   - a helper of a running owner's one-chunk log ([help]): reads of its
+     request;
+   - the chunk wait of a split apply ([wait_pass]), per applier and
+     commit: reads of a chunk word that another thread claimed.
+   tx.waits counts the polls that found the wait going on,
+   tx.wait_timeouts the waits that spent the budget.  64 is the smallest
+   budget at the knee of the WF workloads whose closures touch a few
+   words: there the elected aggregator commits within it.  A list
+   closure walks tens of nodes, so an aggregate of several outlasts any
+   of the budgets swept, and there a longer one cuts the share of waits
+   that spend it but not the throughput, and lengthens the wait bound
+   (DESIGN.md §5).  At 64, tx.wait_timeouts reads 0 on wf-kv-write,
+   lf-list-read90 and shard-local, and 9 in 198502 lost claims on
+   shard-cross (benchmark/run.exe --seconds 10, seed 1).  The sweeps are
+   in EXPERIMENTS.md ("One wait, and the count in the request word"). *)
 let claim_budget = 64
+
+(* The one poll loop: load [addr] while its [v] still reads [v], at most
+   [budget] times, and return the word it read last — [v] unmoved when
+   the budget is spent. *)
+(* flowlint: bounded budget strictly decreases to 1, where the wait ends *)
+let rec wait_while inst addr v budget =
+  let w = Region.load inst.region addr in
+  if w.Word.v <> v then w
+  else begin
+    Telemetry.tick inst.c_waits;
+    if budget <= 1 then begin
+      Telemetry.tick inst.c_wait_timeouts;
+      w
+    end
+    else wait_while inst addr v (budget - 1)
+  end
 
 (* Wait for the chunks that other threads claimed, from chunk [start]
    round, on one [budget] of polls; once it is spent, run every chunk
@@ -979,8 +976,8 @@ let rec wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start i
       wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start (i + 1)
         budget
     else if budget > 0 then begin
-      Telemetry.tick inst.c_chunk_waits;
-      if budget = 1 then Telemetry.tick inst.c_chunk_timeouts;
+      Telemetry.tick inst.c_waits;
+      if budget = 1 then Telemetry.tick inst.c_wait_timeouts;
       wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start i
         (budget - 1)
     end
@@ -1023,60 +1020,48 @@ let apply inst ~me ~tid ~seq ~n ~split ~owner addrs vals =
     && wait_pass inst ~me ~tid ~seq ~n ~nc ~cap ~owner addrs vals start 0
          claim_budget
 
-(* A helper's wait for the owner of a one-chunk log: [true] once [tid]'s
-   request for [seq] closed, [false] when [budget] polls found it open. *)
-(* flowlint: bounded budget strictly decreases to 0 *)
-let rec owner_closes inst ~tid ~seq budget =
-  budget > 0
-  && (req_closed inst ~tid ~seq
-     || begin
-          Telemetry.tick inst.c_chunk_waits;
-          if budget = 1 then Telemetry.tick inst.c_chunk_timeouts;
-          owner_closes inst ~tid ~seq (budget - 1)
-        end)
-
 (* Help the committed-but-possibly-unapplied transaction [ct], applying
    nothing a running owner holds: chunk 0 of a split log ([apply]), or
    the whole of a one-chunk log, whose request the helper polls for one
-   [claim_budget], returning at the close.  Once that budget is spent,
-   or when the caller [waited] it out already (an LF claim loser, or
-   recovery, which has no owner), the helper presumes the owner stalled:
-   it writes curTx back and claims chunks from chunk 0, so the helpers of
-   a stalled owner split its log instead of racing over it.  The helper
-   closes the request once the whole log is applied. *)
+   [claim_budget] ([wait_while]), returning at the close.  Once that
+   budget is spent, or when the caller [waited] it out already (an LF
+   claim loser, or recovery, which has no owner), the helper presumes the
+   owner stalled: it writes curTx back and claims chunks from chunk 0, so
+   the helpers of a stalled owner split its log instead of racing over
+   it.  The request word, the helper's first load, carries the log's
+   count and split bit.  The helper closes the request once the whole
+   log is applied. *)
 let help inst ~me ?(waited = false) (ct : Word.t) =
   let region = inst.region in
   let tid = ct.Word.s and seq = ct.Word.v in
-  let req = Region.load region (req_cell inst tid) in
-  (if req.Word.v = seq then begin
-     let hdr = Region.load region (nstores_cell inst tid) in
-     let n = hdr.Word.v and split = hdr.Word.s = 1 in
-     if
-       n >= 0 && n <= inst.ws_cap
-       && (split || waited || not (owner_closes inst ~tid ~seq claim_budget))
-     then begin
-       let stalled = waited || not split in
-       (* the planted [skip_help_curtx_pwb]: a helper takes its stamp as set *)
-       if inst.faults.skip_help_curtx_pwb then
-         inst.curtx_stamp.(me) <- max seq inst.curtx_stamp.(me);
-       if stalled && inst.curtx_stamp.(me) < seq then begin
-         Region.pwb region curtx_cell;
-         inst.curtx_stamp.(me) <- seq
-       end;
-       if tid <> me then begin
-         (stats inst).Pstats.helps <- (stats inst).Pstats.helps + 1;
-         Telemetry.tick inst.c_helps
-       end;
-       if
-         apply inst ~me ~tid ~seq ~n ~split ~owner:false inst.scratch_addrs.(me)
-           inst.scratch_vals.(me)
-       then close_request inst ~tid ~seq
-       else begin
-         (stats inst).Pstats.help_exits <- (stats inst).Pstats.help_exits + 1;
-         Telemetry.tick inst.c_help_exits
-       end
-     end
-   end);
+  let cell = req_cell inst tid in
+  let req = Region.load region cell in
+  let split = req.Word.s land 1 = 1 in
+  if
+    req.Word.v = seq
+    && (split || waited || (wait_while inst cell seq claim_budget).Word.v = seq)
+  then begin
+    let stalled = waited || not split in
+    (* the planted [skip_help_curtx_pwb]: a helper takes its stamp as set *)
+    if inst.faults.skip_help_curtx_pwb then
+      inst.curtx_stamp.(me) <- max seq inst.curtx_stamp.(me);
+    if stalled && inst.curtx_stamp.(me) < seq then begin
+      Region.pwb region curtx_cell;
+      inst.curtx_stamp.(me) <- seq
+    end;
+    if tid <> me then begin
+      (stats inst).Pstats.helps <- (stats inst).Pstats.helps + 1;
+      Telemetry.tick inst.c_helps
+    end;
+    if
+      apply inst ~me ~tid ~seq ~n:(log_len req) ~split ~owner:false
+        inst.scratch_addrs.(me) inst.scratch_vals.(me)
+    then close_request inst ~tid ~seq
+    else begin
+      (stats inst).Pstats.help_exits <- (stats inst).Pstats.help_exits + 1;
+      Telemetry.tick inst.c_help_exits
+    end
+  end;
   (* every exit above means [seq] is fully applied: either this thread ran
      the apply to completion, or whoever closed the request did first *)
   stable_bump inst.vst seq
@@ -1101,8 +1086,9 @@ let ensure_stable inst ~me seq =
    log area and open the request; one pwb per covered cache line, no
    fence (the commit CAS acts as the persistence fence, §III-D).  The
    sorted copy stays in this thread's scratch arrays for its own apply.
-   The count cell's sequence half carries [split] (1: the log is applied
-   chunk by chunk), so helpers know how to apply it.
+   The request word's [s] carries the entry count and [split] (1: the
+   log is applied chunk by chunk), so a helper's one load of it tells it
+   how to apply the log ([help]).
 
    The request cell is flushed BEFORE the log is overwritten: closing a
    request (close_request) is volatile, so without this pwb the durable
@@ -1110,7 +1096,9 @@ let ensure_stable inst ~me seq =
    for a later transaction — and a crash whose eviction persists some of
    the new entries but not the request cell would make null recovery
    re-apply a torn, mixed log at seq S.  Found by the Tmcheck sanitizer
-   (close-before-applied fired during post-crash recovery). *)
+   (close-before-applied fired during post-crash recovery).  The first
+   three entries share the request's line, so only an old and a new log
+   that both reach a second line can tear. *)
 (* flowlint: preflush the durable request cell must be written back before the log overwrite; see the comment above (PR 1 torn-log hole) *)
 let publish_log inst ~me (ws : Writeset.t) ~seq ~split =
   let region = inst.region in
@@ -1120,13 +1108,12 @@ let publish_log inst ~me (ws : Writeset.t) ~seq ~split =
   let addrs = inst.scratch_addrs.(me) and vals = inst.scratch_vals.(me) in
   sort_log inst ~me ws addrs vals;
   for i = 0 to n - 1 do
-    Region.store region (base + 2 + i) (Word.make addrs.(i) vals.(i))
+    Region.store region (base + 1 + i) (Word.make addrs.(i) vals.(i))
   done;
-  Region.store region (base + 1) (Word.make n (if split then 1 else 0));
-  let req = Word.make seq 0 in
+  let req = Word.make seq ((2 * n) + if split then 1 else 0) in
   inst.req_word.(me) <- req;
   Region.store region base req;
-  Region.pwb_range region base (2 + n)
+  Region.pwb_range region base (n + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Attempt bookkeeping and the commit, shared by all transactions      *)
@@ -1174,9 +1161,8 @@ let rec commit inst ~me ~may_split tx ct =
     ignore
       (apply inst ~me ~tid:me ~seq ~n ~split ~owner:true inst.scratch_addrs.(me)
          inst.scratch_vals.(me));
-    if
-      Region.cas1 inst.region (req_cell inst me) inst.req_word.(me)
-        (Word.make (seq + 1) 0)
+    let req = inst.req_word.(me) in
+    if Region.cas1 inst.region (req_cell inst me) req (Word.make (seq + 1) req.Word.s)
     then Telemetry.tick inst.c_recycles;
     stable_bump inst.vst seq;
     let st = stats inst in
@@ -1431,56 +1417,35 @@ let claim_commit inst ~me (ct : Word.t) =
 let lf_read_tx = snap_read_tx
 let lf_read_tx_validating inst f = validating_read inst ~fallback:None f
 
-(* Phase two of a claim loser's wait: curTx moved to the winner's commit
-   [ct], and the loser polls [ct]'s request until it closes, spending the
-   rest of [budget].  Returns [ct], closed: the loser retries at it with
-   no curTx load.  A spent budget means the winner stalled or died
-   mid-apply; the loser then helps, which closes [ct] too. *)
-(* flowlint: bounded budget strictly decreases to 0, where the wait ends in one help *)
-let rec wait_close inst ~me (ct : Word.t) budget =
-  if inst.faults.early_retry then ct
-  else if budget = 0 then begin
-    Telemetry.tick inst.c_claim_timeouts;
-    help inst ~me ~waited:true ct;
-    ct
-  end
-  else if not (is_open inst ct) then ct
-  else begin
-    Telemetry.tick inst.c_claim_waits;
-    wait_close inst ~me ct (budget - 1)
-  end
-
 (* The wait of an LF updater that did not get the claim on [ct + 1]: it
-   has published nothing.  Phase one re-reads curTx while it still names
-   [ct]; once it moved, the attempt aborts (its commit CAS would have
-   failed) and phase two ([wait_close]) waits for the new commit to
-   close, on what is left of the same [budget].  Returns the closed curTx
-   to retry at, or [ct] itself when phase one spent the budget: the
-   caller then publishes and races for the CAS as the paper does. *)
-(* flowlint: bounded budget strictly decreases to 0, where the wait ends in one commit attempt *)
-let rec wait_claim inst ~me (ct : Word.t) budget =
-  if budget = 0 then begin
-    Telemetry.tick inst.c_claim_timeouts;
-    ct
-  end
-  else
-    let cur = read_curtx inst in
-    if cur.Word.v <> ct.Word.v then begin
-      abort inst;
-      wait_close inst ~me cur (budget - 1)
-    end
-    else begin
-      Telemetry.tick inst.c_claim_waits;
-      wait_claim inst ~me ct (budget - 1)
-    end
+   has published nothing.  Phase one polls curTx while it still names
+   [ct]; a spent budget returns [ct] itself, and the caller then
+   publishes and races for the CAS as the paper does.  Once curTx moved,
+   the attempt aborts (its commit CAS would have failed) and phase two
+   polls the new commit's request while it is open, on a fresh budget.
+   Returns that commit, closed: the loser retries at it with no curTx
+   load.  A spent second budget means the winner stalled or died
+   mid-apply; the loser then helps, which closes the commit too.  The
+   planted [early_retry] skips phase two. *)
+let wait_claim inst ~me (ct : Word.t) =
+  let cur = wait_while inst curtx_cell ct.Word.v claim_budget in
+  if cur.Word.v <> ct.Word.v then begin
+    abort inst;
+    let cell = req_cell inst cur.Word.s in
+    if
+      (not inst.faults.early_retry)
+      && (wait_while inst cell cur.Word.v claim_budget).Word.v = cur.Word.v
+    then help inst ~me ~waited:true cur
+  end;
+  cur
 
 (* Only the thread that will commit writes a redo log: an updater whose
    closure left a write-set claims the commit ([claim_commit]) before it
    publishes, and a claim loser waits in [wait_claim] until the winner's
-   commit closes and retries at it.  It helps only when the wait spends
-   [claim_budget], so a claimer killed between its claim and its CAS, or
-   mid-apply, delays each attempt of a waiter by at most that many steps:
-   LF stays lock-free.
+   commit closes and retries at it.  Each phase of the wait polls for at
+   most one [claim_budget], so a claimer killed between its claim and its
+   CAS, or mid-apply, delays each attempt of a waiter by at most two
+   budgets of polls: LF stays lock-free.
 
    [ro_stable] is raised by each return that reads without committing,
    and by a raise of the closure; a committing attempt is covered by
@@ -1491,7 +1456,7 @@ let lf_update_tx inst f =
   let t0 = Sched.now () in
   release_orphan_pin inst ~me;
   deregister inst ~me;
-  (* flowlint: bounded lock-free path: a retry happens only when another transaction committed in the meantime (curtx advanced), which is global progress, or after a claim loser's wait, which ends after at most claim_budget reads of curtx and of the winner's request *)
+  (* flowlint: bounded lock-free path: a retry happens only when another transaction committed in the meantime (curtx advanced), which is global progress, or after a claim loser's wait, which ends after at most claim_budget reads of curtx and claim_budget reads of the winner's request *)
   let rec attempt ~closed (ct : Word.t) =
     if (not closed) && is_open inst ct then begin
       stable_bump inst.vst (ct.Word.v - 1);
@@ -1525,7 +1490,7 @@ let lf_update_tx inst f =
               else
                 match claim_commit inst ~me ct with
                 | Claimed -> ct
-                | Held | Lost -> wait_claim inst ~me ct claim_budget
+                | Held | Lost -> wait_claim inst ~me ct
             in
             if next.Word.v <> ct.Word.v then attempt ~closed:true next
             else if commit inst ~me ~may_split:false tx ct then begin
@@ -1612,8 +1577,8 @@ let elect inst ~me ~budget (ct : Word.t) =
       | Lost -> Reread
       | Held when budget = 0 -> Run
       | Held ->
-          Telemetry.tick inst.c_claim_waits;
-          if budget = 1 then Telemetry.tick inst.c_claim_timeouts;
+          Telemetry.tick inst.c_waits;
+          if budget = 1 then Telemetry.tick inst.c_wait_timeouts;
           Wait)
 
 (* A published operation is normally committed by the elected aggregator

@@ -140,13 +140,12 @@ val attach_telemetry : t -> Runtime.Telemetry.t -> unit
     commit-latency span ("tx.commits", "tx.ro_commits", "tx.ro_epoch_pins",
     "tx.aborts", "tx.helps", "tx.help_exits", "log.recycles",
     "wf.published", "wf.aggregated", "wf.fallbacks", "tx.claims" (commit
-    claims taken, LF and WF), "tx.claim_waits" (iterations spent waiting
-    on another thread's claim; for an LF loser, polls of curTx and then
-    of the winning commit's request), "tx.claim_timeouts" (waits that
-    spent their whole budget: per WF operation, per LF attempt),
-    "tx.chunk_waits" (polls of a chunk another thread claimed, while a
-    chunked WF redo log is applied, and a helper's polls of the request
-    of a one-chunk log's owner), "tx.chunk_timeouts" (chunk waits that
+    claims taken, LF and WF), "tx.waits" (polls that found a wait on
+    another thread going on: a WF thread's iterations on another's
+    claim, an LF claim loser's polls of curTx and then of the winning
+    commit's request, a helper's polls of the request of a one-chunk
+    log's owner, and the polls of a chunk another thread claimed while
+    a chunked WF redo log is applied), "tx.wait_timeouts" (waits that
     spent their whole budget),
     "recovery.runs",
     "recovery.helped", "ro.captures" (versions handed to the version
@@ -216,7 +215,6 @@ val faults : t -> faults
 
 val curtx_cell : int
 val req_cell : t -> int -> int
-val nstores_cell : t -> int -> int
 val entry_cell : t -> int -> int -> int
 val res_cell : t -> int -> int
 val ack_cell : t -> int -> int
@@ -239,9 +237,10 @@ val put_one : t -> seq:int -> int -> int -> unit
 
 val close_request : t -> tid:int -> seq:int -> unit
 val publish_log : t -> me:int -> Writeset.t -> seq:int -> split:bool -> unit
-(** Publish [me]'s redo log for [seq], sorted by address; [split] marks
-    it as applied chunk by chunk (a WF aggregate of more than one
-    chunk). *)
+(** Publish [me]'s redo log for [seq], sorted by address.  Its request
+    word carries the entry count, which [(layout t).log_len] decodes, and
+    [split], which marks the log as applied chunk by chunk (a WF
+    aggregate of more than one chunk). *)
 
 val help : t -> me:int -> ?waited:bool -> Pmem.Word.t -> unit
 (** Help the open commit [ct] as thread [me].  The helper of a one-chunk

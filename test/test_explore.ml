@@ -136,11 +136,11 @@ let smoke_crashes () =
 
 (* --- planted-bug self-checks --------------------------------------- *)
 
-let find_with ~seeds find =
+let find_with ?(max_txns = 4) ?(max_ops = 4) ~seeds find =
   let rec go = function
     | [] -> None
     | seed :: rest -> (
-        let prog = Proggen.gen_program ~max_txns:4 ~max_ops:4 seed in
+        let prog = Proggen.gen_program ~max_txns ~max_ops seed in
         match find prog with Some f -> Some (f, find) | None -> go rest)
   in
   go seeds
@@ -199,14 +199,20 @@ let test_planted_lost_update_sanitizer () =
 
 let test_planted_durability_hole () =
   (* oracle path: crash-point enumeration with adversarial single-line
-     evictions recovers a torn state that no serialization explains *)
+     evictions recovers a torn state that no serialization explains.  The
+     first three redo-log entries share the request's cache line, so a
+     torn log needs an old and a new log of one thread that both reach a
+     second line: programs of up to 6 transactions of up to 8 operations
+     build such a pair *)
   let config =
     { E.default with E.sanitize = false; fault = E.Durability_hole }
   in
   let find prog =
     (E.explore_crashes ~config ~sites:`Every prog).E.failure
   in
-  match find_with ~seeds:[ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] find with
+  match
+    find_with ~max_txns:6 ~max_ops:8 ~seeds:[ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] find
+  with
   | None -> Alcotest.fail "planted durability hole not found within budget"
   | Some (f, find) ->
       check_bool "found at a crash point" true (f.E.crash <> None);

@@ -99,7 +99,7 @@ let core0_path =
   if Sys.file_exists "../lib/onefile/core0.ml" then "../lib/onefile/core0.ml"
   else "lib/onefile/core0.ml"
 let pwb_line = "if not inst.faults.drop_publish_pwb then Region.pwb region base;"
-let pwb_range_line = "Region.pwb_range region base (2 + n)"
+let pwb_range_line = "Region.pwb_range region base (n + 1)"
 let commit_cas1_line = "Region.cas1 inst.region curtx_cell ct (Word.make seq me)"
 
 (* 1-based number of the first line of [src] containing [what] *)

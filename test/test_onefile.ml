@@ -674,7 +674,7 @@ let test_killed_claimer api ~n ~iters () =
   in
   ignore (Sched.run ~seed:6 ~on_round ~max_rounds:200_000 (Array.init n body));
   check bool "a claimer was killed" true (!victim >= 0);
-  check bool "a waiter spent its budget" true (Telemetry.get te "tx.claim_timeouts" > 0);
+  check bool "a waiter spent its budget" true (Telemetry.get te "tx.wait_timeouts" > 0);
   for i = 0 to n - 1 do
     if i <> !victim then begin
       check (Alcotest.list int)
@@ -773,10 +773,38 @@ let test_lf_lost_commit_flushes_nothing () =
     check int "exact count" iters (Lf.read_tx t (fun tx -> Lf.load tx (Lf.root t i)))
   done
 
+(* The request word carries the redo log's count, so a log of up to
+   three entries shares the request's cache line: a 3-entry LF commit
+   writes back one line of its redo log (at the preflush and after the
+   publish), and four pwbs in all, with curTx and the roots' line. *)
+let test_three_entry_log_one_line () =
+  let module C = Onefile.Core0 in
+  let t = C.create ~max_threads:2 ~ws_cap:32 ~num_roots:4 () in
+  let region = C.region t in
+  let log_lines = ref [] and pwbs = ref 0 in
+  let first = Region.line_of (C.req_cell t 0) and past = Region.line_of (C.req_cell t 1) in
+  Region.set_observer region
+    (Some
+       (function
+       | Region.Ev_pwb { line } ->
+           incr pwbs;
+           if line >= first && line < past then log_lines := line :: !log_lines
+       | _ -> ()));
+  ignore
+    (C.lf_update_tx t (fun tx ->
+         for i = 0 to 2 do
+           C.store tx (C.root t i) (i + 1)
+         done;
+         0));
+  Region.set_observer region None;
+  check (Alcotest.list int) "one line of the log written back" [ first ]
+    (List.sort_uniq compare !log_lines);
+  check int "four pwbs" 4 !pwbs
+
 (* A claim loser waits for the winner's commit to close and retries at
    it instead of helping: with four fibers incrementing their own roots
-   in lockstep, no commit is helped and no fiber loads another fiber's
-   redo log (its numStores or entries). *)
+   in lockstep, no commit is helped and no fiber loads an entry of
+   another fiber's redo log. *)
 let test_lf_losers_wait_not_help () =
   let module C = Onefile.Core0 in
   let n = 4 and iters = 20 in
@@ -817,7 +845,7 @@ let test_lf_retry_at_close () =
   let region = C.region t in
   let te = Telemetry.create () in
   C.attach_telemetry t te;
-  let waits () = Telemetry.get te "tx.claim_waits" in
+  let waits () = Telemetry.get te "tx.waits" in
   let seq0, _, _ = C.curtx_info t in
   let closed = ref false and after = ref [] in
   Region.set_observer region
@@ -853,6 +881,56 @@ let test_lf_retry_at_close () =
   check int "one lost attempt" 1 (Telemetry.get te "tx.aborts");
   check int "no help" 0 (Telemetry.get te "tx.helps")
 
+(* A claim loser waits for the winner's close on a budget of its own.
+   The winner (slot 0) is held between its claim and its commit CAS for
+   60 of the loser's polls of curTx, then publishes and applies a
+   6-entry log while the loser polls its request.  The loser waits the
+   close out and retries at it: no help, no failed DCAS, no wait spent
+   its budget.  Had both phases shared one budget, 4 polls would be left
+   for the close, and the loser would help the running winner. *)
+let test_lf_loser_waits_out_close () =
+  let module C = Onefile.Core0 in
+  let t = C.create ~max_threads:2 ~ws_cap:32 ~num_roots:8 () in
+  let region = C.region t in
+  let te = Telemetry.create () in
+  C.attach_telemetry t te;
+  let g = Telemetry.get te in
+  let seq0, _, _ = C.curtx_info t in
+  let results = Array.make 2 0 in
+  let fibers =
+    [|
+      (fun () ->
+        results.(0) <-
+          C.lf_update_tx t (fun tx ->
+              for i = 0 to 5 do
+                let r = C.root t i in
+                C.store tx r (C.load tx r + 1)
+              done;
+              C.load tx (C.root t 0)));
+      (fun () -> results.(1) <- increment C.lf_update_tx t 0);
+    |]
+  in
+  let staged =
+    run_stages fibers
+      [
+        (0, fun () -> C.claim_info t = (seq0 + 1, 0));
+        (1, fun () -> g "tx.waits" >= 60);
+        ( 0,
+          fun () ->
+            let seq, _, _ = C.curtx_info t in
+            seq = seq0 + 1 );
+      ]
+  in
+  check bool "every stage ran" true staged;
+  check int "no help" 0 (g "tx.helps");
+  check int "no failed DCAS" 0 (Region.stats region).Pstats.dcas_fail;
+  check int "no wait spent its budget" 0 (g "tx.wait_timeouts");
+  check (Alcotest.pair int int) "both increments, in commit order" (1, 2)
+    (results.(0), results.(1));
+  for i = 1 to 5 do
+    check int "winner's word" 1 (C.lf_read_tx t (fun tx -> C.load tx (C.root t i)))
+  done
+
 (* A closure that raises hands its caller a result read at the closed
    curTx it ran at, so the update raises [ro_stable] there before it
    re-raises: a snapshot read that starts after the raise must see that
@@ -873,7 +951,7 @@ let test_lf_raise_at_close () =
          0));
   let te = Telemetry.create () in
   C.attach_telemetry t te;
-  let waits () = Telemetry.get te "tx.claim_waits" in
+  let waits () = Telemetry.get te "tx.waits" in
   let seq0, _, _ = C.curtx_info t in
   let closed = ref false in
   Region.set_observer region
@@ -942,7 +1020,7 @@ let test_lf_parked_winner_helped () =
               shared.(i) <- increment Lf.update_tx t n :: shared.(i);
               own.(i) <- increment Lf.update_tx t i :: own.(i)
             done)));
-  check bool "a waiter spent its budget" true (Telemetry.get te "tx.claim_timeouts" > 0);
+  check bool "a waiter spent its budget" true (Telemetry.get te "tx.wait_timeouts" > 0);
   check bool "a parked commit was helped" true (Telemetry.get te "tx.helps" > 0);
   for i = 0 to n - 1 do
     check (Alcotest.list int)
@@ -973,7 +1051,7 @@ let idle_helper_run update stages =
        (function
        | Region.Ev_load { addr; _ } when Sched.self () = 1 ->
            if addr = C.req_cell t 0 then incr polls
-           else if addr > C.nstores_cell t 0 && addr < C.req_cell t 1 then
+           else if addr > C.req_cell t 0 && addr < C.req_cell t 1 then
              incr entry_loads
        | Region.Ev_pwb { line } when Sched.self () = 1 ->
            if line = Region.line_of C.curtx_cell then incr curtx_pwbs else incr data_pwbs
@@ -1264,8 +1342,8 @@ let test_coop_recovery_claims_chunk0 () =
   Region.crash region ();
   C.recover t;
   check int "recovery helped" 1 (Telemetry.get te "recovery.helped");
-  check int "no chunk wait" 0 (Telemetry.get te "tx.chunk_waits");
-  check int "no chunk timeout" 0 (Telemetry.get te "tx.chunk_timeouts");
+  check int "no wait" 0 (Telemetry.get te "tx.waits");
+  check int "no wait timeout" 0 (Telemetry.get te "tx.wait_timeouts");
   for i = 0 to coop_roots - 1 do
     check int "owner's word" (1000 + i) (C.lf_read_tx t (fun tx -> C.load tx (C.root t i)))
   done
@@ -1288,8 +1366,8 @@ let test_coop_helper_parked () =
     (fun () ->
       owner ();
       at_owner_return :=
-        ( Telemetry.get te "tx.chunk_waits",
-          Telemetry.get te "tx.chunk_timeouts",
+        ( Telemetry.get te "tx.waits",
+          Telemetry.get te "tx.wait_timeouts",
           C.curtx_info t ));
   let staged =
     run_stages fibers
@@ -1360,7 +1438,8 @@ let test_log_sorted () =
   C.publish_log t ~me:0 ws ~seq:(seq0 + 1) ~split:false;
   let region = C.region t in
   let entry i = Region.peek region (C.entry_cell t 0 i) in
-  check int "entry count" 500 (Region.peek region (C.nstores_cell t 0)).Word.v;
+  check int "entry count" 500
+    ((C.layout t).Check.Tmcheck.log_len (Region.peek region (C.req_cell t 0)));
   for i = 0 to 499 do
     let e = entry i in
     check int "value follows its address" (e.Word.v * 3) e.Word.s;
@@ -1606,10 +1685,11 @@ let test_lf_cost_counts () =
   let d = Pstats.diff st snap in
   (* pwb: 1 (request flush before the log is recycled — a deliberate +1
      over the paper, so a crash can never pair a stale-open durable
-     request with a torn rewritten log) + ceil((2+Nw)/4) (log lines)
+     request with a torn rewritten log) + ceil((1+Nw)/4) (log lines: the
+     request word, which carries the count, then the entries)
      + 1 (curTx) + data cache lines (flushes are line-deduped: the 8
      contiguous roots start line-aligned, so 8 words = 2 lines) *)
-  let log_lines = (2 + nw + 3) / 4 in
+  let log_lines = (1 + nw + 3) / 4 in
   let data_lines = (nw + 3) / 4 in
   check int "pwb count" (2 + log_lines + data_lines) d.Pstats.pwb;
   check int "pfence count" 0 d.Pstats.pfence;
@@ -1638,7 +1718,7 @@ let test_wf_cost_counts () =
      are line-deduped: 8 root words = 2 lines, and the result/ack pair of
      thread 0 shares one more line *)
   let nw' = nw + 2 in
-  let log_lines = (2 + nw' + 3) / 4 in
+  let log_lines = (1 + nw' + 3) / 4 in
   let data_lines = ((nw + 3) / 4) + 1 in
   check int "pwb count" (2 + log_lines + data_lines) d.Pstats.pwb;
   check int "pfence count" 0 d.Pstats.pfence;
@@ -1756,6 +1836,10 @@ let () =
             test_stalled_helper_writes_curtx_once;
           Alcotest.test_case "losers wait, not help" `Quick test_lf_losers_wait_not_help;
           Alcotest.test_case "retry at the close" `Quick test_lf_retry_at_close;
+          Alcotest.test_case "loser waits out the close" `Quick
+            test_lf_loser_waits_out_close;
+          Alcotest.test_case "3-entry log on one line" `Quick
+            test_three_entry_log_one_line;
           Alcotest.test_case "raise at the close" `Quick test_lf_raise_at_close;
           Alcotest.test_case "parked winner helped" `Quick test_lf_parked_winner_helped;
         ] );

@@ -176,8 +176,9 @@ let test_pop_logs_no_header () =
   free_root p;
   check int "popped: the same block" p (alloc_into_root ());
   let logged =
-    List.init (Region.peek region (C.nstores_cell t 0)).Pmem.Word.v (fun i ->
-        (Region.peek region (C.entry_cell t 0 i)).Pmem.Word.v)
+    List.init
+      ((C.layout t).Check.Tmcheck.log_len (Region.peek region (C.req_cell t 0)))
+      (fun i -> (Region.peek region (C.entry_cell t 0 i)).Pmem.Word.v)
   in
   check bool "the pop's redo log has no header entry" false (List.mem (p - 1) logged);
   check bool "... but the head and the root" true (List.mem r0 logged);
