@@ -62,7 +62,11 @@ type alloc_ops = { aload : int -> int; astore : int -> int -> unit }
     epoch for the calling thread and returns it; [snap_load inst epoch
     addr] resolves [addr] at that epoch without aborting, retrying or
     flushing; [snap_unpin] releases the epoch.  Used by {!Tm_shard} to
-    assemble cross-shard snapshot reads from per-shard epoch pins. *)
+    assemble cross-shard snapshot reads from per-shard epoch pins.
+    [snap_load inst max_int addr], at an epoch past every commit, needs
+    no pin and returns [addr]'s current word.  That word is a committed
+    value only where no commit can run on the instance, as on a shard
+    that the caller's cross-shard batch holds locked. *)
 type 'a snapshot_ops = {
   snap_pin : 'a -> int;
   snap_load : 'a -> int -> int -> int;

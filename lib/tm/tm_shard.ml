@@ -37,7 +37,9 @@
    strict 2PL over per-shard persistent lock cells acquired on first
    touch and held for the whole batch, writes/frees buffered into a
    batch union, allocations logged write-ahead into per-shard persistent
-   pending lists.  The batch then commits through ONE durable commit
+   pending lists.  A locked shard's words change only through the
+   leader's own transactions until the batch's apply, so members read
+   its current words.  The batch then commits through ONE durable commit
    record on shard 0 (participant set, union writes, union frees —
    amortizing the record and its fence across every member), is
    published in [cur], and is completed by one atomic apply transaction
@@ -142,16 +144,9 @@ module Make (T : Tm_intf.S) = struct
   (* Shared state of one batch execution (leader-confined). *)
   and bctx = {
     locked : bool array;
-    pins : int array;
-        (* per-shard snapshot epoch the batch reads a frozen shard at
-           (-1 = none): pinned on the first read after the lock, dropped
-           before any leader transaction on that shard and before the
-           record (see the Cross arm of [load]) *)
+        (* shards this batch froze: members read their current words
+           (the Cross arm of [load]) *)
     uwrites : (int, int) Hashtbl.t; (* union: global addr -> last value *)
-    ucache : (int, int) Hashtbl.t;
-        (* read cache over the frozen shards: a locked shard's cells
-           cannot change under the batch except through [uwrites], so a
-           once-read value stays valid for every later member *)
     mutable uworder : int list; (* reversed first-store order *)
     mutable ufrees : int list; (* reversed; global addrs *)
     mutable nmerged : int; (* members that contributed effects *)
@@ -490,15 +485,6 @@ module Make (T : Tm_intf.S) = struct
   let snap_load t s e l = t.snap.Tm_intf.snap_load t.shards.(s) e l
   let snap_unpin t s = t.snap.Tm_intf.snap_unpin t.shards.(s)
 
-  (* drop the batch's pin on frozen shard [s], if it holds one: a leader
-     transaction on [s] would release it silently (orphan-pin release),
-     and a pin held across the record would make its apply capture *)
-  let unpin_frozen t (bc : bctx) s =
-    if bc.pins.(s) >= 0 then begin
-      snap_unpin t s;
-      bc.pins.(s) <- -1
-    end
-
   (* a migrating range is dual-homed: the classify pre-pass reports BOTH
      ends, which routes every mutative touch of the range to the cross
      path (where stores dual-write) for as long as the move is live *)
@@ -553,44 +539,14 @@ module Make (T : Tm_intf.S) = struct
                  one: their union writes are visible *)
               match Hashtbl.find bc.uwrites g with
               | v -> v
-              | exception Not_found -> (
-                  match Hashtbl.find bc.ucache g with
-                  | v -> v
-                  | exception Not_found ->
-                      let s, l = route t g in
-                      let v =
-                        if not bc.locked.(s) then begin
-                          (* fuse the freeze with the batch's first load
-                             of the shard: the lock store and the read
-                             commit in ONE shard transaction, so no
-                             single-shard commit can slip between them *)
-                          Satomic.set t.locked_mask
-                            (Satomic.get t.locked_mask lor (1 lsl s));
-                          let v =
-                            T.update_tx t.shards.(s) (fun itx ->
-                                T.store itx (lock_cell t s) 1;
-                                T.load itx l)
-                          in
-                          bc.locked.(s) <- true;
-                          v
-                        end
-                        else begin
-                          (* the shard is frozen (locked) for the whole
-                             batch: its user cells cannot change until
-                             this batch's own apply (a single-shard
-                             transaction there sees the lock, raises
-                             [Blocked] and commits nothing, and the
-                             previous batch was reconciled before this
-                             one), so one epoch, pinned after the lock
-                             transaction raised [ro_stable] past it,
-                             serves every later read of the batch *)
-                          if bc.pins.(s) < 0 then bc.pins.(s) <- snap_pin t s;
-                          (* flowlint: ok unpinned-snapshot-load the pin is taken just above when absent and held in bc.pins until unpin_frozen *)
-                          snap_load t s bc.pins.(s) l
-                        end
-                      in
-                      Hashtbl.replace bc.ucache g v;
-                      v)))
+              | exception Not_found ->
+                  let s, l = route t g in
+                  ensure_locked t bc s;
+                  (* the lock transaction returned applied, and until
+                     this batch's apply no other commit lands on the
+                     shard (DESIGN.md §12) *)
+                  (* flowlint: ok unpinned-snapshot-load the batch holds shard s frozen, so no commit but the leader's own runs there and an epoch past every commit reads the current, committed word *)
+                  snap_load t s max_int l))
 
   let store tx g v =
     let t = tx.rt in
@@ -632,7 +588,6 @@ module Make (T : Tm_intf.S) = struct
     | Cross { bc; ov } ->
         let s = fresh_home t in
         ensure_locked t bc s;
-        unpin_frozen t bc s;
         (* write-ahead: the allocation and its pending-list entry commit
            in one T transaction, so a crash either never allocated or
            left a pending entry for recovery to roll back *)
@@ -668,19 +623,17 @@ module Make (T : Tm_intf.S) = struct
   (* undo one member's write-ahead allocations: the leader executes
      members serially, so this overlay's entries are exactly the newest
      ones of each shard's pending list *)
-  let rollback_allocs t (bc : bctx) (ov : overlay) =
+  let rollback_allocs t (ov : overlay) =
     if ov.oallocs <> [] then
       for s = 0 to Array.length t.shards - 1 do
         let mine = List.filter (fun (s', _) -> s' = s) ov.oallocs in
-        if mine <> [] then begin
-          unpin_frozen t bc s;
+        if mine <> [] then
           ignore
             (T.update_tx t.shards.(s) (fun itx ->
                  let pc = T.load itx (pcount_cell t s) in
                  T.store itx (pcount_cell t s) (pc - List.length mine);
                  List.iter (fun (_, a) -> T.free itx a) mine;
                  0))
-        end
       done
 
   let merge_overlay (bc : bctx) (ov : overlay) =
@@ -923,9 +876,7 @@ module Make (T : Tm_intf.S) = struct
     let bc =
       {
         locked = Array.make (Array.length t.shards) false;
-        pins = Array.make (Array.length t.shards) (-1);
         uwrites = Hashtbl.create 16;
-        ucache = Hashtbl.create 16;
         uworder = [];
         ufrees = [];
         nmerged = 0;
@@ -941,9 +892,6 @@ module Make (T : Tm_intf.S) = struct
         else if r.run bc then members := r :: !members
         else deferred := r :: !deferred)
       reqs;
-    for s = 0 to Array.length t.shards - 1 do
-      unpin_frozen t bc s
-    done;
     let parts = ref 0 in
     Array.iteri
       (fun s locked -> if locked then parts := !parts lor (1 lsl s))
@@ -1081,7 +1029,7 @@ module Make (T : Tm_intf.S) = struct
       match f { rt = t; kind = Cross { bc; ov } } with
       | r ->
           if overflow_writes bc ov || overflow_frees bc ov then begin
-            rollback_allocs t bc ov;
+            rollback_allocs t ov;
             if bc.nmerged = 0 then
               failwith
                 (if overflow_writes bc ov then
@@ -1095,14 +1043,14 @@ module Make (T : Tm_intf.S) = struct
             true
           end
       | exception Abort ->
-          rollback_allocs t bc ov;
+          rollback_allocs t ov;
           Sched.step_point ();
           attempt ()
       | exception e ->
           (* the member fails alone: its allocations are rolled back, it
              contributes nothing, and the owner re-raises after the
              batch completes *)
-          rollback_allocs t bc ov;
+          rollback_allocs t ov;
           out := `Failed e;
           true
     in

@@ -532,16 +532,26 @@ let test_sharded_exhaustive_clean () =
 
 let test_sharded_crash_sweep_clean () =
   (* every non-planted crash point of the bounded sweep must recover to a
-     crash-consistent prefix, cross-shard commit records included *)
-  let config = { E.default with E.shards = 2 } in
+     crash-consistent prefix, cross-shard commit records included; the
+     WF shards take their batch's locks through aggregated operations,
+     which must be applied when the leader's lock transaction returns *)
   List.iter
-    (fun seed ->
-      let prog = Proggen.gen_program ~max_txns:4 ~max_ops:3 ~transfers:true seed in
-      let r = E.explore_crashes ~config ~sites:`Persist ~max_sites:25 prog in
-      match r.E.failure with
-      | Some f -> Alcotest.failf "seed %d: %a" seed E.pp_failure f
-      | None -> ())
-    [ 1; 2; 3 ]
+    (fun wf ->
+      let config = { E.default with E.wf; shards = 2 } in
+      List.iter
+        (fun seed ->
+          let prog =
+            Proggen.gen_program ~max_txns:4 ~max_ops:3 ~transfers:true seed
+          in
+          let r = E.explore_crashes ~config ~sites:`Persist ~max_sites:25 prog in
+          match r.E.failure with
+          | Some f ->
+              Alcotest.failf "%s seed %d: %a"
+                (if wf then "wf" else "lf")
+                seed E.pp_failure f
+          | None -> ())
+        [ 1; 2; 3 ])
+    [ false; true ]
 
 let test_planted_torn_commit_record () =
   (* the distributed-commit bug: the record persists torn across shards,

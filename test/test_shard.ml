@@ -112,11 +112,21 @@ let test_single_shard_parallel () =
 let test_cross_transfer_conservation () =
   let _dev, tm = mk_sharded () in
   init_accounts tm 100;
+  let running = ref 2 in
   let worker w () =
     let rng = Rng.create (100 + w) in
     for _ = 1 to 20 do
       let a = Rng.int rng accounts and b = Rng.int rng accounts in
       if a <> b then transfer tm a b (1 + Rng.int rng 5)
+    done;
+    decr running
+  in
+  (* single-shard commits keep landing on shard 1 (accounts 1 and 5)
+     for as long as the batches run: a batch that read a word there
+     before its lock transaction committed would lose one of them *)
+  let home () =
+    while !running > 0 do
+      transfer tm 1 5 1
     done
   in
   (* the observer snapshots all accounts mid-run: cross-shard read
@@ -129,7 +139,7 @@ let test_cross_transfer_conservation () =
   in
   ignore
     (Sched.run ~seed:5
-       [| (fun () -> worker 0 ()); (fun () -> worker 1 ()); observer |]);
+       [| (fun () -> worker 0 ()); (fun () -> worker 1 ()); observer; home |]);
   check int "observer saw conservation" 0 !violations;
   check int "total conserved" (accounts * 100) (total tm)
 
@@ -862,7 +872,7 @@ let test_escape_in_aggregate_wf () =
   check int "one escape verdict" 1 (Telemetry.get te "router.escapes");
   check int "no Blocked verdict" 0 (Telemetry.get te "router.blocked")
 
-(* --- capture scoping and batch-pinned reads ------------------------- *)
+(* --- capture scoping and frozen-shard reads ------------------------ *)
 
 (* Every shard has its own instance id ([mk_sharded]), so each shard's
    [ro.captures] counts the versions its own apply passes installed. *)
@@ -913,24 +923,28 @@ let test_cross_read_capture_scoped () =
 
 (* A cross batch that runs after a (finished) cross read captures
    nothing anywhere: the read's pins deregistered at unpin, and the
-   leader's own frozen-shard pins — the member reads two cells on each
-   of shards 0 and 1 — are released before the batch record, so no
-   slot is registered anywhere once the batch is published (a helper
-   applying shard 1 before the leader would otherwise capture there). *)
+   leader reads the shards it froze — the member reads two cells on
+   each of shards 0 and 1 — without a pin, so no slot is registered
+   anywhere at any step of the batch (a helper applying shard 1 before
+   the leader would otherwise capture there). *)
 let test_cross_batch_captures_nothing () =
   let _dev, tm = mk_sharded () in
   init_accounts tm 100;
   let te = attach_all tm in
   let get = per_shard te in
-  let at_publication = ref None in
+  let read_done = ref false and registered = Array.make 4 0 in
   let on_step _ =
-    if !at_publication = None && Telemetry.get te "router.batch_commits" > 0
-    then at_publication := Some (readers_of tm)
+    if !read_done then
+      Array.iteri
+        (fun s k -> registered.(s) <- max registered.(s) k)
+        (readers_of tm)
   in
   in_order ~on_step
     [|
       (fun () -> ());
-      (fun () -> ignore (total tm));
+      (fun () ->
+        ignore (total tm);
+        read_done := true);
       (fun () ->
         ignore
           (Sh_wf.update_tx tm (fun tx ->
@@ -943,23 +957,24 @@ let test_cross_batch_captures_nothing () =
                Sh_wf.store tx (Sh_wf.root tm 1) (v1 + 3);
                v4 + v5)));
     |];
-  check (Alcotest.option (Alcotest.array int))
-    "no slot registered when the batch is published"
-    (Some [| 0; 0; 0; 0 |])
-    !at_publication;
+  check (Alcotest.array int) "no slot registered at any step of the batch"
+    [| 0; 0; 0; 0 |] registered;
+  check int "batch published" 1 (Telemetry.get te "router.batch_commits");
   check int "total conserved" (accounts * 100) (total tm);
   for s = 0 to 3 do
     check int (Printf.sprintf "shard %d: no capture" s) 0 (get "ro.captures" s)
   done
 
-(* A member that reads both shards of a 2-shard router (a lock read,
-   then a pinned read, on each), allocates — on a pinned shard, whose
-   pin the leader drops before the write-ahead transaction — and then
-   reads uncached cells, which re-pin that shard.  Every read must see
-   the pre-transaction value (the block gets their sum) and the
-   transfer must conserve the total.  The same member failing after its
-   allocation rolls the block back through another transaction on the
-   pinned shard.  Concurrent runs of the member next to single-shard
+(* A member that reads both shards of a 2-shard router, allocates on
+   one of them through the leader's write-ahead transaction, and then
+   reads cells it has not read before on both.  The leader reads the
+   shards it froze at their current words, so no read takes a pin and
+   no apply captures a version; the reads after the allocation see the
+   write-ahead transaction's own commit and nothing else.  Every read
+   must see the pre-transaction value (the block gets their sum) and
+   the transfer must conserve the total.  The same member failing after
+   its allocation rolls the block back through another transaction on
+   that shard.  Concurrent runs of the member next to single-shard
    transfers keep the total conserved throughout. *)
 let alloc_member tm ?(fail = false) tx =
   let ld i = Sh_wf.load tx (Sh_wf.root tm i) in
@@ -977,17 +992,20 @@ let alloc_member tm ?(fail = false) tx =
   if fail then failwith "member fails after its allocation";
   p
 
-let test_batch_pin_dropped_for_alloc () =
+let test_frozen_reads_take_no_pin () =
   let _dev, tm = mk_sharded ~n:2 () in
   init_accounts tm 100;
   let get = per_shard (attach_all tm) in
-  let pins () = get "tx.ro_epoch_pins" 0 + get "tx.ro_epoch_pins" 1 in
   let p = Sh_wf.update_tx tm (alloc_member tm) in
-  check int "two pins, one re-pin after the alloc" 3 (pins ());
+  check
+    (Alcotest.array (Alcotest.pair int int))
+    "no pin and no capture on either shard (pins, captures)"
+    [| (0, 0); (0, 0) |]
+    (Array.init 2 (fun s -> (get "tx.ro_epoch_pins" s, get "ro.captures" s)));
   check int "the block holds the pre-transaction sum" 600
     (Sh_wf.read_tx tm (fun tx -> Sh_wf.load tx p));
   check int "total conserved" (accounts * 100) (total tm);
-  check (Alcotest.array int) "no leader pin left registered" [| 0; 0 |]
+  check (Alcotest.array int) "no slot left registered" [| 0; 0 |]
     (readers_of tm);
   let base = Array.map Wf.allocated_cells (Sh_wf.shards tm) in
   (match Sh_wf.update_tx tm (alloc_member tm ~fail:true) with
@@ -999,7 +1017,7 @@ let test_batch_pin_dropped_for_alloc () =
         (Printf.sprintf "shard %d: failed member's block rolled back" s)
         base.(s) (Wf.allocated_cells sh))
     (Sh_wf.shards tm);
-  check (Alcotest.array int) "no leader pin left after the rollback" [| 0; 0 |]
+  check (Alcotest.array int) "no slot left registered after the rollback" [| 0; 0 |]
     (readers_of tm);
   let violations = ref 0 in
   ignore
@@ -1497,8 +1515,8 @@ let () =
             test_cross_read_capture_scoped;
           Alcotest.test_case "cross-batch-captures-nothing" `Quick
             test_cross_batch_captures_nothing;
-          Alcotest.test_case "pin-dropped-for-alloc" `Quick
-            test_batch_pin_dropped_for_alloc;
+          Alcotest.test_case "frozen-reads-take-no-pin" `Quick
+            test_frozen_reads_take_no_pin;
         ] );
       ( "batch-recovery",
         [
