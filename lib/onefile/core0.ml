@@ -45,11 +45,11 @@
    telemetry uses pre-resolved handles, and the interposition ops record
    is built once per thread slot.  tm_lint's hotpath rule keeps it that
    way. *)
-(* relaxed-ok: curtx_info/capture_info/claim_info/chunk_info/published/
-   allocated_cells are step-free debug views, usable from a scheduler
-   on_round hook without perturbing the schedule; the ro.snapshot_lag
-   sample in snap_read_tx is telemetry, read step-free so attaching a
-   registry never changes a schedule. *)
+(* relaxed-ok: curtx_info/capture_info/bucket_versions/claim_info/
+   chunk_info/published/allocated_cells are step-free debug views, usable
+   from a scheduler on_round hook without perturbing the schedule; the
+   ro.snapshot_lag sample in snap_read_tx is telemetry, read step-free so
+   attaching a registry never changes a schedule. *)
 (* mutable-ok: tx records and the desc freed flag are confined to their
    owning fiber / the reclamation epoch; the checker slot is written from
    sequential set-up code only; the curTx stamps and request words are
@@ -90,8 +90,8 @@ module Tmcheck = Check.Tmcheck
 type version = { vaddr : int; vval : int; vbirth : int; vdel : int }
 
 (* The volatile version store backing wait-free snapshot reads: a fixed
-   hash table of [vbuckets] buckets with [vslots_per] direct slots each
-   plus a per-bucket overflow list.  [ro_stable] is the newest fully
+   hash table of [vbuckets] buckets, each one immutable list of versions
+   replaced whole by one CAS ([vinstall]).  [ro_stable] is the newest fully
    applied commit sequence — the epoch a new reader pins.  [pin_floor] is
    a sound lower bound on the epoch of every active and future reader;
    versions whose [vdel] sits below it are invisible to all readers and
@@ -115,8 +115,7 @@ type version = { vaddr : int; vval : int; vbirth : int; vdel : int }
    (mutable-ok: cell [i] of either array is written only by thread [i],
    plus sequential recovery). *)
 type vstore = {
-  vslots : version option Satomic.t array; (* vbuckets * vslots_per *)
-  voverflow : version list Satomic.t array; (* one per bucket *)
+  vlists : version list Satomic.t array; (* one per bucket *)
   ro_stable : int Satomic.t;
   pin_floor : int Satomic.t;
   pin_watermark : int Satomic.t;
@@ -279,15 +278,22 @@ let stats inst = Region.stats inst.region
 (* Snapshot version store, reader side (DESIGN.md §13)                  *)
 
 let vbuckets = 512
-let vslots_per = 2
 let vbucket addr = (addr lxor (addr lsr 7)) land (vbuckets - 1)
 
+(* the version of [addr] covering [epoch] in one bucket's list *)
+(* flowlint: bounded walks one bucket's list once, and installs prune it below the floor *)
+let rec vfind addr epoch = function
+  | [] -> raise Not_found
+  | u :: rest ->
+      if u.vaddr = addr && u.vbirth <= epoch && epoch <= u.vdel then u
+      else vfind addr epoch rest
+
 (* Resolve [addr] at snapshot epoch [epoch]: the current word when it is
-   old enough, else the captured version covering [epoch].  Never aborts,
-   never retries, never flushes.  The version is guaranteed present:
-   every overwrite captures its predecessor before the winning DCAS
-   ([put_one]), and replacement drops only versions with
-   [vdel < pin_floor <= every pinned epoch]. *)
+   old enough, else the captured version covering [epoch], found with one
+   read of its bucket.  Never aborts, never retries, never flushes.  The
+   version is guaranteed present: every overwrite captures its
+   predecessor before the winning DCAS ([put_one]), and an install drops
+   only versions with [vdel < pin_floor <= every pinned epoch]. *)
 let snap_resolve ~region ~chk vst epoch addr =
   let w = Region.load region addr in
   if w.Word.s <= epoch then begin
@@ -296,31 +302,15 @@ let snap_resolve ~region ~chk vst epoch addr =
     | Some c -> Tmcheck.tx_load c ~addr ~v:w.Word.v ~s:w.Word.s);
     w.Word.v
   end
-  else begin
-    let base = vbucket addr * vslots_per in
-    let hit = ref None in
-    for i = 0 to vslots_per - 1 do
-      match Satomic.get vst.vslots.(base + i) with
-      | Some u when u.vaddr = addr && u.vbirth <= epoch && epoch <= u.vdel ->
-          hit := Some u
-      | _ -> ()
-    done;
-    (match !hit with
-    | Some _ -> ()
-    | None ->
-        List.iter
-          (fun u ->
-            if u.vaddr = addr && u.vbirth <= epoch && epoch <= u.vdel then
-              hit := Some u)
-          (Satomic.get vst.voverflow.(vbucket addr)));
-    match !hit with
-    | Some u ->
+  else
+    match vfind addr epoch (Satomic.get vst.vlists.(vbucket addr)) with
+    | u ->
         (match !chk with
         | None -> ()
         | Some c -> Tmcheck.tx_load c ~addr ~v:u.vval ~s:u.vbirth);
         u.vval
-    | None -> failwith "OneFile: snapshot version missing from the version store"
-  end
+    | exception Not_found ->
+        failwith "OneFile: snapshot version missing from the version store"
 
 (* ------------------------------------------------------------------ *)
 (* Interposition — defined before [create] so each tx slot can cache its
@@ -394,8 +384,7 @@ let create ?mode ?size ?region:backing ?(instance = "") ?(max_threads = 64)
   let tele = Telemetry.sink () in
   let vst =
     {
-      vslots = Array.init (vbuckets * vslots_per) (fun _ -> Satomic.make None);
-      voverflow = Array.init vbuckets (fun _ -> Satomic.make []);
+      vlists = Array.init vbuckets (fun _ -> Satomic.make []);
       ro_stable = Satomic.make 1;
       pin_floor = Satomic.make 1;
       pin_watermark = Satomic.make 0;
@@ -599,53 +588,37 @@ let refresh_floor inst =
   cas_max vst.pin_floor f;
   f
 
-(* Install one captured version into its bucket.  Preference order: a
-   slot already holding the same (addr, del) record — a racing helper
-   captured the identical overwrite — then an empty slot, then a slot
-   whose version expired below the floor; otherwise the bucket's
-   overflow list, pruning expired entries in the same CAS. *)
+(* live versions in one bucket at which an install refreshes the floor *)
+let vrefresh = 2
+
+(* Install one captured version into its bucket with one CAS of the
+   bucket's list.  A record with the same (addr, del) already there means
+   a racing helper captured the identical overwrite, and stops this one.
+   Otherwise the CAS pushes [v] and drops the versions below the cached
+   [pin_floor], read once after the first read of the list; when
+   [vrefresh] or more live ones remain, the floor is refreshed and the
+   list pruned again.  A CAS miss re-reads the list and keeps the floor it
+   has: the floor only rises. *)
 let vinstall inst b (v : version) =
   let vst = inst.vst in
-  let base = b * vslots_per in
-  let installed = ref false in
-  let floor = ref (-1) in
-  let get_floor () =
-    if !floor < 0 then floor := Satomic.get vst.pin_floor;
-    !floor
-  in
-  let try_slots () =
-    for i = 0 to vslots_per - 1 do
-      if not !installed then begin
-        let cell = vst.vslots.(base + i) in
-        match Satomic.get cell with
-        | Some u when u.vaddr = v.vaddr && u.vdel = v.vdel -> installed := true
-        | None as cur ->
-            if Satomic.compare_and_set cell cur (Some v) then installed := true
-        | Some u as cur when u.vdel < get_floor () ->
-            if Satomic.compare_and_set cell cur (Some v) then installed := true
-        | Some _ -> ()
-      end
-    done
-  in
+  let cell = vst.vlists.(b) in
   Telemetry.tick inst.c_captures;
-  try_slots ();
-  if not !installed then begin
-    floor := refresh_floor inst;
-    try_slots ();
-    if not !installed then begin
-      let floor = !floor in
-      let cell = vst.voverflow.(b) in
-      (* flowlint: bounded a CAS miss means a racing capture replaced the list — progress — and the duplicate check then stops this one *)
-      let rec go () =
-        let cur = Satomic.get cell in
-        if not (List.exists (fun u -> u.vaddr = v.vaddr && u.vdel = v.vdel) cur)
-        then
-          let keep = List.filter (fun u -> u.vdel >= floor) cur in
-          if not (Satomic.compare_and_set cell cur (v :: keep)) then go ()
-      in
-      go ()
+  (* flowlint: bounded a CAS miss means a racing capture replaced the list — progress — and the duplicate check then stops this one *)
+  let rec go floor =
+    let cur = Satomic.get cell in
+    if not (List.exists (fun u -> u.vaddr = v.vaddr && u.vdel = v.vdel) cur)
+    then begin
+      let floor = if floor < 0 then Satomic.get vst.pin_floor else floor in
+      let kept = List.filter (fun u -> u.vdel >= floor) cur in
+      if List.compare_length_with kept vrefresh < 0 then push floor cur kept
+      else
+        let floor = refresh_floor inst in
+        push floor cur (List.filter (fun u -> u.vdel >= floor) kept)
     end
-  end
+  and push floor cur kept =
+    if not (Satomic.compare_and_set cell cur (v :: kept)) then go floor
+  in
+  go (-1)
 
 (* The capture decision of one apply pass for commit [seq]: [true] when
    some reader may still need the words this pass overwrites.  A pass
@@ -1721,6 +1694,11 @@ let published inst u =
   | Empty -> false
   | Published _ | Solo _ -> true
 
+(* Debug view of the version store: how many versions the bucket of
+   [addr] holds.  Step-free like [curtx_info]. *)
+let bucket_versions inst addr =
+  List.length (Satomic.get_relaxed inst.vst.vlists.(vbucket addr))
+
 (* Allocator accounting over the quiescent volatile state (no transaction,
    no scheduling steps) — testing/diagnostics only. *)
 let allocated_cells inst =
@@ -1761,8 +1739,7 @@ let recover inst =
   (* The snapshot version store is volatile: rebuild epoch bookkeeping from
      the durable image.  Pre-crash readers are gone, so no era pins or
      shadow versions survive; the recovered state is epoch [ct.v] exactly. *)
-  Array.iter (fun c -> Satomic.set c None) inst.vst.vslots;
-  Array.iter (fun c -> Satomic.set c []) inst.vst.voverflow;
+  Array.iter (fun c -> Satomic.set c []) inst.vst.vlists;
   Hazard_eras.reset inst.he;
   Array.fill inst.vst.regst 0 (Array.length inst.vst.regst) 0;
   Array.fill inst.vst.pin_mine 0 (Array.length inst.vst.pin_mine) 0;

@@ -97,6 +97,10 @@ val capture_info : t -> int * int
 (** Step-free debug view of the capture word: (registered snapshot
     readers, highest commit applied without version capture). *)
 
+val bucket_versions : t -> int -> int
+(** Step-free debug view of the snapshot version store: how many captured
+    versions the bucket of address [a] holds. *)
+
 val claim_info : t -> int * int
 (** Step-free debug view of the commit claim, which an LF updater takes
     before it publishes its redo log and a WF thread takes to aggregate:

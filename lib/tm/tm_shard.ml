@@ -83,11 +83,13 @@ open Runtime
 exception Abort = Tm_intf.Abort
 exception Store_in_read_tx = Tm_intf.Store_in_read_tx
 
-(* Control-block caps: write-ahead allocations per shard, and buffered
-   writes and frees per batch commit record. *)
+(* Control-block caps: write-ahead allocations per shard, buffered
+   writes and frees per batch commit record, and migrated ranges in the
+   persistent shard map. *)
 let max_pending = 32
 let max_writes = 64
 let max_frees = 32
+let max_ranges = 8
 
 module Make (T : Tm_intf.S) = struct
   let name = "Shard(" ^ T.name ^ ")"
@@ -164,7 +166,6 @@ module Make (T : Tm_intf.S) = struct
     bws : (int * int) array; (* (gaddr, value), first-store order *)
     bfs : int array; (* global free addrs *)
     members : req array;
-    ro : bool; (* no writes/frees/allocs: no durable record *)
     done_hint : int Satomic.t;
         (* volatile progress hint: bit s = shard s applied.  Purely an
            optimization — a lost update can only clear bits, and a
@@ -181,7 +182,6 @@ module Make (T : Tm_intf.S) = struct
     rec_base : int; (* batch commit record, local to shard 0 *)
     map_base : int; (* persistent shard map (epoch + range table), shard 0 *)
     mig_base : int; (* persistent migration record, local to shard 0 *)
-    max_ranges : int;
     max_threads : int;
     watermark : int; (* close the accumulation window at this many queued *)
     (* per-shard MPSC prepare queues: a ticket ring per shard, capacity
@@ -297,8 +297,7 @@ module Make (T : Tm_intf.S) = struct
   let read_map sh0 map_base =
     Shard_map.decode (fun i -> T.read_tx sh0 (fun itx -> T.load itx (map_base + i)))
 
-  let make ?(max_threads = 64) ?(batch_watermark = 7) ?(max_ranges = 8)
-      ~ro_snapshot shards =
+  let make ?(max_threads = 64) ?(batch_watermark = 7) ~ro_snapshot shards =
     let n = Array.length shards in
     if n < 1 then invalid_arg "Tm_shard.make: need at least one shard";
     if n > 62 then
@@ -349,7 +348,6 @@ module Make (T : Tm_intf.S) = struct
         rec_base = ctl.(0) + ctl_cells;
         map_base;
         mig_base = ctl.(0) + ctl_cells + rec_cells + map_cells;
-        max_ranges;
         max_threads;
         watermark = max 1 batch_watermark;
         qslots =
@@ -441,9 +439,8 @@ module Make (T : Tm_intf.S) = struct
   type kind =
     | Classify of cls
     | Single of { home : int; itx : T.tx; rs : routing }
-    | Read_single of { home : int; itx : T.tx; img : Shard_map.image }
-        (* single-shard executions route every access through the routing
-           state read once at the start of the execution *)
+        (* a single-shard execution, update or read-only, routes every
+           access through the routing state read once at its start *)
     | Cross of { bc : bctx; ov : overlay }
     | Snap of { eps : int array; img : Shard_map.image }
         (* cross-shard snapshot read: every load resolves through the
@@ -519,7 +516,6 @@ module Make (T : Tm_intf.S) = struct
         cnote_addr t c g;
         0
     | Single { home; itx; rs } -> T.load itx (home_local t rs.img home g)
-    | Read_single { home; itx; img } -> T.load itx (home_local t img home g)
     | Snap { eps; img } ->
         if g = 0 then 0
         else
@@ -552,7 +548,7 @@ module Make (T : Tm_intf.S) = struct
     let t = tx.rt in
     match tx.kind with
     | Classify c -> cnote_addr t c g
-    | Read_single _ | Snap _ -> raise Store_in_read_tx
+    | Snap _ -> raise Store_in_read_tx
     | Single { home; itx; rs } ->
         escape_migrating rs g;
         T.store itx (home_local t rs.img home g) v
@@ -583,7 +579,7 @@ module Make (T : Tm_intf.S) = struct
         if c.cfirst < 0 then c.cfirst <- fresh_home t;
         cbump c;
         global t c.cfirst 1
-    | Read_single _ | Snap _ -> raise Store_in_read_tx
+    | Snap _ -> raise Store_in_read_tx
     | Single { home; itx; _ } -> global t home (T.alloc itx nw)
     | Cross { bc; ov } ->
         let s = fresh_home t in
@@ -608,7 +604,7 @@ module Make (T : Tm_intf.S) = struct
     let t = tx.rt in
     match tx.kind with
     | Classify c -> cnote_addr t c g
-    | Read_single _ | Snap _ -> raise Store_in_read_tx
+    | Snap _ -> raise Store_in_read_tx
     | Single { home; itx; rs } ->
         escape_migrating rs g;
         T.free itx (home_local t rs.img home g)
@@ -922,7 +918,6 @@ module Make (T : Tm_intf.S) = struct
           Array.of_list (List.map (fun g -> (g, Hashtbl.find bc.uwrites g)) ws);
         bfs = Array.of_list (List.rev bc.ufrees);
         members = Array.of_list (List.rev !members);
-        ro;
         done_hint = Satomic.make 0;
       }
     in
@@ -1153,7 +1148,7 @@ module Make (T : Tm_intf.S) = struct
   let snap_cross_read t f =
     let n = Array.length t.shards in
     let eps = Array.make n 0 in
-    (* flowlint: bounded each retry follows an observed generation or image change, i.e. a concurrent mutative commit or epoch flip; helping drives the in-flight batch to completion *)
+    (* flowlint: bounded each retry follows an observed generation or image change, i.e. a concurrent mutative commit or epoch flip; a batch seen mid-apply is helped to completion first *)
     let rec acquire () =
       let d1 = Satomic.get t.done_gen in
       let p1 = Satomic.get t.pub_gen in
@@ -1180,12 +1175,7 @@ module Make (T : Tm_intf.S) = struct
             if e <> eps.(s) then consistent := false;
             eps.(s) <- e
           done;
-        if not !consistent then begin
-          help t;
-          Sched.step_point ();
-          acquire ()
-        end
-        else rs.img
+        if not !consistent then acquire () else rs.img
       end
     in
     let img = acquire () in
@@ -1209,8 +1199,8 @@ module Make (T : Tm_intf.S) = struct
     | `Home home -> (
         match
           T.read_tx t.shards.(home) (fun itx ->
-              let img = (Satomic.get t.routing).img in
-              f { rt = t; kind = Read_single { home; itx; img } })
+              let rs = Satomic.get t.routing in
+              f { rt = t; kind = Single { home; itx; rs } })
         with
         | r -> r
         | exception Cross_escape -> snap_cross_read t f)
@@ -1389,7 +1379,7 @@ module Make (T : Tm_intf.S) = struct
               release (invalid "migrate_range: range overlaps the control block")
             else if slot >= l0 && slot < l0 + len then
               release (invalid "migrate_range: range covers the reserved root slot")
-            else if Array.length img.entries >= t.max_ranges then
+            else if Array.length img.entries >= max_ranges then
               release (invalid "migrate_range: range table full")
             else begin
               (* write-ahead host allocation: the block and its hold

@@ -34,7 +34,6 @@ module Make (T : Tm_intf.S) : sig
   val make :
     ?max_threads:int ->
     ?batch_watermark:int ->
-    ?max_ranges:int ->
     ro_snapshot:T.t Tm_intf.snapshot_ops ->
     T.t array ->
     t
@@ -43,15 +42,15 @@ module Make (T : Tm_intf.S) : sig
       is reserved for the router's control block).  Fixed caps: 32
       write-ahead allocations per shard, and 64 buffered writes and 32
       buffered frees per batch commit record (a drained generation that
-      would overflow the record is split into consecutive sub-batches).
+      would overflow the record is split into consecutive sub-batches),
+      and 8 simultaneously migrated ranges in the persistent shard-map
+      range table.
       [max_threads] (default 64) caps the per-shard prepare-queue
       slots.  [batch_watermark] (7) closes the
       leader's group-commit accumulation window early once that many
       requests are queued; arrivals are at most one per thread, so a
       value near the expected thread count maximizes batch size (the
-      window is step-capped regardless).  [max_ranges] (8) caps the
-      persistent shard-map range table — the number of simultaneously
-      migrated ranges.  Adopts an existing control block
+      window is step-capped regardless).  Adopts an existing control block
       when the reserved root is non-null (a re-opened device), including
       its persistent shard map; call {!recover} before use in that case.
 

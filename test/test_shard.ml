@@ -1155,27 +1155,30 @@ let test_migrate_validation () =
     (inv (Sh_wf.migrate_range tm ~lo ~len ~dst:1));
   check ok "retire cleanly" `Ok (Sh_wf.migrate_range tm ~lo ~len ~dst:0)
 
+(* The shard map holds 8 migrated ranges: fill it with single-cell
+   moves of router roots (even roots live on shard 0, odd on shard 1,
+   each moved to the other shard), check that a ninth is refused, then
+   retire one range and reuse its slot. *)
 let test_migrate_table_full () =
-  let device = Region.create (2 * 4096) in
-  let views = Region.partition device [ 4096; 4096 ] in
-  let shards =
-    Array.of_list
-      (List.map
-         (fun v ->
-           Wf.create ~region:v ~instance:(Region.id v) ~max_threads:8
-             ~ws_cap:256 ~num_roots:8 ())
-         views)
+  let _dev, tm = mk_sharded ~n:2 () in
+  init_accounts tm 100;
+  let move i =
+    Sh_wf.migrate_range tm ~lo:(Sh_wf.root tm i) ~len:1 ~dst:(1 - (i mod 2))
   in
-  let tm =
-    Sh_wf.make ~max_threads:8 ~max_ranges:1 ~ro_snapshot:Wf.snapshot_ops
-      shards
-  in
-  check ok "first split fits" `Ok (Sh_wf.split tm ~src:0 ~dst:1);
-  (match Sh_wf.split tm ~src:1 ~dst:0 with
+  for i = 0 to 7 do
+    check ok (Printf.sprintf "range %d fits" i) `Ok (move i)
+  done;
+  (match move 8 with
   | `Invalid _ -> ()
-  | `Ok | `Busy -> Alcotest.fail "second range must overflow the table");
-  check ok "retire frees the slot" `Ok (Sh_wf.merge tm ~src:1 ~dst:0);
-  check ok "slot reusable" `Ok (Sh_wf.split tm ~src:1 ~dst:0)
+  | `Ok | `Busy -> Alcotest.fail "a ninth range must overflow the table");
+  check ok "retire frees a slot" `Ok
+    (Sh_wf.migrate_range tm ~lo:(Sh_wf.root tm 0) ~len:1 ~dst:0);
+  check ok "slot reusable" `Ok (move 8);
+  check int "table full again" 8 (Array.length (Sh_wf.map_entries tm));
+  for i = 0 to accounts - 1 do
+    check int (Printf.sprintf "account %d keeps its value" i) 100
+      (Sh_wf.read_tx tm (fun tx -> Sh_wf.load tx (Sh_wf.root tm i)))
+  done
 
 let test_migration_roll_forward () =
   (* fabricate the durable footprint of a crash right after the

@@ -309,6 +309,114 @@ let test_ro_pin_scripted_schedule () =
   check_int "follow-up read sees the final value" 12
     (Lf.read_tx tm (fun tx -> Lf.load tx r0))
 
+(* One version list per bucket, past the refresh threshold.  R1, R2 and
+   R3 (slots 1-3) pin at three successive epochs of r0 (10, 11, 12: one
+   writer commit apart) and park at their load; W (slot 0) then
+   overwrites r0 four more times.  No version can drop below R1's epoch,
+   so r0's bucket keeps all six captured versions — more than the 2 live
+   ones at which an install refreshes the floor — and each reader must
+   resolve its own epoch's value from that one list. *)
+let test_ro_pins_one_bucket () =
+  let tm = Lf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~ws_cap:64 () in
+  let r0 = Lf.root tm 0 in
+  ignore (Lf.update_tx tm (fun tx -> Lf.store tx r0 10; 0));
+  let te = Telemetry.create () in
+  Lf.attach_telemetry tm te;
+  let got = Array.make 4 (-1) in
+  let fibers =
+    Array.init 4 (fun i () ->
+        if i = 0 then
+          for v = 11 to 16 do
+            ignore (Lf.update_tx tm (fun tx -> Lf.store tx r0 v; 0))
+          done
+        else got.(i) <- Lf.read_tx tm (fun tx -> Lf.load tx r0))
+  in
+  (* reader k + 1 pins once W has committed k times; W's last four
+     commits run with all three pinned; then everyone finishes *)
+  let pick ~step:_ ~enabled ~last:_ =
+    let pins = Telemetry.get te "tx.ro_epoch_pins" in
+    let commits = Telemetry.get te "tx.commits" in
+    if pins < 3 && commits >= pins && Array.mem (pins + 1) enabled then pins + 1
+    else if commits < 6 && Array.mem 0 enabled then 0
+    else enabled.(0)
+  in
+  let r = Explore.run ~pick fibers in
+  check_bool "schedule ran to completion" true
+    (r.Explore.status = Explore.Completed);
+  check_int "six overwrites captured" 6 (Telemetry.get te "ro.captures");
+  check_int "r0's bucket kept every version" 6
+    (Onefile.Core0.bucket_versions tm r0);
+  check_int "R1 reads its epoch" 10 got.(1);
+  check_int "R2 reads its epoch" 11 got.(2);
+  check_int "R3 reads its epoch" 12 got.(3)
+
+(* Two words in one bucket resolve independently.  [b = a + 2^16] hashes
+   to [a]'s bucket (the count below confirms it).  R1 (slot 1) pins
+   before W (slot 0) overwrites [a], and R2 (slot 2) between that and
+   W's overwrite of [b]; each must read the pair of its own epoch. *)
+let test_two_words_one_bucket () =
+  let tm = Lf.create ~mode:Region.Volatile ~size:(1 lsl 17) ~ws_cap:64 () in
+  let a = Lf.root tm 0 in
+  let b = a + (1 lsl 16) in
+  ignore (Lf.update_tx tm (fun tx -> Lf.store tx a 1; Lf.store tx b 2; 0));
+  let te = Telemetry.create () in
+  Lf.attach_telemetry tm te;
+  let got = Array.make 3 (-1) in
+  let fibers =
+    Array.init 3 (fun i () ->
+        if i = 0 then begin
+          ignore (Lf.update_tx tm (fun tx -> Lf.store tx a 11; 0));
+          ignore (Lf.update_tx tm (fun tx -> Lf.store tx b 12; 0))
+        end
+        else
+          got.(i) <- Lf.read_tx tm (fun tx -> (100 * Lf.load tx a) + Lf.load tx b))
+  in
+  let pick ~step:_ ~enabled ~last:_ =
+    let pins = Telemetry.get te "tx.ro_epoch_pins" in
+    let commits = Telemetry.get te "tx.commits" in
+    if pins < 2 && commits >= pins && Array.mem (pins + 1) enabled then pins + 1
+    else if commits < 2 && Array.mem 0 enabled then 0
+    else enabled.(0)
+  in
+  let r = Explore.run ~pick fibers in
+  check_bool "schedule ran to completion" true
+    (r.Explore.status = Explore.Completed);
+  check_int "a's and b's versions share one bucket" 2
+    (Onefile.Core0.bucket_versions tm a);
+  check_int "R1 reads (a, b) before both overwrites" 102 got.(1);
+  check_int "R2 reads (a, b) between them" 1102 got.(2);
+  check_int "a follow-up read sees both" 1112
+    (Lf.read_tx tm (fun tx -> (100 * Lf.load tx a) + Lf.load tx b))
+
+(* An install prunes its bucket.  Slot 1 reads once and stays registered
+   with no pin, so each of slot 0's 200 overwrites of r0 captures a
+   version, and the floor follows the commits: r0's bucket never holds
+   more than 3. *)
+let test_bucket_pruned_while_unpinned () =
+  let tm = Lf.create ~mode:Region.Volatile ~size:(1 lsl 14) ~ws_cap:64 () in
+  let r0 = Lf.root tm 0 in
+  let te = Telemetry.create () in
+  Lf.attach_telemetry tm te;
+  let most = ref 0 in
+  (* the reader (highest slot) runs to completion first *)
+  let pick ~step:_ ~enabled ~last:_ = enabled.(Array.length enabled - 1) in
+  ignore
+    (Sched.run_controlled ~pick
+       [|
+         (fun () ->
+           for i = 1 to 200 do
+             ignore (Lf.update_tx tm (fun tx -> Lf.store tx r0 i; 0));
+             most := max !most (Onefile.Core0.bucket_versions tm r0)
+           done);
+         (fun () -> ignore (Lf.read_tx tm (fun tx -> Lf.load tx r0)));
+       |]);
+  check_int "slot 1 is still registered" 1
+    (fst (Onefile.Core0.capture_info tm));
+  check_int "every overwrite captured" 200 (Telemetry.get te "ro.captures");
+  check_bool
+    (Printf.sprintf "bucket held at most 3 versions (max %d)" !most)
+    true (!most <= 3)
+
 (* Version capture is paid only while a reader is registered: a slot
    registers with its first snapshot pin on an instance and deregisters
    at its next update transaction there.  Counted with [ro.captures]
@@ -811,6 +919,12 @@ let () =
         [
           Alcotest.test_case "scripted-3-thread-ro-pins" `Quick
             test_ro_pin_scripted_schedule;
+          Alcotest.test_case "three-pins-one-bucket" `Quick
+            test_ro_pins_one_bucket;
+          Alcotest.test_case "two-words-one-bucket" `Quick
+            test_two_words_one_bucket;
+          Alcotest.test_case "bucket-pruned-while-unpinned" `Quick
+            test_bucket_pruned_while_unpinned;
           Alcotest.test_case "zero-aborts-under-churn" `Quick
             test_ro_zero_aborts_under_churn;
           Alcotest.test_case "capture-only-while-registered" `Quick
